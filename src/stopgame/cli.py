@@ -33,16 +33,28 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be a positive integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="stopgame",
                 description="solve, dualize, simulate and verify two-player "
                             "stopping games with privately observed chains")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    common.add_argument("--threads", type=int,
-                        default=int(os.environ.get("STOPGAME_THREADS", "0")) or None,
-                        help="worker pool size (default: STOPGAME_THREADS, else "
-                             "machine parallelism where pooling applies)")
+    # a string default goes through `type` at parse time, so a bad
+    # STOPGAME_THREADS is reported like a bad flag
+    common.add_argument("--threads", type=_thread_count,
+                        default=os.environ.get("STOPGAME_THREADS") or None,
+                        help="worker processes for Monte Carlo verification "
+                             "(default: STOPGAME_THREADS, else serial)")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     s = sub.add_parser("solve", parents=[common], help="compute the value grid of a game")
@@ -296,9 +308,8 @@ def _cmd_verify(args) -> int:
                 f"strategy was built for initial law {belief.tolist()} but the "
                 f"game starts at {spec.p0.tolist()}")
     family = PureResponseFamily.for_game(spec, n=args.times)
-    threads = args.threads or (os.cpu_count() or 1)
     report = exploit_gap(spec, strat, float(claim), family, args.n,
-                         seed=args.seed, threads=threads)
+                         seed=args.seed, threads=args.threads or 1)
     payload = report.to_payload()
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:

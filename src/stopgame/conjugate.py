@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InputError
-from .grids import ValueGrid
+from .grids import SimplexGrid, ValueGrid
 from .model import as_simplex, marginal_flow
 
 __all__ = [
@@ -60,102 +60,72 @@ class DualPoint:
         object.__setattr__(self, "partner", as_simplex(self.partner))
 
 
-def _golden(f, a: float, b: float, sign: float, iters: int = 90):
-    """Golden-section optimizer of a unimodal slice; sign=+1 max, -1 min."""
+def _golden_min(f, a: float, b: float, iters: int = 90) -> float:
+    """Golden-section minimum of a unimodal function on ``[a, b]``."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
+    fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc >= fd:
+        if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = sign * f(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = sign * f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+            fd = f(d)
+    return f(0.5 * (a + b))
 
 
-def _p_slice(V, q: np.ndarray, dim_p: int):
-    """Callable p_chart -> V(p, q) for a grid or a raw callable."""
-    if isinstance(V, ValueGrid):
-        if dim_p != 2:
-            raise InputError("slice refinement needs a two-state first argument")
-        return lambda c: V.value_at(pair(c), q)
-    return lambda c: V(pair(c), q)
+def _grid_slice(partner: SimplexGrid, point: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Columns of ``values`` (one per ``partner`` node) interpolated at ``point``."""
+    idx, w = partner.interp_weights(np.atleast_2d(point[: partner.dim - 1]))
+    return sum(w[0, b] * values[:, idx[0, b]] for b in range(idx.shape[1]))
 
 
-def concave_conjugate_p(V, x, q) -> float:
-    """inf over the p-simplex of <x, p> - V(p, q).
+def _inf_pairing(x: np.ndarray, slice_, nodes: np.ndarray | None = None) -> float:
+    """inf over a simplex of ``<x, s> - slice_(s)``.
 
-    Grid input: exact node scan (the objective is piecewise affine), plus
-    a golden-section polish on the scalar chart.  Callable input: coarse
-    scan plus golden section; the objective is convex in p, so the slice
-    is unimodal.
+    Grid input (``slice_`` holds the values at ``nodes``): the objective is
+    affine on every cell, so the exact answer is a scan over the nodes.
+    Callable input (``slice_`` maps the scalar chart to a value): coarse
+    scan plus golden section; the objective is convex, so it is unimodal.
     """
-    x = np.asarray(x, dtype=float)
-    q = as_simplex(q)
-    if isinstance(V, ValueGrid):
-        pg = V.p_grid
-        if x.size != pg.dim:
-            raise InputError("dual vector dimension does not match the p-side")
-        iq, wq = V.q_grid.interp_weights(np.atleast_2d(q[: V.q_grid.dim - 1]))
-        col = sum(wq[0, b] * V.values[:, iq[0, b]] for b in range(iq.shape[1]))
-        objective = pg.nodes @ x - col
-        best = int(np.argmin(objective))
-        if pg.dim != 2:
-            return float(objective[best])
-        chart = pg.chart[:, 0]
-        lo = chart[max(best - 1, 0)]
-        hi = chart[min(best + 1, pg.n_nodes - 1)]
-        slice_fn = _p_slice(V, q, 2)
-        _, val = _golden(lambda c: x[0] * c + x[1] * (1 - c) - slice_fn(c), lo, hi, sign=-1.0)
-        return min(float(objective[best]), float(val))
+    if nodes is not None:
+        return float(np.min(nodes @ x - slice_))
     if x.size != 2:
         raise InputError("callable conjugation is implemented on the scalar chart")
-    slice_fn = _p_slice(V, q, 2)
-    obj = lambda c: x[0] * c + x[1] * (1 - c) - slice_fn(c)
+    obj = lambda c: x[0] * c + x[1] * (1 - c) - slice_(c)
     coarse = np.linspace(0.0, 1.0, 257)
     vals = np.array([obj(c) for c in coarse])
     best = int(np.argmin(vals))
     lo, hi = coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
-    _, val = _golden(obj, lo, hi, sign=-1.0)
-    return min(float(vals[best]), float(val))
+    return min(float(vals[best]), float(_golden_min(obj, lo, hi)))
+
+
+def concave_conjugate_p(V, x, q) -> float:
+    """inf over the p-simplex of <x, p> - V(p, q), for a value grid or a callable."""
+    x = np.asarray(x, dtype=float)
+    q = as_simplex(q)
+    if isinstance(V, ValueGrid):
+        if x.size != V.p_grid.dim:
+            raise InputError("dual vector dimension does not match the p-side")
+        return _inf_pairing(x, _grid_slice(V.q_grid, q, V.values), V.p_grid.nodes)
+    return _inf_pairing(x, lambda c: V(pair(c), q))
 
 
 def convex_conjugate_q(V, p, y) -> float:
-    """sup over the q-simplex of <q, y> - V(p, q); dual to :func:`concave_conjugate_p`."""
+    """sup over the q-simplex of <q, y> - V(p, q); dual to :func:`concave_conjugate_p`.
+
+    Computed as ``-inf_q <q, -y> - (-V(p, q))``.
+    """
     p = as_simplex(p)
     y = np.asarray(y, dtype=float)
     if isinstance(V, ValueGrid):
-        qg = V.q_grid
-        if y.size != qg.dim:
+        if y.size != V.q_grid.dim:
             raise InputError("dual vector dimension does not match the q-side")
-        if qg.dim == 1:
-            return float(y[0] - V.value_at(p, np.array([1.0])))
-        ip, wp = V.p_grid.interp_weights(np.atleast_2d(p[: V.p_grid.dim - 1]))
-        row = sum(wp[0, a] * V.values[ip[0, a], :] for a in range(ip.shape[1]))
-        objective = qg.nodes @ y - row
-        best = int(np.argmax(objective))
-        if qg.dim != 2:
-            return float(objective[best])
-        chart = qg.chart[:, 0]
-        lo = chart[max(best - 1, 0)]
-        hi = chart[min(best + 1, qg.n_nodes - 1)]
-        obj = lambda c: y[0] * c + y[1] * (1 - c) - V.value_at(p, pair(c))
-        _, val = _golden(obj, lo, hi, sign=1.0)
-        return max(float(objective[best]), float(val))
-    if y.size != 2:
-        raise InputError("callable conjugation is implemented on the scalar chart")
-    obj = lambda c: y[0] * c + y[1] * (1 - c) - V(p, pair(c))
-    coarse = np.linspace(0.0, 1.0, 257)
-    vals = np.array([obj(c) for c in coarse])
-    best = int(np.argmax(vals))
-    lo, hi = coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
-    _, val = _golden(obj, lo, hi, sign=1.0)
-    return max(float(vals[best]), float(val))
+        return -_inf_pairing(-y, -_grid_slice(V.p_grid, p, V.values.T), V.q_grid.nodes)
+    return -_inf_pairing(-y, lambda c: -V(p, pair(c)))
 
 
 def obstacle_conjugate_p(M, x, q) -> float:
@@ -183,8 +153,7 @@ def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:
     if qg.dim == 1:
         z = np.zeros(0)
         return z, z
-    ip, wp = V.p_grid.interp_weights(np.atleast_2d(p[: V.p_grid.dim - 1]))
-    row = sum(wp[0, a] * V.values[ip[0, a], :] for a in range(ip.shape[1]))
+    row = _grid_slice(V.p_grid, p, V.values.T)
     step = qg.step
     if qg.dim == 2:
         c = float(q[0])

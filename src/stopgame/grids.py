@@ -6,9 +6,14 @@ value array and supports the operations the solver is built from:
 multilinear interpolation on the chart, and per-slice concave/convex
 envelopes.
 
-The validated path is two-state sides (1-d charts).  Higher dimensions
-use Delaunay barycentric interpolation and qhull envelopes; both are
-exact for piecewise-affine data but cost grows quickly with dimension.
+The validated path is two-state sides (1-d charts).  There the envelope
+of every slice is computed at once by round-wise pruning: each round
+drops, in all columns together, every node on or below the chord of its
+alive neighbours, until a round drops nothing.  Solver iterates need
+about ten rounds; the worst case, a concave run ending in a spike, needs
+one round per node.  Higher dimensions use Delaunay barycentric
+interpolation and qhull envelopes; both are exact for piecewise-affine
+data but cost grows quickly with dimension.
 """
 
 from __future__ import annotations
@@ -24,9 +29,7 @@ from .model import GameSpec
 
 __all__ = [
     "SimplexGrid", "ValueGrid", "payoff_grids",
-    "upper_concave_envelope_1d", "lower_convex_envelope_1d",
     "concave_envelope", "convex_envelope",
-    "concave_envelope_columns", "convex_envelope_rows",
     "write_value_csv", "read_value_csv",
 ]
 
@@ -111,78 +114,57 @@ class SimplexGrid:
         return idx.astype(np.int64), w
 
 
-def _hull_columns_core(x, vals, out):
-    # Monotone-chain upper hull of each column, then chord interpolation.
-    n, m = vals.shape
-    hull = np.empty(n, dtype=np.int64)
-    for j in range(m):
-        k = 0
-        for i in range(n):
-            vi = vals[i, j]
-            while k >= 2:
-                a = hull[k - 2]
-                b = hull[k - 1]
-                # drop b when it lies on or below the chord a -> i
-                if (vals[b, j] - vals[a, j]) * (x[i] - x[a]) <= (vi - vals[a, j]) * (x[b] - x[a]):
-                    k -= 1
-                else:
-                    break
-            hull[k] = i
-            k += 1
-        seg = 0
-        for i in range(n):
-            while seg < k - 1 and x[hull[seg + 1]] < x[i]:
-                seg += 1
-            a = hull[seg]
-            b = hull[seg + 1] if seg + 1 < k else a
-            if b == a:
-                env = vals[a, j]
-            else:
-                w = (x[i] - x[a]) / (x[b] - x[a])
-                env = (1.0 - w) * vals[a, j] + w * vals[b, j]
-            if env < vals[i, j]:
-                env = vals[i, j]
-            out[i, j] = env
-    return out
+def _upper_hull_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Least concave majorant of every column of ``v`` over the increasing chart ``x``.
 
-
-try:  # hot loop of the solver; the pure-python body above is the reference
-    from numba import njit as _njit
-
-    _hull_columns = _njit(cache=True)(_hull_columns_core)
-except Exception:  # pragma: no cover - numba is only an accelerator
-    _hull_columns = _hull_columns_core
-
-
-def concave_envelope_columns(x: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Upper concave envelope of every column over the 1-d chart ``x``."""
-    out = np.empty_like(vals, dtype=float)
-    _hull_columns(np.ascontiguousarray(x, dtype=float),
-                  np.ascontiguousarray(vals, dtype=float), out)
-    return out
-
-
-def convex_envelope_rows(x: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Lower convex envelope of every row over the 1-d chart ``x``."""
-    return -concave_envelope_columns(x, -vals.T).T
-
-
-def upper_concave_envelope_1d(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Least concave majorant of samples on an increasing 1-d grid."""
-    return concave_envelope_columns(np.asarray(x, dtype=float),
-                                    np.asarray(v, dtype=float)[:, None])[:, 0]
-
-
-def lower_convex_envelope_1d(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return -upper_concave_envelope_1d(x, -v)
+    Round-wise pruning: each round finds, per column, every alive node's
+    alive neighbours ``a < b < c`` and drops, in all columns at once, each
+    interior ``b`` on or below the chord ``a -> c``.  Such a node is never
+    a hull vertex, so dropping many at once is exact; once a round drops
+    nothing every alive chain is locally concave, hence the hull.  Typical
+    iterates need about ten rounds; a concave run ending in a spike drops
+    one node per round, so the worst case is ``n - 2`` rounds of O(n m).
+    Between vertices the envelope is the chord ``(1 - w) v_a + w v_c``.
+    """
+    n, m = v.shape
+    if n < 3:
+        return v.copy()
+    flat = v.ravel()
+    rows = np.arange(n)[:, None]
+    cols = np.arange(m)
+    xs = x[:, None]
+    alive = np.ones((n, m), dtype=bool)
+    while True:
+        seen = np.maximum.accumulate(np.where(alive, rows, 0), axis=0)
+        ahead = np.minimum.accumulate(np.where(alive, rows, n - 1)[::-1], axis=0)[::-1]
+        a = np.concatenate([seen[:1], seen[:-1]])  # previous alive node
+        c = np.concatenate([ahead[1:], ahead[-1:]])  # next alive node
+        va, vc, xa = flat[a * m + cols], flat[c * m + cols], x[a]
+        # the monotone chain's pop test: b on or below the chord a -> c
+        drop = alive & ((v - va) * (x[c] - xa) <= (vc - va) * (xs - xa))
+        drop[0] = drop[-1] = False  # the end nodes are always vertices
+        if not drop.any():
+            break
+        alive &= ~drop
+    w = (xs - xa) / (x[c] - xa)
+    return np.maximum(np.where(alive, v, (1.0 - w) * va + w * vc), v)
 
 
 def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Upper concave envelope of a slice on its chart (any dimension)."""
+    """Upper concave envelope over ``chart`` of a slice or of every column of ``v``.
+
+    ``chart`` has one row per node; ``v`` is a slice of node values or a
+    2-d array whose columns are slices.  One chart coordinate uses the
+    pruning kernel on all columns at once, more use qhull per column.
+    """
+    v = np.asarray(v, dtype=float)
     if chart.shape[1] == 0:
         return v.copy()
     if chart.shape[1] == 1:
-        return upper_concave_envelope_1d(chart[:, 0], v)
+        cols = np.ascontiguousarray(v.reshape(v.shape[0], -1))
+        return _upper_hull_columns(np.asarray(chart[:, 0], dtype=float), cols).reshape(v.shape)
+    if v.ndim == 2:
+        return np.column_stack([concave_envelope(chart, col) for col in v.T])
     from scipy.spatial import ConvexHull
     from scipy.spatial._qhull import QhullError
 
@@ -204,7 +186,8 @@ def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def convex_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return -concave_envelope(chart, -v)
+    """Lower convex envelope; the mirror image of :func:`concave_envelope`."""
+    return -concave_envelope(chart, -np.asarray(v, dtype=float))
 
 
 @dataclass

@@ -40,6 +40,8 @@ def as_simplex(weights, *, clamp: float = SIMPLEX_CLAMP) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InputError("simplex point must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(w)):
+        raise InputError("probabilities must be finite")
     if np.any(w < -clamp):
         raise InputError(f"negative probability {w.min():.3e} below clamp tolerance")
     total = float(w.sum())
@@ -54,6 +56,8 @@ def as_generator(entries) -> np.ndarray:
     g = np.asarray(entries, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InputError("generator must be a square matrix")
+    if not np.all(np.isfinite(g)):
+        raise InputError("generator rates must be finite")
     off = g - np.diag(np.diag(g))
     if np.any(off < -GENERATOR_ROW_TOL):
         raise InputError("generator has a negative off-diagonal rate")
@@ -88,10 +92,12 @@ class GameSpec:
         K, L = self.R.shape[0], self.Q.shape[0]
         if f.shape != (K, L) or h.shape != (K, L):
             raise InputError(f"payoff matrices must have shape ({K}, {L})")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(h))):
+            raise InputError("payoffs must be finite")
         if np.any(f < h):
             raise InputError("payoffs must satisfy f >= h entrywise")
-        if not self.r > 0:
-            raise InputError("discount rate must be positive")
+        if not (self.r > 0 and math.isfinite(self.r)):
+            raise InputError("discount rate must be positive and finite")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "p0", as_simplex(self.p0))

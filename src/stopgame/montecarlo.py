@@ -83,6 +83,11 @@ def _chunks(n: int):
     return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
 
+def _capped(t: float, horizon: float) -> float:
+    """A stop past the sampled horizon (discount below 1e-8) counts as never."""
+    return t if t <= horizon else math.inf
+
+
 def _estimate_chunk(spec: GameSpec, strat1, strat2, lo: int, hi: int, seed: int):
     horizon = never_horizon(spec.r)
     sx = ChainSampler(spec.R, spec.p0)
@@ -92,8 +97,8 @@ def _estimate_chunk(spec: GameSpec, strat1, strat2, lo: int, hi: int, seed: int)
         rng = philox_rng(seed, i)
         X = sx.sample(horizon, rng)
         Y = sy.sample(horizon, rng)
-        mu = strat1.stopping_time(X, rng)
-        nu = strat2.stopping_time(Y, rng)
+        mu = _capped(strat1.stopping_time(X, rng), horizon)
+        nu = _capped(strat2.stopping_time(Y, rng), horizon)
         out[i - lo] = realized_payoff(spec, X, Y, mu, nu).payoff
     return np.array([out.sum(), (out * out).sum(), float(out.size)])
 
@@ -119,8 +124,7 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     """
     finite = family.times[:-1]
     g = finite.size
-    horizon = float(finite[-1]) if g else 0.0
-    horizon = max(horizon, 1.0)
+    horizon = max(float(finite[-1]), never_horizon(spec.r), 1.0)
     sx = ChainSampler(spec.R, spec.p0)
     sy = ChainSampler(spec.Q, spec.q0)
     L = spec.L if family.per_initial_state else 1
@@ -132,7 +136,7 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
         rng = philox_rng(seed, i)
         X = sx.sample(horizon, rng)
         Y = sy.sample(horizon, rng)
-        mu = strat1.stopping_time(X, rng)
+        mu = _capped(strat1.stopping_time(X, rng), horizon)
         xs = X.states[np.searchsorted(X.times, finite, side="right") - 1]
         ys = Y.states[np.searchsorted(Y.times, finite, side="right") - 1]
         row = np.empty(g + 1)

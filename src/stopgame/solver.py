@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .grids import (SimplexGrid, ValueGrid, concave_envelope,
-                    concave_envelope_columns, convex_envelope,
-                    convex_envelope_rows, payoff_grids)
+from .grids import (SimplexGrid, ValueGrid, concave_envelope, convex_envelope,
+                    payoff_grids)
 from .model import GameSpec, marginal_flow
 
 __all__ = [
@@ -31,36 +30,14 @@ __all__ = [
 ]
 
 
-def _cav_values(p_grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
-    if p_grid.dim == 1:
-        return values.copy()
-    if p_grid.dim == 2:
-        return concave_envelope_columns(p_grid.chart[:, 0], values)
-    out = np.empty_like(values)
-    for j in range(values.shape[1]):
-        out[:, j] = concave_envelope(p_grid.chart, values[:, j])
-    return out
-
-
-def _vex_values(q_grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
-    if q_grid.dim == 1:
-        return values.copy()
-    if q_grid.dim == 2:
-        return convex_envelope_rows(q_grid.chart[:, 0], values)
-    out = np.empty_like(values)
-    for i in range(values.shape[0]):
-        out[i, :] = convex_envelope(q_grid.chart, values[i, :])
-    return out
-
-
 def cav_p(grid: ValueGrid) -> ValueGrid:
     """Replace every q-slice by its upper concave envelope over the p-simplex."""
-    return grid.with_values(_cav_values(grid.p_grid, grid.values))
+    return grid.with_values(concave_envelope(grid.p_grid.chart, grid.values))
 
 
 def vex_q(grid: ValueGrid) -> ValueGrid:
     """Replace every p-slice by its lower convex envelope over the q-simplex."""
-    return grid.with_values(_vex_values(grid.q_grid, grid.values))
+    return grid.with_values(convex_envelope(grid.q_grid.chart, grid.values.T).T)
 
 
 def _flow_stencil(grid: SimplexGrid, G: np.ndarray, delta: float):
@@ -127,12 +104,14 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
     change = math.inf
     for it in range(1, max_iter + 1):
         new = _obstacle_apply(V, H, F, disc, ip, wp, iq, wq)
-        new = _cav_values(p_grid, new)
-        new = _vex_values(q_grid, new)
+        new = concave_envelope(p_grid.chart, new)
+        new = convex_envelope(q_grid.chart, new.T).T
         change = float(np.abs(new - V).max())
         V = new
         if change < tol:
             break
+        if not math.isfinite(change):
+            raise ConvergenceError(f"sweep {it} produced a non-finite change", change)
     else:
         raise ConvergenceError(f"solver did not converge in {max_iter} sweeps", change)
     # the median semantics guarantee the band; clipping only removes

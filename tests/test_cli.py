@@ -130,6 +130,44 @@ def test_cli_input_errors(game_files, capsys):
     capsys.readouterr()
 
 
+def test_bad_threads_environment_is_an_input_error(game_files, monkeypatch, capsys):
+    out = str(game_files["dir"] / "x.csv")
+    for bad in ("abc", "0", "-2"):
+        monkeypatch.setenv("STOPGAME_THREADS", bad)
+        assert main(["solve", "--game", str(game_files["e1"]), "--grid", "5",
+                     "--out", out]) == 1
+        assert "--threads" in capsys.readouterr().err
+    assert main(["solve", "--game", str(game_files["e1"]), "--grid", "5",
+                 "--threads", "1", "--out", out]) == 0
+    monkeypatch.setenv("STOPGAME_THREADS", "2")
+    assert main(["solve", "--game", str(game_files["e1"]), "--grid", "5",
+                 "--threads", "x", "--out", out]) == 1
+
+
+@pytest.mark.parametrize("env,expected", [(None, 1), ("3", 3)])
+def test_verify_threads_default_serial(game_files, monkeypatch, env, expected):
+    import stopgame.cli as cli
+
+    if env is None:
+        monkeypatch.delenv("STOPGAME_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STOPGAME_THREADS", env)
+    seen = {}
+
+    def spy(*args, threads, **kwargs):
+        seen["threads"] = threads
+        return real(*args, threads=1, **kwargs)
+
+    real = cli.exploit_gap
+    monkeypatch.setattr(cli, "exploit_gap", spy)
+    sfile = game_files["dir"] / "s.json"
+    assert main(["strategy", "--family", "e2", "--r", "0.1", "--p", str(1.0 / 3.0),
+                 "--out", str(sfile)]) == 0
+    assert main(["verify", "optimality", "--game", str(game_files["e2"]),
+                 "--strategy", str(sfile), "--n", "50"]) == 0
+    assert seen["threads"] == expected
+
+
 def test_strategy_descriptor_roundtrip(e2_params):
     for p in (0.15, 1.0 / 3.0, 0.6):
         strat = ex.e2_optimal_mu(e2_params, p)

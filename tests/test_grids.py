@@ -2,12 +2,50 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stopgame.errors import InputError
 from stopgame.grids import (SimplexGrid, ValueGrid, concave_envelope,
-                            convex_envelope, lower_convex_envelope_1d,
-                            read_value_csv, upper_concave_envelope_1d,
-                            write_value_csv)
+                            convex_envelope, read_value_csv, write_value_csv)
+
+
+def monotone_chain_envelope(x, vals):
+    """Reference: per-column monotone-chain upper hull, then chord interpolation."""
+    n, m = vals.shape
+    out = np.empty((n, m))
+    for j in range(m):
+        hull = []
+        for i in range(n):
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                # drop b when it lies on or below the chord a -> i
+                if (vals[b, j] - vals[a, j]) * (x[i] - x[a]) <= (vals[i, j] - vals[a, j]) * (x[b] - x[a]):
+                    hull.pop()
+                else:
+                    break
+            hull.append(i)
+        seg = 0
+        for i in range(n):
+            while seg < len(hull) - 1 and x[hull[seg + 1]] < x[i]:
+                seg += 1
+            a = hull[seg]
+            b = hull[seg + 1] if seg + 1 < len(hull) else a
+            if b == a:
+                env = vals[a, j]
+            else:
+                w = (x[i] - x[a]) / (x[b] - x[a])
+                env = (1.0 - w) * vals[a, j] + w * vals[b, j]
+            out[i, j] = max(env, vals[i, j])
+    return out
+
+
+def _upper(x, v):
+    return concave_envelope(np.asarray(x, dtype=float)[:, None], v)
+
+
+def _lower(x, v):
+    return convex_envelope(np.asarray(x, dtype=float)[:, None], v)
 
 
 @pytest.mark.parametrize("dim,N", [(1, 5), (2, 10), (3, 7), (4, 4)])
@@ -20,16 +58,16 @@ def test_node_count(dim, N):
 
 def test_envelope_vee_chord():
     x = np.linspace(0.0, 1.0, 21)
-    env = upper_concave_envelope_1d(x, np.abs(x - 0.5))
+    env = _upper(x, np.abs(x - 0.5))
     np.testing.assert_allclose(env, 0.5, atol=1e-15)
-    env = lower_convex_envelope_1d(x, -np.abs(x - 0.5))
+    env = _lower(x, -np.abs(x - 0.5))
     np.testing.assert_allclose(env, -0.5, atol=1e-15)
 
 
 def test_envelope_idempotent_on_concave():
     x = np.linspace(0.0, 1.0, 33)
     v = -(x - 0.3) ** 2
-    np.testing.assert_allclose(upper_concave_envelope_1d(x, v), v, atol=1e-15)
+    np.testing.assert_allclose(_upper(x, v), v, atol=1e-15)
 
 
 def test_envelope_properties_random():
@@ -37,14 +75,66 @@ def test_envelope_properties_random():
     x = np.linspace(0.0, 1.0, 41)
     for _ in range(20):
         v = rng.normal(size=x.size)
-        env = upper_concave_envelope_1d(x, v)
+        env = _upper(x, v)
         assert np.all(env >= v - 1e-12)
         second = env[:-2] + env[2:] - 2.0 * env[1:-1]
         assert np.all(second <= 1e-9)  # concave
         # idempotent and monotone
-        np.testing.assert_allclose(upper_concave_envelope_1d(x, env), env, atol=1e-9)
+        np.testing.assert_allclose(_upper(x, env), env, atol=1e-9)
         w = v + rng.uniform(0.0, 1.0, size=x.size)
-        assert np.all(upper_concave_envelope_1d(x, w) >= env - 1e-12)
+        assert np.all(_upper(x, w) >= env - 1e-12)
+
+
+def test_envelope_columns_match_slices():
+    rng = np.random.default_rng(8)
+    x = np.linspace(0.0, 1.0, 17)
+    v = rng.normal(size=(17, 5))
+    cols = _upper(x, v)
+    for j in range(5):
+        np.testing.assert_array_equal(cols[:, j], _upper(x, v[:, j]))
+    np.testing.assert_array_equal(_lower(x, v), -_upper(x, -v))
+    np.testing.assert_array_equal(concave_envelope(np.zeros((17, 0)), v), v)
+
+
+_KINDS = ("random", "integer", "collinear", "vee", "spike")
+
+
+@st.composite
+def _envelope_case(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        return kind, x, rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, m))
+    x = np.cumsum(rng.integers(1, 5, n)).astype(float)  # exact arithmetic below
+    if kind == "integer":
+        v = rng.integers(-4, 5, (n, m))
+    elif kind == "collinear":
+        slope, icpt = rng.integers(-3, 4, m), rng.integers(-9, 10, m)
+        v = slope * x[:, None] + icpt - rng.integers(0, 2, (n, m)) * rng.integers(0, 3, (n, m))
+    elif kind == "vee":
+        tip = rng.integers(0, n, m)
+        v = -np.abs(np.arange(n)[:, None] - tip) * rng.integers(-2, 3, m)
+    else:  # concave run ending in a spike: one node per pruning round
+        v = -((np.arange(n)[:, None] - rng.integers(0, n, m)) ** 2)
+        v[-1] = 10 * n * n
+    return kind, x, np.asarray(v, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_envelope_case())
+def test_envelope_matches_monotone_chain(case):
+    kind, x, v = case
+    ref = monotone_chain_envelope(x, v)
+    got = _upper(x, v)
+    if kind == "random":
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * (1 + np.abs(v).max()))
+    else:
+        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(_lower(x, -v), -got)
 
 
 def test_envelope_three_state_slice():

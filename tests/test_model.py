@@ -21,6 +21,9 @@ def test_simplex_validation():
         as_simplex([1.1, -0.1])
     with pytest.raises(InputError):
         as_simplex([0.6, 0.6])
+    for bad in ([math.nan, 1.0], [math.inf, 0.0], [1.0, -math.inf]):
+        with pytest.raises(InputError):
+            as_simplex(bad)
 
 
 def test_generator_validation():
@@ -29,6 +32,9 @@ def test_generator_validation():
         as_generator([[-1.0, 0.5], [1.0, -1.0]])
     with pytest.raises(InputError):
         as_generator([[0.0, -1.0], [1.0, 0.0]])
+    for bad in ([[math.nan, 1.0], [1.0, -1.0]], [[-math.inf, math.inf], [1.0, -1.0]]):
+        with pytest.raises(InputError):
+            as_generator(bad)
 
 
 def test_gamespec_validation():
@@ -38,6 +44,19 @@ def test_gamespec_validation():
     with pytest.raises(InputError):
         GameSpec(R=np.zeros((2, 2)), Q=np.zeros((2, 2)), r=0.0,
                  f=[[1, 1], [1, 1]], h=[[0, 0], [0, 0]], p0=[1, 0], q0=[1, 0])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("f", [[math.nan, 1], [1, 1]]), ("f", [[math.inf, 1], [1, 1]]),
+    ("h", [[math.nan, 0], [0, 0]]), ("h", [[-math.inf, 0], [0, 0]]),
+    ("R", [[math.nan, 0.0], [0.0, 0.0]]), ("r", math.inf), ("r", math.nan),
+])
+def test_gamespec_rejects_non_finite(field, value):
+    args = dict(R=np.zeros((2, 2)), Q=np.zeros((2, 2)), r=1.0, f=[[1, 1], [1, 1]],
+                h=[[0, 0], [0, 0]], p0=[1, 0], q0=[1, 0])
+    args[field] = value
+    with pytest.raises(InputError):
+        GameSpec(**args)
 
 
 def test_gamespec_json_roundtrip(e1_spec):

@@ -95,6 +95,18 @@ def test_exploit_gap_infinite_claim(e2_spec, e2_params):
     assert gap.gap == math.inf
 
 
+def test_stop_past_sampled_horizon_counts_as_never(e2_spec):
+    from stopgame.pdmp import never_horizon
+
+    spec = game_at(e2_spec, 0.5, None)
+    late = ConstantTimeStrategy(2.0 * never_horizon(spec.r))
+    fam = PureResponseFamily.for_game(spec, n=40)
+    assert exploit_gap(spec, late, 1.0, fam, n=500, seed=4) == \
+        exploit_gap(spec, NeverStopStrategy(), 1.0, fam, n=500, seed=4)
+    assert estimate_payoff(spec, late, late, n=200, seed=4) == \
+        estimate_payoff(spec, NeverStopStrategy(), NeverStopStrategy(), n=200, seed=4)
+
+
 def test_exploit_gap_detects_suboptimal_play(e2_spec, e2_params):
     # stopping immediately at the kink belief hands the opponent h - V
     spec = game_at(e2_spec, 1.0 / 3.0, None)

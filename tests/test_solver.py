@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,27 @@ def test_solve_nonconvergence_carries_residual(e1_spec):
     with pytest.raises(ConvergenceError) as err:
         solve(e1_spec, 40, 40, tol=1e-12, max_iter=3)
     assert err.value.residual > 0
+
+
+def test_solve_stops_on_first_non_finite_sweep(e1_spec, monkeypatch):
+    import stopgame.solver as solver
+    from stopgame.errors import ConvergenceError
+
+    # a blow-up inside the sweep must end the solve at once, not after max_iter
+    sweeps = []
+    real = solver.concave_envelope
+
+    def poisoned(chart, v):
+        sweeps.append(1)
+        out = real(chart, v)
+        if len(sweeps) == 2:
+            out[0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(solver, "concave_envelope", poisoned)
+    with pytest.raises(ConvergenceError) as err:
+        solve(e1_spec, 10, 10, tol=1e-300, max_iter=1000)
+    assert len(sweeps) == 2 and not math.isfinite(err.value.residual)
 
 
 def test_saddle_posteriori_stability(e1_solved):
