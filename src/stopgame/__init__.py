@@ -12,9 +12,9 @@ certifies strategies by Monte Carlo best responses.
 """
 
 from .errors import ConvergenceError, InputError, IntegrityError, StopGameError
-from .model import (ChainSampler, GameSpec, StopOutcome, Stopper, Trajectory,
-                    as_generator, as_simplex, bilinear_payoff, marginal_flow,
-                    philox_rng, realized_payoff, simulate_chain)
+from .model import (ChainSampler, GameSpec, PathBlock, StopOutcome, Stopper,
+                    Trajectory, as_generator, as_simplex, bilinear_payoff,
+                    marginal_flow, philox_rng, realized_payoff, simulate_chain)
 from .grids import SimplexGrid, ValueGrid, read_value_csv, write_value_csv
 from .solver import (ResidualReport, cav_p, directional_derivative,
                      obstacle_step, residual_check, solve, vex_q)
@@ -36,7 +36,7 @@ from .montecarlo import (BestResponse, GapReport, PayoffEstimate,
 
 __all__ = [
     "ConvergenceError", "InputError", "IntegrityError", "StopGameError",
-    "ChainSampler", "GameSpec", "StopOutcome", "Stopper", "Trajectory",
+    "ChainSampler", "GameSpec", "PathBlock", "StopOutcome", "Stopper", "Trajectory",
     "as_generator", "as_simplex", "bilinear_payoff", "marginal_flow",
     "philox_rng", "realized_payoff", "simulate_chain",
     "SimplexGrid", "ValueGrid", "read_value_csv", "write_value_csv",

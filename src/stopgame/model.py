@@ -215,12 +215,70 @@ def marginal_flow(p, G, t: float) -> np.ndarray:
     return as_simplex(expm(t * G.T) @ p)
 
 
+@dataclass(frozen=True)
+class PathBlock:
+    """A block of sampled paths of one chain on ``[0, horizon]``, one per row.
+
+    ``times[i]`` is 0 followed by the jump times of path ``i``, padded with
+    ``+inf`` to a common width; ``states[i, j]`` is the state held from
+    ``times[i, j]`` on (entries under the padding carry no meaning).
+    Row ``i`` is the :class:`Trajectory` ``row(i)``.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    horizon: float
+
+    @classmethod
+    def from_trajectory(cls, traj: Trajectory) -> "PathBlock":
+        return cls(traj.times[None, :], traj.states[None, :], traj.horizon)
+
+    @property
+    def n(self) -> int:
+        return self.times.shape[0]
+
+    @property
+    def initial_states(self) -> np.ndarray:
+        return self.states[:, 0]
+
+    def take(self, rows) -> "PathBlock":
+        return PathBlock(self.times[rows], self.states[rows], self.horizon)
+
+    def row(self, i: int) -> Trajectory:
+        k = int(np.isfinite(self.times[i]).sum())
+        return Trajectory(self.times[i, :k], self.states[i, :k], self.horizon)
+
+    def states_at(self, t: np.ndarray) -> np.ndarray:
+        """State of row ``i`` at time ``t[i]`` (meaningless where ``t[i]`` is inf)."""
+        idx = (self.times[:, 1:] <= np.asarray(t, dtype=float)[:, None]).sum(axis=1)
+        return self.states[np.arange(self.n), idx]
+
+    def states_on_grid(self, grid: np.ndarray) -> np.ndarray:
+        """``(n, grid.size)`` states at shared increasing times inside the horizon.
+
+        Every jump is binned at the first grid time it precedes; a running
+        count of the bins is the number of jumps made by each grid time.
+        """
+        n, g = self.n, grid.size
+        bins = np.searchsorted(grid, self.times[:, 1:], side="left")
+        bins += np.arange(0, n * (g + 1), g + 1)[:, None]
+        made = np.bincount(bins.ravel(), minlength=n * (g + 1)).reshape(n, g + 1)
+        np.cumsum(made, axis=1, out=made)
+        # jumps made by each grid time, as flat indices into the states
+        made += np.arange(0, n * self.states.shape[1], self.states.shape[1])[:, None]
+        return self.states.ravel()[made[:, :g]]
+
+
 class ChainSampler:
     """Reusable path sampler: validates the generator once, then samples fast.
 
-    Two-state chains (the common case here) draw whole blocks of holding
-    times at once since the jump target is forced; larger chains fall
-    back to a per-event loop with a precomputed jump kernel.
+    :meth:`sample_block` draws a whole block of paths from one stream;
+    :meth:`sample` is its one-row view.  A block draws the initial-state
+    uniforms of all rows first, then each row's holding times in path
+    order, so a block of one row draws what a single path always drew.
+    Two-state chains draw whole blocks of holding times at once since the
+    jump target is forced; larger chains run a per-event loop across the
+    rows with a precomputed jump kernel.
     """
 
     def __init__(self, G, p):
@@ -228,7 +286,10 @@ class ChainSampler:
         self.p = as_simplex(p)
         self.K = self.p.size
         self.rates = -np.diag(self.G)
+        self.mean_hold = np.full(self.K, np.inf)  # +inf in absorbing states
+        np.divide(1.0, self.rates, out=self.mean_hold, where=self.rates > 0)
         self.p_cum = np.cumsum(self.p)
+        self._dtype = np.min_scalar_type(self.K - 1)
         kernels = np.maximum(self.G, 0.0)
         np.fill_diagonal(kernels, 0.0)
         sums = kernels.sum(axis=1)
@@ -238,55 +299,88 @@ class ChainSampler:
                 axis=1)
 
     def sample(self, horizon: float, rng: np.random.Generator) -> Trajectory:
+        return self.sample_block(horizon, rng, 1).row(0)
+
+    def sample_block(self, horizon: float, rng: np.random.Generator, n: int) -> PathBlock:
+        """``n`` independent paths on ``[0, horizon]``, all drawn from ``rng``."""
         if not math.isfinite(horizon) or horizon < 0:
             raise InputError("horizon must be finite and nonnegative")
-        state = int(np.searchsorted(self.p_cum, rng.random(), side="right"))
+        initial = np.searchsorted(self.p_cum, rng.random(n), side="right").astype(self._dtype)
         if self.K == 2:
-            return self._two_state(state, horizon, rng)
-        times = [0.0]
-        states = [state]
-        t = 0.0
-        while True:
-            rate = self.rates[state]
-            if rate <= 0.0:
-                break
-            t += rng.exponential(1.0 / rate)
-            if t > horizon:
-                break
-            state = int(np.searchsorted(self.kernel_cum[state], rng.random(), side="right"))
-            times.append(t)
-            states.append(state)
-        return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
+            times = self._two_state(initial, horizon, rng)
+            states = initial[:, None] ^ (np.arange(times.shape[1], dtype=self._dtype) & 1)
+        else:
+            times, states = self._event_loop(initial, horizon, rng)
+        return PathBlock(times, states, float(horizon))
 
-    def _two_state(self, state: int, horizon: float, rng) -> Trajectory:
-        # states alternate, so only the holding times are random
-        times = [np.zeros(1)]
-        all_states = [np.array([state], dtype=np.int64)]
-        t, s = 0.0, state
+    def _event_loop(self, initial, horizon: float, rng):
+        n = initial.size
+        state = initial.copy()
+        t = np.zeros(n)
+        time_cols, state_cols = [np.zeros(n)], [initial]
+        live = np.arange(n)
         while True:
-            rate_now, rate_next = self.rates[s], self.rates[1 - s]
-            if rate_now <= 0.0:
+            live = live[self.rates[state[live]] > 0.0]
+            if not live.size:
                 break
-            pair_mean = 1.0 / rate_now + (1.0 / rate_next if rate_next > 0 else 0.0)
-            expect = (horizon - t) / pair_mean * 2.0 if pair_mean > 0 else 8.0
-            n = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16
-            draws = np.maximum(rng.exponential(size=n), 1e-300)
-            scales = np.empty(n)
-            with np.errstate(divide="ignore"):
-                scales[0::2] = 1.0 / rate_now if rate_now > 0 else np.inf
-                scales[1::2] = 1.0 / rate_next if rate_next > 0 else np.inf
-            jumps = t + np.cumsum(draws * scales)
-            cut = int(np.searchsorted(jumps, horizon, side="right"))
-            seq = np.empty(min(cut, n), dtype=np.int64)
-            seq[0::2] = 1 - s
-            seq[1::2] = s
-            times.append(jumps[:cut])
-            all_states.append(seq)
-            if cut < n:
+            t_next = t[live] + rng.exponential(self.mean_hold[state[live]])
+            keep = t_next <= horizon
+            live = live[keep]
+            if not live.size:
                 break
-            t = float(jumps[-1])
-            s = int(seq[-1]) if cut else s
-        return Trajectory(np.concatenate(times), np.concatenate(all_states), horizon)
+            t[live] = t_next[keep]
+            u = rng.random(live.size)
+            state = state.copy()
+            state[live] = (self.kernel_cum[state[live]] <= u[:, None]).sum(axis=1)
+            col = np.full(n, np.inf)
+            col[live] = t[live]
+            time_cols.append(col)
+            state_cols.append(state)
+        return np.stack(time_cols, axis=1), np.stack(state_cols, axis=1)
+
+    def _two_state(self, initial, horizon: float, rng) -> np.ndarray:
+        """Event times (0, then the jumps) of each row, padded with +inf."""
+        # states alternate, so only the holding times are random; a row
+        # draws a block sized to cover the horizon with a 10-sigma margin
+        # and, in the rare case it falls short, another one from there
+        n = initial.size
+        rows = np.flatnonzero(self.rates[initial] > 0.0)
+        t = np.zeros(rows.size)
+        s = initial[rows]
+        rounds = []
+        while rows.size:
+            hold_now, hold_next = self.mean_hold[s], self.mean_hold[1 - s]
+            pair_mean = hold_now + np.where(self.rates[1 - s] > 0, hold_next, 0.0)
+            expect = (horizon - t) / pair_mean * 2.0
+            sizes = (expect + 10.0 * np.sqrt(expect + 1.0)).astype(np.int64) + 16
+            jumps = np.full((rows.size, int(sizes.max())), np.inf)
+            jumps[np.arange(jumps.shape[1]) < sizes[:, None]] = np.maximum(
+                rng.exponential(size=int(sizes.sum())), 1e-300)
+            jumps[:, 0::2] *= hold_now[:, None]
+            jumps[:, 1::2] *= hold_next[:, None]
+            np.cumsum(jumps, axis=1, out=jumps)
+            jumps += t[:, None]
+            cut = (jumps <= horizon).sum(axis=1)
+            jumps = jumps[:, :int(cut.max(initial=0))]
+            jumps[jumps > horizon] = np.inf
+            rounds.append((rows, jumps))
+            more = cut == sizes
+            t = jumps[more, sizes[more] - 1]
+            s = s[more] ^ (sizes[more] & 1)
+            rows = rows[more]
+        width = sum(jumps.shape[1] for _, jumps in rounds)
+        times = np.full((n, 1 + width), np.inf)
+        times[:, 0] = 0.0
+        col = 1
+        for rows, jumps in rounds:
+            times[rows, col:col + jumps.shape[1]] = jumps
+            col += jumps.shape[1]
+        if len(rounds) > 1:
+            # a row continued into a later round may hold +inf padding
+            # between its rounds; sorting moves it to the end
+            times.sort(axis=1)
+            times = times[:, :int(np.isfinite(times).sum(axis=1).max())]
+        return times
 
 
 def simulate_chain(G, p, horizon: float, rng: np.random.Generator) -> Trajectory:

@@ -1,10 +1,13 @@
 """Payoff estimation, best responses over pure families, optimality gaps.
 
-Everything is driven by counter-based per-replication streams (Philox
-keyed by ``(seed, replication)``), so estimates are bit-reproducible for
-a given seed regardless of how replications are scheduled.  Reductions
-accumulate fixed-size chunk partials that are combined in chunk order,
-which keeps results identical across thread counts.
+Replications run in blocks of ``BLOCK`` rows: block ``b`` holds
+replications ``b * BLOCK`` up to the next multiple (or ``n``) and draws
+everything from one counter-based stream, Philox keyed by ``(seed, b)``.
+Within a block the chains, the stopping times and the payoffs are
+computed as arrays, in this stream order: the own paths, the opponent's
+paths, then the stopping times.  Blocks are grouped into fixed-size chunk
+spans whose partial sums are combined in chunk order, so estimates are
+bit-reproducible for a given seed and ``n`` at any thread count.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .model import ChainSampler, GameSpec, philox_rng, realized_payoff
+from .model import ChainSampler, GameSpec, philox_rng
 from .pdmp import MixedStoppingStrategy, never_horizon
 
 __all__ = [
@@ -24,7 +27,10 @@ __all__ = [
     "GapReport", "exploit_gap",
 ]
 
+BLOCK = 128
 _CHUNK = 8192
+assert _CHUNK % BLOCK == 0  # chunk spans hold whole blocks
+STOP_KINDS = ("zero", "flow", "never")
 
 
 @dataclass(frozen=True)
@@ -83,24 +89,35 @@ def _chunks(n: int):
     return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
 
-def _capped(t: float, horizon: float) -> float:
+def _blocks(lo: int, hi: int, seed: int):
+    """``(stream, rows)`` for each block of replications in a chunk span."""
+    for b in range(lo, hi, BLOCK):
+        yield philox_rng(seed, b // BLOCK), min(BLOCK, hi - b)
+
+
+def _capped(t: np.ndarray, horizon: float) -> np.ndarray:
     """A stop past the sampled horizon (discount below 1e-8) counts as never."""
-    return t if t <= horizon else math.inf
+    return np.where(t <= horizon, t, math.inf)
 
 
 def _estimate_chunk(spec: GameSpec, strat1, strat2, lo: int, hi: int, seed: int):
     horizon = never_horizon(spec.r)
     sx = ChainSampler(spec.R, spec.p0)
     sy = ChainSampler(spec.Q, spec.q0)
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = philox_rng(seed, i)
-        X = sx.sample(horizon, rng)
-        Y = sy.sample(horizon, rng)
-        mu = _capped(strat1.stopping_time(X, rng), horizon)
-        nu = _capped(strat2.stopping_time(Y, rng), horizon)
-        out[i - lo] = realized_payoff(spec, X, Y, mu, nu).payoff
-    return np.array([out.sum(), (out * out).sum(), float(out.size)])
+    total = np.zeros(3)
+    for rng, m in _blocks(lo, hi, seed):
+        X = sx.sample_block(horizon, rng, m)
+        Y = sy.sample_block(horizon, rng, m)
+        mu = _capped(strat1.stopping_times(X, rng), horizon)
+        nu = _capped(strat2.stopping_times(Y, rng), horizon)
+        first = np.minimum(mu, nu)
+        done = np.isfinite(first)
+        k, l = X.states_at(first)[done], Y.states_at(first)[done]
+        pay = np.zeros(m)
+        pay[done] = np.exp(-spec.r * first[done]) * np.where(
+            nu[done] < mu[done], spec.f[k, l], spec.h[k, l])
+        total += [pay.sum(), (pay * pay).sum(), m]
+    return total
 
 
 def estimate_payoff(spec: GameSpec, strat1: MixedStoppingStrategy,
@@ -118,9 +135,10 @@ def estimate_payoff(spec: GameSpec, strat1: MixedStoppingStrategy,
 
 def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
                     lo: int, hi: int, seed: int):
-    """Sums/sumsq/count per (opponent initial state, candidate time).
+    """Sums/sumsq/count per (opponent initial state, candidate time), stop counts.
 
-    The last candidate column is the never-stop response.
+    Each block builds its (replication x candidate) response matrix; the
+    last candidate column is the never-stop response.
     """
     finite = family.times[:-1]
     g = finite.size
@@ -131,31 +149,60 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     sums = np.zeros((L, g + 1))
     sumsq = np.zeros((L, g + 1))
     counts = np.zeros(L)
+    stops = np.zeros(len(STOP_KINDS), dtype=np.int64)
     disc = np.exp(-spec.r * finite)
-    for i in range(lo, hi):
-        rng = philox_rng(seed, i)
-        X = sx.sample(horizon, rng)
-        Y = sy.sample(horizon, rng)
-        mu = _capped(strat1.stopping_time(X, rng), horizon)
-        xs = X.states[np.searchsorted(X.times, finite, side="right") - 1]
-        ys = Y.states[np.searchsorted(Y.times, finite, side="right") - 1]
-        row = np.empty(g + 1)
-        if math.isinf(mu):
-            h_payoff = 0.0
-            before = np.ones(g, dtype=bool)
-        else:
-            h_payoff = math.exp(-spec.r * mu) * spec.h[X.state_at(mu), Y.state_at(mu)]
-            before = finite < mu
-        row[:g] = np.where(before, disc * spec.f[xs, ys], h_payoff)
-        row[g] = h_payoff
-        j = Y.initial_state if family.per_initial_state else 0
-        sums[j] += row
-        sumsq[j] += row * row
-        counts[j] += 1.0
-    return sums, sumsq, counts
+    for rng, m in _blocks(lo, hi, seed):
+        X = sx.sample_block(horizon, rng, m)
+        Y = sy.sample_block(horizon, rng, m)
+        mu = _capped(strat1.stopping_times(X, rng), horizon)
+        stopped = np.isfinite(mu)
+        zero, n_stopped = int((mu == 0.0).sum()), int(stopped.sum())
+        stops += [zero, n_stopped - zero, m - n_stopped]  # in STOP_KINDS order
+        h_payoff = np.zeros(m)
+        h_payoff[stopped] = np.exp(-spec.r * mu[stopped]) * spec.h[
+            X.states_at(mu)[stopped], Y.states_at(mu)[stopped]]
+        # response[i, c]: payoff when the opponent stops at candidate c,
+        # unless the strategy stopped strictly before it
+        response = np.empty((m, g + 1))
+        response[:, :g] = spec.f[X.states_on_grid(finite), Y.states_on_grid(finite)]
+        response[:, :g] *= disc
+        response[:, g] = h_payoff
+        np.copyto(response[:, :g], h_payoff[:, None], where=finite >= mu[:, None])
+        side = Y.initial_states if family.per_initial_state else np.zeros(m, dtype=np.int64)
+        groups = [(side == j)[:, None] for j in range(L)]
+        for j, mine in enumerate(groups):
+            counts[j] += mine.sum()
+            sums[j] += response.sum(axis=0, where=mine)
+        np.square(response, out=response)
+        for j, mine in enumerate(groups):
+            sumsq[j] += response.sum(axis=0, where=mine)
+    return sums, sumsq, counts, stops
+
+
+def _belief_chunk(strategy, R, p0, t: float, horizon: float, lo: int, hi: int, seed: int):
+    """Survivors of the rule at ``t`` per state, over replications ``[lo, hi)``."""
+    sampler = ChainSampler(R, p0)
+    counts = np.zeros(p0.size, dtype=np.int64)
+    for rng, m in _blocks(lo, hi, seed):
+        paths = sampler.sample_block(horizon, rng, m)
+        alive = strategy.stopping_times(paths, rng) > t
+        counts += np.bincount(paths.states_at(np.full(m, t))[alive], minlength=p0.size)
+    return counts
+
+
+def survivor_counts(strategy: MixedStoppingStrategy, R, p0: np.ndarray, t: float,
+                    horizon: float, n: int, seed: int) -> np.ndarray:
+    """Per-state counts of the ``n`` paths from ``p0`` under ``R`` not stopped by ``t``."""
+    partials = _map_chunks(_belief_chunk, (strategy, R, p0, t, horizon), n, seed, 1)
+    return np.sum(partials, axis=0)
 
 
 def _map_chunks(fn, args, n: int, seed: int, threads: int):
+    """``fn(*args, lo, hi, seed)`` for every chunk span of ``n``, in chunk order.
+
+    With ``threads > 1`` the spans run in a process pool; strategies carry
+    closures, so they travel as descriptors and are rebuilt in the workers.
+    """
     spans = _chunks(n)
     if threads <= 1:
         return [fn(*args, lo, hi, seed) for lo, hi in spans]
@@ -163,28 +210,17 @@ def _map_chunks(fn, args, n: int, seed: int, threads: int):
 
     from .serialize import strategy_to_descriptor
 
-    spec = args[0]
-    # strategies carry closures; ship descriptors and rebuild in the workers
-    payloads = [strategy_to_descriptor(a) if isinstance(a, MixedStoppingStrategy) else a
-                for a in args[1:]]
-    game = spec.to_json()
+    payloads = [("strategy", strategy_to_descriptor(a)) if isinstance(a, MixedStoppingStrategy)
+                else ("value", a) for a in args]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_chunk_task, fn.__name__, game, payloads, lo, hi, seed)
-                   for lo, hi in spans]
+        futures = [pool.submit(_chunk_task, fn, payloads, lo, hi, seed) for lo, hi in spans]
         return [f.result() for f in futures]
 
 
-def _chunk_task(fn_name: str, game_json: str, payloads, lo: int, hi: int, seed: int):
+def _chunk_task(fn, payloads, lo: int, hi: int, seed: int):
     from .serialize import strategy_from_descriptor
 
-    spec = GameSpec.from_json(game_json)
-    args = [spec]
-    for p in payloads:
-        if isinstance(p, dict) and "case" in p:
-            args.append(strategy_from_descriptor(p))
-        else:
-            args.append(p)
-    fn = {"_estimate_chunk": _estimate_chunk, "_response_chunk": _response_chunk}[fn_name]
+    args = [strategy_from_descriptor(v) if kind == "strategy" else v for kind, v in payloads]
     return fn(*args, lo, hi, seed)
 
 
@@ -197,6 +233,7 @@ class BestResponse:
     seed: int
     coarse_flag: bool
     family: dict = field(default_factory=dict)
+    stop_counts: dict = field(default_factory=dict)
 
 
 def best_response_value(spec: GameSpec, strat1: MixedStoppingStrategy,
@@ -214,6 +251,7 @@ def best_response_value(spec: GameSpec, strat1: MixedStoppingStrategy,
     sums = np.sum(np.stack([p[0] for p in partials]), axis=0)
     sumsq = np.sum(np.stack([p[1] for p in partials]), axis=0)
     counts = np.sum(np.stack([p[2] for p in partials]), axis=0)
+    stops = np.sum(np.stack([p[3] for p in partials]), axis=0)
     times = family.times
     finite_top = times[-2]
     value = 0.0
@@ -233,12 +271,17 @@ def best_response_value(spec: GameSpec, strat1: MixedStoppingStrategy,
         coarse |= math.isfinite(t_best) and t_best == finite_top
     var = max(exp_sq - value * value, 0.0)
     return BestResponse(float(value), float(math.sqrt(var / n)), argmin, n, seed,
-                        coarse, family.descriptor())
+                        coarse, family.descriptor(),
+                        {kind: int(c) for kind, c in zip(STOP_KINDS, stops)})
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """Signed exploitability certificate: best response minus claimed value."""
+    """Signed exploitability certificate: best response minus claimed value.
+
+    ``stop_counts`` tallies the strategy's stopping times over the
+    replications: at time zero, later (``flow``), and never.
+    """
 
     value_claim: float
     best_response: float
@@ -249,6 +292,7 @@ class GapReport:
     argmin: dict
     family: dict
     exhaustive: bool
+    stop_counts: dict
 
     def to_payload(self) -> dict:
         def num(x):
@@ -258,7 +302,8 @@ class GapReport:
                 "gap": num(self.gap), "std_error": self.std_error,
                 "n": self.n, "seed": self.seed,
                 "argmin": {str(k): num(v) for k, v in self.argmin.items()},
-                "family": self.family, "exhaustive": self.exhaustive}
+                "family": self.family, "exhaustive": self.exhaustive,
+                "stop_counts": dict(self.stop_counts)}
 
 
 def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: float,
@@ -267,7 +312,9 @@ def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: floa
     """best_response_value minus the claimed value (+inf against a -inf claim)."""
     if value_claim == -math.inf:
         return GapReport(value_claim, math.nan, math.inf, 0.0, 0, seed, {},
-                         family.descriptor(), family.exhaustive_for(spec))
+                         family.descriptor(), family.exhaustive_for(spec),
+                         dict.fromkeys(STOP_KINDS, 0))
     br = best_response_value(spec, strat1, family, n, seed, threads)
     return GapReport(value_claim, br.value, br.value - value_claim, br.std_error,
-                     n, seed, br.argmin, br.family, family.exhaustive_for(spec))
+                     n, seed, br.argmin, br.family, family.exhaustive_for(spec),
+                     br.stop_counts)

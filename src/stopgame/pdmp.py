@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, IntegrityError
-from .model import Trajectory, as_simplex, marginal_flow
+from .model import PathBlock, Trajectory, as_simplex, marginal_flow
 
 __all__ = [
     "PdmpCharacteristics", "Orbit", "integrate_flow", "ZPath", "simulate_Z",
@@ -41,6 +41,8 @@ __all__ = [
 
 _STALL_FRACTION = 1e-6
 _ZERO_P = 1e-12
+# inter-jump segments a flow rule draws thresholds for at a time, per path
+_SEGMENT_COLUMNS = 32
 
 SPLIT_NOTE = ("time-0 split uses the belief-consistent conditional probability "
               "m * p''[k] / p[k] given the own state k, so that the posterior is "
@@ -244,27 +246,33 @@ class _Hazard:
             self.H[1:] = np.cumsum(mids * np.diff(orbit.ts)[:, None], axis=0)
         self.tail_rate = rho[-1] if (orbit.stationary and not orbit.quiescent) else np.zeros(K)
         self.rho = rho
+        self.columns = [np.ascontiguousarray(self.H[:, k]) for k in range(K)]
 
-    def cumulative(self, k: int, t: float) -> float:
-        if t >= self.ts[-1]:
-            return float(self.H[-1, k] + self.tail_rate[k] * (t - self.ts[-1]))
-        return float(np.interp(t, self.ts, self.H[:, k]))
+    def inverse(self, k: np.ndarray, t0: np.ndarray, excess: np.ndarray) -> np.ndarray:
+        """Smallest ``t >= t0[i]`` with ``H[k](t) - H[k](t0[i]) >= excess[i]``, ``k = k[i]``.
 
-    def inverse(self, k: int, t0: float, excess: float) -> float:
-        """Smallest t >= t0 with H[k](t) - H[k](t0) >= excess (inf if never)."""
-        target = self.cumulative(k, t0) + excess
-        Hk = self.H[:, k]
-        if target <= Hk[-1]:
-            i = int(np.searchsorted(Hk, target, side="left"))
-            if i == 0:
-                return float(self.ts[0])
-            h0, h1 = Hk[i - 1], Hk[i]
-            w = 0.0 if h1 == h0 else (target - h0) / (h1 - h0)
-            t = float(self.ts[i - 1] + w * (self.ts[i] - self.ts[i - 1]))
-            return max(t, t0)
-        if self.tail_rate[k] > 0.0:
-            return max(float(self.ts[-1] + (target - Hk[-1]) / self.tail_rate[k]), t0)
-        return math.inf
+        ``+inf`` where the hazard never accumulates that much.
+        """
+        ts, H, rate = self.ts, self.H, self.tail_rate[k]
+        last = ts.size - 1
+        target = np.empty(t0.shape)
+        i = np.empty(t0.shape, dtype=np.intp)
+        for kk, Hk in enumerate(self.columns):
+            sel = k == kk
+            a = t0[sel]
+            # H[kk](a) + excess, the hazard growing at the tail rate past the orbit
+            tk = np.interp(a, ts, Hk) + self.tail_rate[kk] * np.maximum(a - ts[-1], 0.0)
+            tk += excess[sel]
+            target[sel] = tk
+            i[sel] = Hk.searchsorted(tk, side="left")
+        j = np.minimum(np.maximum(i, 1), last)
+        h0, h1 = H[j - 1, k], H[j, k]
+        w = np.divide(target - h0, h1 - h0, out=np.zeros(t0.shape), where=h1 != h0)
+        t = np.where(i == 0, ts[0], np.maximum(ts[j - 1] + w * (ts[j] - ts[j - 1]), t0))
+        # past the sampled orbit the rate is the constant tail rate
+        tail = np.divide(target - H[-1, k], rate, out=np.full(t0.shape, math.inf),
+                         where=rate > 0.0)
+        return np.where(i > last, np.maximum(ts[-1] + tail, t0), t)
 
     def rho_at(self, k: int, t: float) -> float:
         if t >= self.ts[-1]:
@@ -466,12 +474,26 @@ class MixedStoppingStrategy:
     determined only by the trajectory prefix up to the decision, which is
     what makes the rule adapted: altering the path strictly after the
     realized stopping time cannot change it.
+
+    ``stopping_times`` stops a whole :class:`PathBlock` from one stream;
+    the other rows only move where a row's draws sit in the stream, so
+    each row keeps the law of the one-path rule.  A subclass implements
+    one of the two: the block version by default loops over the paths,
+    and ``stopping_time`` of a rule with a block version is its one-row
+    view.  That view returns the time the one-path rule returns from the
+    same stream, but may leave the stream further along: a ``segment``
+    flow rule draws thresholds for a whole column block of segments.
     """
 
     case = "abstract"
 
     def stopping_time(self, traj: Trajectory, rng: np.random.Generator) -> float:
-        raise NotImplementedError
+        if type(self).stopping_times is MixedStoppingStrategy.stopping_times:
+            raise NotImplementedError
+        return float(self.stopping_times(PathBlock.from_trajectory(traj), rng)[0])
+
+    def stopping_times(self, paths: PathBlock, rng: np.random.Generator) -> np.ndarray:
+        return np.array([self.stopping_time(paths.row(i), rng) for i in range(paths.n)])
 
     def belief(self, t: float) -> np.ndarray:
         """Conditional law of the own chain given no stop by ``t``."""
@@ -488,8 +510,8 @@ class NeverStopStrategy(MixedStoppingStrategy):
         self.R = None if R is None else np.asarray(R, dtype=float)
         self.p0 = None if p0 is None else as_simplex(p0)
 
-    def stopping_time(self, traj, rng):
-        return math.inf
+    def stopping_times(self, paths, rng):
+        return np.full(paths.n, math.inf)
 
     def belief(self, t):
         if self.R is None or self.p0 is None:
@@ -513,8 +535,8 @@ class NeverStopStrategy(MixedStoppingStrategy):
 class StopNowStrategy(MixedStoppingStrategy):
     case = "stop_now"
 
-    def stopping_time(self, traj, rng):
-        return 0.0
+    def stopping_times(self, paths, rng):
+        return np.zeros(paths.n)
 
 
 class ConstantTimeStrategy(MixedStoppingStrategy):
@@ -525,8 +547,8 @@ class ConstantTimeStrategy(MixedStoppingStrategy):
             raise InputError("stopping time must be nonnegative")
         self.time = float(time)
 
-    def stopping_time(self, traj, rng):
-        return self.time
+    def stopping_times(self, paths, rng):
+        return np.full(paths.n, self.time)
 
     def descriptor(self):
         return {"case": self.case, "time": self.time}
@@ -542,8 +564,8 @@ class InitialStateTimeStrategy(MixedStoppingStrategy):
         if np.any(self.times < 0):
             raise InputError("stopping times must be nonnegative")
 
-    def stopping_time(self, traj, rng):
-        return float(self.times[traj.initial_state])
+    def stopping_times(self, paths, rng):
+        return self.times[paths.initial_states]
 
     def descriptor(self):
         return {"case": self.case, "times": self.times.tolist()}
@@ -587,31 +609,51 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
         return self.char.p_part(self.orbit.state_at(min(t, self.t_max)))
 
     def stopping_time(self, traj, rng):
+        if self.method == "segment":
+            return super().stopping_time(traj, rng)
+        if self.rho_bar <= 0.0:
+            return math.inf
         end = min(traj.horizon, self.t_max)
-        if self.method == "thinning":
-            if self.rho_bar <= 0.0:
+        t = 0.0
+        while True:
+            t += rng.exponential(1.0 / self.rho_bar)
+            if t >= end:
                 return math.inf
-            t = 0.0
-            while True:
-                t += rng.exponential(1.0 / self.rho_bar)
-                if t >= end:
-                    return math.inf
-                k = traj.state_at(t)
-                if rng.uniform() * self.rho_bar < self.hazard.rho_at(k, t):
-                    return t
-        times = traj.times
-        states = traj.states
-        for n in range(times.size):
-            seg_start = float(times[n])
-            seg_end = float(times[n + 1]) if n + 1 < times.size else end
-            if seg_start >= end:
-                break
-            seg_end = min(seg_end, end)
-            excess = rng.exponential(1.0)
-            t = self.hazard.inverse(int(states[n]), seg_start, excess)
-            if t < seg_end:
+            k = traj.state_at(t)
+            if rng.uniform() * self.rho_bar < self.hazard.rho_at(k, t):
                 return t
-        return math.inf
+
+    def stopping_times(self, paths, rng):
+        """Segment rule: one exponential threshold per inter-jump segment.
+
+        Rows draw thresholds for ``_SEGMENT_COLUMNS`` segments at a time,
+        never for more segments than the longest row has before the
+        horizon; only rows that have neither stopped nor run past the
+        horizon go on to the next columns.
+        """
+        if self.method == "thinning":
+            return super().stopping_times(paths, rng)
+        end = min(paths.horizon, self.t_max)
+        # segment j runs from bounds[:, j] to bounds[:, j + 1]
+        width = int((paths.times < end).sum(axis=1).max(initial=0))
+        bounds = np.full((paths.n, width + 1), end)
+        np.minimum(paths.times[:, :width], end, out=bounds[:, :width])
+        mu = np.full(paths.n, math.inf)
+        rows = np.arange(paths.n)
+        for lo in range(0, width, _SEGMENT_COLUMNS):
+            rows = rows[bounds[rows, lo] < end]
+            if not rows.size:
+                break
+            edges = bounds[rows, lo:lo + _SEGMENT_COLUMNS + 1]
+            starts = edges[:, :-1]
+            t = self.hazard.inverse(paths.states[rows, lo:lo + starts.shape[1]], starts,
+                                    rng.exponential(size=starts.shape))
+            hit = (t < edges[:, 1:]) & (starts < end)
+            stopped = hit.any(axis=1)
+            first = hit.argmax(axis=1)
+            mu[rows[stopped]] = t[stopped, first[stopped]]
+            rows = rows[~stopped]
+        return mu
 
     def descriptor(self):
         return {"case": self.case, "z": self.z0.tolist(), "horizon": self.t_max,
@@ -644,6 +686,10 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
         self.z_stop = z_stop
         self.flow = FlowIntensityStrategy(char, z_flow, horizon)
         self.note = SPLIT_NOTE
+        # time-zero stop probability given the own initial state k
+        p, stop = char.p_part(z), char.p_part(z_stop)
+        self.stop_prob = np.array([0.0 if p[k] <= _ZERO_P else min(1.0, self.m * stop[k] / p[k])
+                                   for k in range(char.dim_p)])
 
     def initial_belief(self) -> np.ndarray:
         return self.char.p_part(self.z)
@@ -651,14 +697,11 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
     def belief(self, t):
         return self.flow.belief(t)
 
-    def stopping_time(self, traj, rng):
-        k = traj.initial_state
-        p_k = float(self.char.p_part(self.z)[k])
-        stop_k = float(self.char.p_part(self.z_stop)[k])
-        prob = 0.0 if p_k <= _ZERO_P else min(1.0, self.m * stop_k / p_k)
-        if rng.uniform() < prob:
-            return 0.0
-        return self.flow.stopping_time(traj, rng)
+    def stopping_times(self, paths, rng):
+        mu = np.zeros(paths.n)
+        go_on = rng.uniform(size=paths.n) >= self.stop_prob[paths.initial_states]
+        mu[go_on] = self.flow.stopping_times(paths.take(go_on), rng)
+        return mu
 
     def descriptor(self):
         return {"case": self.case, "z": self.z.tolist(),
@@ -708,8 +751,9 @@ def belief_consistency(strategy: MixedStoppingStrategy, R, t: float, n: int,
     The chain starts from the strategy's initial belief and runs under
     generator ``R``; survivors of the stopping rule at ``t`` are binned
     by state and z-scored against the deterministic belief flow.
+    Replications use the block streams of :mod:`stopgame.montecarlo`.
     """
-    from .model import ChainSampler, philox_rng
+    from .montecarlo import survivor_counts
 
     if not hasattr(strategy, "initial_belief"):
         raise InputError("strategy does not expose an initial belief")
@@ -717,16 +761,11 @@ def belief_consistency(strategy: MixedStoppingStrategy, R, t: float, n: int,
     predicted = np.asarray(strategy.belief(t), dtype=float)
     K = p0.size
     horizon = horizon if horizon is not None else max(2.0 * t, 1.0)
-    sampler = ChainSampler(R, p0)
-    counts = np.zeros(K)
-    survivors = 0
-    for i in range(n):
-        rng = philox_rng(seed, i)
-        traj = sampler.sample(horizon, rng)
-        mu = strategy.stopping_time(traj, rng)
-        if mu > t:
-            survivors += 1
-            counts[traj.state_at(t)] += 1
+    if not 0.0 <= t <= horizon:
+        raise InputError(f"check time {t} outside the sampled horizon [0, {horizon}]")
+    counts = survivor_counts(strategy, np.asarray(R, dtype=float), p0, t, horizon,
+                             n, seed).astype(float)
+    survivors = int(counts.sum())
     inconclusive = survivors < 100
     empirical = counts / survivors if survivors else np.zeros(K)
     se = np.sqrt(np.maximum(predicted * (1 - predicted), 1e-12) / max(survivors, 1))

@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import ConvergenceError, InputError
 from .grids import (SimplexGrid, ValueGrid, concave_envelope, convex_envelope,
                     payoff_grids)
-from .model import GameSpec, marginal_flow
+from .model import GameSpec
 
 __all__ = [
     "cav_p", "vex_q", "obstacle_step", "solve",
@@ -45,7 +46,10 @@ def _flow_stencil(grid: SimplexGrid, G: np.ndarray, delta: float):
     if grid.dim == 1 or not np.any(G):
         idx = np.arange(grid.n_nodes, dtype=np.int64)[:, None]
         return idx, np.ones((grid.n_nodes, 1))
-    flowed = np.array([marginal_flow(node, G, delta) for node in grid.nodes])
+    # marginal_flow for every node at once: one propagator, the same
+    # clamp of rounding negatives and renormalization
+    flowed = np.maximum(grid.nodes @ expm(delta * G.T).T, 0.0)
+    flowed /= flowed.sum(axis=1, keepdims=True)
     return grid.interp_weights(flowed[:, : grid.dim - 1])
 
 

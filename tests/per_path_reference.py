@@ -1,0 +1,166 @@
+"""Per-path Monte Carlo code the batched implementation replaced.
+
+These are the one-trajectory-at-a-time chain sampler, the segment and
+split stopping rules and the per-replication response rows, kept
+verbatim as test oracles: on a shared stream the batched code must
+return bit for bit the paths and stopping times of the first three, and
+match the last one in law.
+"""
+
+import math
+
+import numpy as np
+
+from stopgame.model import ChainSampler, Trajectory, philox_rng
+from stopgame.pdmp import (_ZERO_P, FlowIntensityStrategy,
+                           SplitThenFlowStrategy, never_horizon)
+
+
+def sample_path(sampler: ChainSampler, horizon: float, rng) -> Trajectory:
+    state = int(np.searchsorted(sampler.p_cum, rng.random(), side="right"))
+    if sampler.K == 2:
+        return _two_state(sampler, state, horizon, rng)
+    times = [0.0]
+    states = [state]
+    t = 0.0
+    while True:
+        rate = sampler.rates[state]
+        if rate <= 0.0:
+            break
+        t += rng.exponential(1.0 / rate)
+        if t > horizon:
+            break
+        state = int(np.searchsorted(sampler.kernel_cum[state], rng.random(), side="right"))
+        times.append(t)
+        states.append(state)
+    return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
+
+
+def _two_state(sampler, state: int, horizon: float, rng) -> Trajectory:
+    times = [np.zeros(1)]
+    all_states = [np.array([state], dtype=np.int64)]
+    t, s = 0.0, state
+    while True:
+        rate_now, rate_next = sampler.rates[s], sampler.rates[1 - s]
+        if rate_now <= 0.0:
+            break
+        pair_mean = 1.0 / rate_now + (1.0 / rate_next if rate_next > 0 else 0.0)
+        expect = (horizon - t) / pair_mean * 2.0 if pair_mean > 0 else 8.0
+        n = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16
+        draws = np.maximum(rng.exponential(size=n), 1e-300)
+        scales = np.empty(n)
+        with np.errstate(divide="ignore"):
+            scales[0::2] = 1.0 / rate_now if rate_now > 0 else np.inf
+            scales[1::2] = 1.0 / rate_next if rate_next > 0 else np.inf
+        jumps = t + np.cumsum(draws * scales)
+        cut = int(np.searchsorted(jumps, horizon, side="right"))
+        seq = np.empty(min(cut, n), dtype=np.int64)
+        seq[0::2] = 1 - s
+        seq[1::2] = s
+        times.append(jumps[:cut])
+        all_states.append(seq)
+        if cut < n:
+            break
+        t = float(jumps[-1])
+        s = int(seq[-1]) if cut else s
+    return Trajectory(np.concatenate(times), np.concatenate(all_states), horizon)
+
+
+def _cumulative(hazard, k: int, t: float) -> float:
+    if t >= hazard.ts[-1]:
+        return float(hazard.H[-1, k] + hazard.tail_rate[k] * (t - hazard.ts[-1]))
+    return float(np.interp(t, hazard.ts, hazard.H[:, k]))
+
+
+def hazard_inverse(hazard, k: int, t0: float, excess: float) -> float:
+    """Smallest t >= t0 with H[k](t) - H[k](t0) >= excess (inf if never)."""
+    target = _cumulative(hazard, k, t0) + excess
+    Hk = hazard.H[:, k]
+    if target <= Hk[-1]:
+        i = int(np.searchsorted(Hk, target, side="left"))
+        if i == 0:
+            return float(hazard.ts[0])
+        h0, h1 = Hk[i - 1], Hk[i]
+        w = 0.0 if h1 == h0 else (target - h0) / (h1 - h0)
+        t = float(hazard.ts[i - 1] + w * (hazard.ts[i] - hazard.ts[i - 1]))
+        return max(t, t0)
+    if hazard.tail_rate[k] > 0.0:
+        return max(float(hazard.ts[-1] + (target - Hk[-1]) / hazard.tail_rate[k]), t0)
+    return math.inf
+
+
+def segment_stopping_time(flow, traj: Trajectory, rng) -> float:
+    """The ``segment`` mechanisation of a FlowIntensityStrategy."""
+    end = min(traj.horizon, flow.t_max)
+    times = traj.times
+    states = traj.states
+    for n in range(times.size):
+        seg_start = float(times[n])
+        seg_end = float(times[n + 1]) if n + 1 < times.size else end
+        if seg_start >= end:
+            break
+        seg_end = min(seg_end, end)
+        excess = rng.exponential(1.0)
+        t = hazard_inverse(flow.hazard, int(states[n]), seg_start, excess)
+        if t < seg_end:
+            return t
+    return math.inf
+
+
+def split_stopping_time(split, traj: Trajectory, rng) -> float:
+    k = traj.initial_state
+    p_k = float(split.char.p_part(split.z)[k])
+    stop_k = float(split.char.p_part(split.z_stop)[k])
+    prob = 0.0 if p_k <= _ZERO_P else min(1.0, split.m * stop_k / p_k)
+    if rng.uniform() < prob:
+        return 0.0
+    return segment_stopping_time(split.flow, traj, rng)
+
+
+def reference_stopping_time(strategy, traj: Trajectory, rng) -> float:
+    """Segment and split rules through the code above, the others as they are."""
+    if isinstance(strategy, SplitThenFlowStrategy):
+        return split_stopping_time(strategy, traj, rng)
+    if isinstance(strategy, FlowIntensityStrategy) and strategy.method == "segment":
+        return segment_stopping_time(strategy, traj, rng)
+    return strategy.stopping_time(traj, rng)
+
+
+def response_sums(spec, strat1, family, n: int, seed: int):
+    """Per-replication response rows on streams ``philox_rng(seed, i)``.
+
+    Returns sums, sums of squares and counts per (opponent initial state,
+    candidate), the last candidate being the never-stop response.
+    """
+    finite = family.times[:-1]
+    g = finite.size
+    horizon = max(float(finite[-1]), never_horizon(spec.r), 1.0)
+    sx = ChainSampler(spec.R, spec.p0)
+    sy = ChainSampler(spec.Q, spec.q0)
+    L = spec.L if family.per_initial_state else 1
+    sums = np.zeros((L, g + 1))
+    sumsq = np.zeros((L, g + 1))
+    counts = np.zeros(L)
+    disc = np.exp(-spec.r * finite)
+    for i in range(n):
+        rng = philox_rng(seed, i)
+        X = sample_path(sx, horizon, rng)
+        Y = sample_path(sy, horizon, rng)
+        mu = reference_stopping_time(strat1, X, rng)
+        mu = mu if mu <= horizon else math.inf
+        xs = X.states[np.searchsorted(X.times, finite, side="right") - 1]
+        ys = Y.states[np.searchsorted(Y.times, finite, side="right") - 1]
+        row = np.empty(g + 1)
+        if math.isinf(mu):
+            h_payoff = 0.0
+            before = np.ones(g, dtype=bool)
+        else:
+            h_payoff = math.exp(-spec.r * mu) * spec.h[X.state_at(mu), Y.state_at(mu)]
+            before = finite < mu
+        row[:g] = np.where(before, disc * spec.f[xs, ys], h_payoff)
+        row[g] = h_payoff
+        j = Y.initial_state if family.per_initial_state else 0
+        sums[j] += row
+        sumsq[j] += row * row
+        counts[j] += 1.0
+    return sums, sumsq, counts

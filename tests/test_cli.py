@@ -78,6 +78,8 @@ def test_strategy_simulate_verify_happy_path(game_files):
                 "family", "seed"):
         assert key in data
     assert data["n"] == 4000 and data["seed"] == 7
+    assert set(data["stop_counts"]) == {"zero", "flow", "never"}
+    assert sum(data["stop_counts"].values()) == data["n"]
 
 
 def test_verify_reports_are_byte_identical(game_files):

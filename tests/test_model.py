@@ -198,3 +198,53 @@ def test_philox_streams_reproducible():
     c = philox_rng(7, 4).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+THREE = np.array([[-1.0, 0.6, 0.4], [0.3, -0.5, 0.2], [0.9, 0.9, -1.8]])
+ABSORBING_THREE = np.array([[-1.0, 0.5, 0.5], [0.2, -0.3, 0.1], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("G,p,horizon", [
+    (FLIP, [0.3, 0.7], 10.0),
+    (np.array([[-0.3, 0.3], [0.2, -0.2]]), [1.0, 0.0], 184.0),
+    (np.array([[-1.0, 1.0], [0.0, 0.0]]), [0.6, 0.4], 5.0),
+    (np.array([[0.0, 0.0], [2.0, -2.0]]), [0.5, 0.5], 3.0),
+    (np.zeros((2, 2)), [0.5, 0.5], 4.0),
+    (THREE, [0.2, 0.5, 0.3], 20.0),
+    (ABSORBING_THREE, [0.3, 0.3, 0.4], 20.0),
+])
+def test_sample_matches_per_path_reference(G, p, horizon):
+    # a one-row view of the block sampler draws exactly what the
+    # per-path sampler drew from the same stream
+    from per_path_reference import sample_path
+
+    sampler = ChainSampler(G, p)
+    for i in range(200):
+        rng_got, rng_want = philox_rng(21, i), philox_rng(21, i)
+        got = sampler.sample(horizon, rng_got)
+        want = sample_path(sampler, horizon, rng_want)
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.states, want.states)
+        assert rng_got.random() == rng_want.random()  # and left the stream at the same place
+
+
+def test_three_state_chain_law_and_invariants():
+    sampler = ChainSampler(THREE, [0.2, 0.5, 0.3])
+    horizon, t, blocks = 4.0, 1.3, 80
+    paths = [sampler.sample_block(horizon, philox_rng(22, b), 250) for b in range(blocks)]
+    n = 250 * blocks
+    at_t = np.concatenate([block.states_at(np.full(block.n, t)) for block in paths])
+    expected = marginal_flow([0.2, 0.5, 0.3], THREE, t)
+    for k in range(3):
+        se = math.sqrt(expected[k] * (1 - expected[k]) / n)
+        assert abs(np.mean(at_t == k) - expected[k]) <= 3.0 * se
+    for block in paths:
+        times, states = block.times, block.states
+        valid = np.isfinite(times)
+        assert np.all(times[:, 0] == 0.0) and np.all(times[valid] <= horizon)
+        # finite times form a prefix of each row, strictly increasing
+        assert np.all(valid[:, 1:] <= valid[:, :-1])
+        assert np.all((times[:, 1:] > times[:, :-1])[valid[:, 1:]])
+        assert np.all((states[:, 1:] != states[:, :-1])[valid[:, 1:]])
+    for i in range(0, paths[0].n, 5):
+        paths[0].row(i)  # the Trajectory constructor re-checks every invariant

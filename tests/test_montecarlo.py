@@ -135,14 +135,50 @@ def test_never_stop_best_response_matches_quadrature(e2_spec, e2_params):
 
 
 def test_threads_reproduce_serial(e2_spec, e2_params):
+    from stopgame.montecarlo import BLOCK, _belief_chunk, _map_chunks
+
     spec = game_at(e2_spec, 0.5, None)
     strat = ex.e2_optimal_mu(e2_params, 0.5)
     fam = small_family()
-    serial = best_response_value(spec, strat, fam, n=20_000, seed=8, threads=1)
-    parallel = best_response_value(spec, strat, fam, n=20_000, seed=8, threads=2)
+    n = 20_000
+    assert n % BLOCK  # a partial last block
+    serial = best_response_value(spec, strat, fam, n=n, seed=8, threads=1)
+    parallel = best_response_value(spec, strat, fam, n=n, seed=8, threads=2)
     assert serial.value == parallel.value
     assert serial.std_error == parallel.std_error
     assert serial.argmin == parallel.argmin
+    assert serial.stop_counts == parallel.stop_counts
+    assert (estimate_payoff(spec, strat, ConstantTimeStrategy(1.0), n=n, seed=8, threads=1)
+            == estimate_payoff(spec, strat, ConstantTimeStrategy(1.0), n=n, seed=8, threads=2))
+    args = (strat, e2_params.R, strat.initial_belief(), 1.0, 2.0)
+    np.testing.assert_array_equal(np.sum(_map_chunks(_belief_chunk, args, n, 8, 1), axis=0),
+                                  np.sum(_map_chunks(_belief_chunk, args, n, 8, 2), axis=0))
+
+
+@pytest.mark.parametrize("point", ["e2_kink", "e1_split"])
+def test_batched_responses_match_per_path_law(point, e1_spec, e2_spec, e2_params):
+    # the (replication x candidate) response matrix of the block code has
+    # the per-candidate means of the per-replication rows it replaced
+    from per_path_reference import response_sums
+    from stopgame.montecarlo import _response_chunk
+
+    if point == "e2_kink":
+        spec = game_at(e2_spec, 1.0 / 3.0, None)
+        strat = ex.e2_optimal_mu(e2_params, 1.0 / 3.0)
+    else:
+        spec = game_at(e1_spec, 0.75, 0.75)
+        strat = ex.e1_optimal_mu(0.75, 0.75)
+    fam = PureResponseFamily.for_game(spec, n=40)
+    n = 3000
+    batch = _response_chunk(spec, strat, fam, 0, n, seed=40)[:3]
+    ref = response_sums(spec, strat, fam, n, seed=41)
+    for sums, sumsq, counts in (batch, ref):
+        assert counts.sum() == n
+    (s1, q1, c1), (s2, q2, c2) = batch, ref
+    m1, m2 = s1 / c1[:, None], s2 / c2[:, None]
+    var1 = np.maximum(q1 / c1[:, None] - m1 ** 2, 0.0) / c1[:, None]
+    var2 = np.maximum(q2 / c2[:, None] - m2 ** 2, 0.0) / c2[:, None]
+    assert np.all(np.abs(m1 - m2) <= 4.0 * np.sqrt(var1 + var2) + 1e-12)
 
 
 def test_coarse_family_flag():

@@ -370,3 +370,35 @@ def test_hazard_support_violation_raises():
         in_EH=lambda z: bool(z[0] <= 0.5), in_S=lambda z: bool(z[0] > 0.5))
     with pytest.raises(IntegrityError):
         FlowIntensityStrategy(char, np.array([0.0, 1.0]), horizon=1.0)
+
+
+@pytest.mark.parametrize("builder", ["kink", "wait", "split_e2", "split_e1", "ride_e1"])
+def test_stopping_time_matches_per_path_reference(builder, e1_char, e2_char, e2_params):
+    # the one-row view of each vectorized rule returns the time the
+    # per-path rule returned from the same stream (it may draw further
+    # ahead in it), and a block gives each row the law of that rule
+    from per_path_reference import reference_stopping_time
+
+    p0 = ex.e2_p0(e2_params)
+    strat, start, R, horizon = {
+        "kink": lambda: (build_mu_case1(e2_char, z2(p0)), p0, e2_params.R, 60.0),
+        "wait": lambda: (build_mu_case1(e2_char, z2(0.15)), 0.15, e2_params.R, 184.0),
+        "split_e2": lambda: (build_mu_case2(e2_char, z2(0.6), vstar=ex.e2_vstar_full(e2_params)),
+                             0.6, e2_params.R, 184.0),
+        "split_e1": lambda: (build_mu_case2(e1_char, z1(0.75, 0.5), vstar=ex.e1_vstar_full),
+                             0.75, np.zeros((2, 2)), 30.0),
+        "ride_e1": lambda: (build_mu_case1(e1_char, z1(0.25, 2.0 / 3.0)), 0.25,
+                            np.array([[-1.0, 1.0], [1.0, -1.0]]), 1.0),
+    }[builder]()
+    sampler = ChainSampler(R, [start, 1 - start])
+    n = 2000
+    one_row = np.empty(n)
+    for i in range(n):
+        X = sampler.sample(horizon, philox_rng(30, i))
+        one_row[i] = strat.stopping_time(X, philox_rng(31, i))
+        assert one_row[i] == reference_stopping_time(strat, X, philox_rng(31, i))
+    block = np.concatenate([
+        strat.stopping_times(sampler.sample_block(horizon, philox_rng(32, b), 250),
+                             philox_rng(33, b)) for b in range(n // 250)])
+    assert np.mean(np.isinf(block)) == pytest.approx(np.mean(np.isinf(one_row)), abs=0.05)
+    assert ks_2samp(block[np.isfinite(block)], one_row[np.isfinite(one_row)]).pvalue > 1e-3
