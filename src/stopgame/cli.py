@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from pathlib import Path
 
@@ -33,49 +33,51 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         n = 0
     if n < 1:
-        raise argparse.ArgumentTypeError(f"thread count must be a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return n
+
+
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return x
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="stopgame",
                 description="solve, dualize, simulate and verify two-player "
                             "stopping games with privately observed chains")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    # a string default goes through `type` at parse time, so a bad
-    # STOPGAME_THREADS is reported like a bad flag
-    common.add_argument("--threads", type=_thread_count,
-                        default=os.environ.get("STOPGAME_THREADS") or None,
-                        help="worker processes for Monte Carlo verification "
-                             "(default: STOPGAME_THREADS, else serial)")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    s = sub.add_parser("solve", parents=[common], help="compute the value grid of a game")
+    s = sub.add_parser("solve", help="compute the value grid of a game")
     s.add_argument("--game", required=True)
     s.add_argument("--grid", default="201x201", help="nodes per side, N or NxM")
     s.add_argument("--tol", type=float, default=1e-7)
-    s.add_argument("--max-iter", type=int, default=200_000)
+    s.add_argument("--max-iter", type=_positive_int, default=200_000)
     s.add_argument("--out", required=True)
 
-    d = sub.add_parser("dual", parents=[common], help="export a dual surface p,y,value,zone")
+    d = sub.add_parser("dual", help="export a dual surface p,y,value,zone")
     d.add_argument("--oracle", choices=["e1"], help="use the closed-form surface")
     d.add_argument("--game", help="or: solve this game and conjugate numerically")
     d.add_argument("--grid", default="200x200")
     d.add_argument("--tol", type=float, default=1e-7)
     d.add_argument("--r", type=float, default=1.0)
     d.add_argument("--ybox", default="-1,3")
-    d.add_argument("--yres", type=int, default=200)
-    d.add_argument("--pres", type=int, default=200)
+    d.add_argument("--yres", type=_positive_int, default=200)
+    d.add_argument("--pres", type=_positive_int, default=200)
     d.add_argument("--out", required=True)
 
-    e = sub.add_parser("example", parents=[common], help="emit closed-form benchmark curves")
+    e = sub.add_parser("example", help="emit closed-form benchmark curves")
     e.add_argument("which", choices=["e1", "e2"])
     e.add_argument("--what", default="value",
                    choices=["value", "dual", "pure", "blind"])
@@ -84,11 +86,11 @@ def _build_parser() -> _Parser:
     e.add_argument("--b", type=float, default=1.0)
     e.add_argument("--h", default="0.5,2", help="h(0),h(1) chart endpoints")
     e.add_argument("--f", default="1,3", help="f(0),f(1) chart endpoints")
-    e.add_argument("--res", type=int, default=200)
+    e.add_argument("--res", type=_positive_int, default=200)
     e.add_argument("--ybox", default="-1,3")
     e.add_argument("--out", required=True)
 
-    t = sub.add_parser("strategy", parents=[common], help="build an optimal-strategy descriptor")
+    t = sub.add_parser("strategy", help="build an optimal-strategy descriptor")
     t.add_argument("--family", required=True, choices=["e1", "e2"])
     t.add_argument("--r", type=float, default=None)
     t.add_argument("--a", type=float, default=1.0)
@@ -99,17 +101,19 @@ def _build_parser() -> _Parser:
     t.add_argument("--q", type=float, default=0.5)
     t.add_argument("--out", required=True)
 
-    m = sub.add_parser("simulate", parents=[common], help="sample one auxiliary-process path")
+    m = sub.add_parser("simulate", help="sample one auxiliary-process path")
     m.add_argument("--strategy", required=True)
-    m.add_argument("--horizon", type=float, default=10.0)
+    m.add_argument("--horizon", type=_positive_float, default=10.0)
+    m.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     m.add_argument("--out", required=True)
 
-    v = sub.add_parser("verify", parents=[common], help="verification reports")
+    v = sub.add_parser("verify", help="verification reports")
     v.add_argument("what", choices=["optimality"])
     v.add_argument("--game", required=True)
     v.add_argument("--strategy", required=True)
-    v.add_argument("--n", type=int, default=100_000)
-    v.add_argument("--times", type=int, default=200)
+    v.add_argument("--n", type=_positive_int, default=100_000)
+    v.add_argument("--times", type=_positive_int, default=200)
+    v.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     v.add_argument("--out")
     return p
 
@@ -309,7 +313,7 @@ def _cmd_verify(args) -> int:
                 f"game starts at {spec.p0.tolist()}")
     family = PureResponseFamily.for_game(spec, n=args.times)
     report = exploit_gap(spec, strat, float(claim), family, args.n,
-                         seed=args.seed, threads=args.threads or 1)
+                         seed=args.seed)
     payload = report.to_payload()
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:

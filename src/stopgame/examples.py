@@ -260,8 +260,7 @@ def e1_characteristics(r: float = 1.0) -> PdmpCharacteristics:
 
 
 def e1_optimal_mu(p: float, q: float, r: float = 1.0,
-                  horizon: float | None = None,
-                  rng=None) -> MixedStoppingStrategy:
+                  horizon: float | None = None) -> MixedStoppingStrategy:
     """Optimal stopping rule of the informed maximizer at chart point (p, q).
 
     The dual coordinate is the midpoint subgradient of the q-slice; the
@@ -346,6 +345,19 @@ def e2_case(params: Example2Params) -> CaseTag:
     return CaseTag.I
 
 
+def _bisect(g, lo: float, hi: float) -> float:
+    """Root of ``g`` on ``(lo, hi)``, given ``g > 0`` to the left of it."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13:
+            break
+    return 0.5 * (lo + hi)
+
+
 def e2_p0(params: Example2Params) -> float:
     """Kink location in case i: root of the chord-tangency equation.
 
@@ -362,15 +374,7 @@ def e2_p0(params: Example2Params) -> float:
     lo, hi = 0.0, params.p_star
     if not (g(lo) > 0 > g(hi - 1e-15)):
         raise IntegrityError("no sign change on (0, p*); contradicts case i")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(g, lo, hi)
 
 
 def e2_value(params: Example2Params, p: float) -> float:
@@ -488,8 +492,7 @@ def e2_characteristics(params: Example2Params) -> PdmpCharacteristics:
 
 
 def e2_optimal_mu(params: Example2Params, p: float,
-                  horizon: float | None = None,
-                  rng=None) -> MixedStoppingStrategy:
+                  horizon: float | None = None) -> MixedStoppingStrategy:
     """Optimal stopping rule in case i for any starting belief.
 
     At the kink: stop at intensity ``lambda1`` while the chain is in
@@ -561,15 +564,7 @@ def e2_blind_value(params: Example2Params) -> BlindSolution:
     lo, hi = 0.0, p2
     if not (gap(lo) > 0 > gap(hi)):
         raise IntegrityError("no f-contact point below the smooth-fit point")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    p1 = 0.5 * (lo + hi)
+    p1 = _bisect(gap, lo, hi)
     p0 = e2_p0(params)
     if not p1 < p0 < p2 < params.p_star:
         raise IntegrityError("junction ordering p1 < p0 < p2 < p* failed")

@@ -5,9 +5,8 @@ replications ``b * BLOCK`` up to the next multiple (or ``n``) and draws
 everything from one counter-based stream, Philox keyed by ``(seed, b)``.
 Within a block the chains, the stopping times and the payoffs are
 computed as arrays, in this stream order: the own paths, the opponent's
-paths, then the stopping times.  Blocks are grouped into fixed-size chunk
-spans whose partial sums are combined in chunk order, so estimates are
-bit-reproducible for a given seed and ``n`` at any thread count.
+paths, then the stopping times.  All blocks run in the calling process,
+one after the other, so every estimate depends only on ``seed`` and ``n``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ __all__ = [
 ]
 
 BLOCK = 128
-_CHUNK = 8192
-assert _CHUNK % BLOCK == 0  # chunk spans hold whole blocks
 STOP_KINDS = ("zero", "flow", "never")
 
 
@@ -85,14 +82,10 @@ class PureResponseFamily:
                 "t_max_finite": float(self.times[-2])}
 
 
-def _chunks(n: int):
-    return [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-
-
-def _blocks(lo: int, hi: int, seed: int):
-    """``(stream, rows)`` for each block of replications in a chunk span."""
-    for b in range(lo, hi, BLOCK):
-        yield philox_rng(seed, b // BLOCK), min(BLOCK, hi - b)
+def _blocks(n: int, seed: int):
+    """``(stream, rows)`` for each block of the ``n`` replications."""
+    for b in range(0, n, BLOCK):
+        yield philox_rng(seed, b // BLOCK), min(BLOCK, n - b)
 
 
 def _capped(t: np.ndarray, horizon: float) -> np.ndarray:
@@ -100,12 +93,16 @@ def _capped(t: np.ndarray, horizon: float) -> np.ndarray:
     return np.where(t <= horizon, t, math.inf)
 
 
-def _estimate_chunk(spec: GameSpec, strat1, strat2, lo: int, hi: int, seed: int):
+def estimate_payoff(spec: GameSpec, strat1: MixedStoppingStrategy,
+                    strat2: MixedStoppingStrategy, n: int, seed: int = 0) -> PayoffEstimate:
+    """Mean realized payoff over ``n`` independent plays of the strategy pair."""
+    if n < 1:
+        raise InputError("need at least one replication")
     horizon = never_horizon(spec.r)
     sx = ChainSampler(spec.R, spec.p0)
     sy = ChainSampler(spec.Q, spec.q0)
     total = np.zeros(3)
-    for rng, m in _blocks(lo, hi, seed):
+    for rng, m in _blocks(n, seed):
         X = sx.sample_block(horizon, rng, m)
         Y = sy.sample_block(horizon, rng, m)
         mu = _capped(strat1.stopping_times(X, rng), horizon)
@@ -117,24 +114,13 @@ def _estimate_chunk(spec: GameSpec, strat1, strat2, lo: int, hi: int, seed: int)
         pay[done] = np.exp(-spec.r * first[done]) * np.where(
             nu[done] < mu[done], spec.f[k, l], spec.h[k, l])
         total += [pay.sum(), (pay * pay).sum(), m]
-    return total
-
-
-def estimate_payoff(spec: GameSpec, strat1: MixedStoppingStrategy,
-                    strat2: MixedStoppingStrategy, n: int, seed: int = 0,
-                    threads: int = 1) -> PayoffEstimate:
-    """Mean realized payoff over ``n`` independent plays of the strategy pair."""
-    if n < 1:
-        raise InputError("need at least one replication")
-    partials = _map_chunks(_estimate_chunk, (spec, strat1, strat2), n, seed, threads)
-    total = np.sum(np.stack(partials), axis=0)
     mean = total[0] / n
     var = max(total[1] / n - mean * mean, 0.0)
     return PayoffEstimate(float(mean), float(math.sqrt(var / n)), n, seed)
 
 
 def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
-                    lo: int, hi: int, seed: int):
+                    n: int, seed: int):
     """Sums/sumsq/count per (opponent initial state, candidate time), stop counts.
 
     Each block builds its (replication x candidate) response matrix; the
@@ -151,7 +137,7 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     counts = np.zeros(L)
     stops = np.zeros(len(STOP_KINDS), dtype=np.int64)
     disc = np.exp(-spec.r * finite)
-    for rng, m in _blocks(lo, hi, seed):
+    for rng, m in _blocks(n, seed):
         X = sx.sample_block(horizon, rng, m)
         Y = sy.sample_block(horizon, rng, m)
         mu = _capped(strat1.stopping_times(X, rng), horizon)
@@ -179,49 +165,16 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     return sums, sumsq, counts, stops
 
 
-def _belief_chunk(strategy, R, p0, t: float, horizon: float, lo: int, hi: int, seed: int):
-    """Survivors of the rule at ``t`` per state, over replications ``[lo, hi)``."""
+def survivor_counts(strategy: MixedStoppingStrategy, R, p0: np.ndarray, t: float,
+                    horizon: float, n: int, seed: int) -> np.ndarray:
+    """Per-state counts of the ``n`` paths from ``p0`` under ``R`` not stopped by ``t``."""
     sampler = ChainSampler(R, p0)
     counts = np.zeros(p0.size, dtype=np.int64)
-    for rng, m in _blocks(lo, hi, seed):
+    for rng, m in _blocks(n, seed):
         paths = sampler.sample_block(horizon, rng, m)
         alive = strategy.stopping_times(paths, rng) > t
         counts += np.bincount(paths.states_at(np.full(m, t))[alive], minlength=p0.size)
     return counts
-
-
-def survivor_counts(strategy: MixedStoppingStrategy, R, p0: np.ndarray, t: float,
-                    horizon: float, n: int, seed: int) -> np.ndarray:
-    """Per-state counts of the ``n`` paths from ``p0`` under ``R`` not stopped by ``t``."""
-    partials = _map_chunks(_belief_chunk, (strategy, R, p0, t, horizon), n, seed, 1)
-    return np.sum(partials, axis=0)
-
-
-def _map_chunks(fn, args, n: int, seed: int, threads: int):
-    """``fn(*args, lo, hi, seed)`` for every chunk span of ``n``, in chunk order.
-
-    With ``threads > 1`` the spans run in a process pool; strategies carry
-    closures, so they travel as descriptors and are rebuilt in the workers.
-    """
-    spans = _chunks(n)
-    if threads <= 1:
-        return [fn(*args, lo, hi, seed) for lo, hi in spans]
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .serialize import strategy_to_descriptor
-
-    payloads = [("strategy", strategy_to_descriptor(a)) if isinstance(a, MixedStoppingStrategy)
-                else ("value", a) for a in args]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_chunk_task, fn, payloads, lo, hi, seed) for lo, hi in spans]
-        return [f.result() for f in futures]
-
-
-def _chunk_task(fn, payloads, lo: int, hi: int, seed: int):
-    from .serialize import strategy_from_descriptor
-
-    args = [strategy_from_descriptor(v) if kind == "strategy" else v for kind, v in payloads]
-    return fn(*args, lo, hi, seed)
 
 
 @dataclass(frozen=True)
@@ -237,8 +190,7 @@ class BestResponse:
 
 
 def best_response_value(spec: GameSpec, strat1: MixedStoppingStrategy,
-                        family: PureResponseFamily, n: int, seed: int = 0,
-                        threads: int = 1) -> BestResponse:
+                        family: PureResponseFamily, n: int, seed: int = 0) -> BestResponse:
     """Infimum of the expected payoff over the pure response family.
 
     Common random numbers across candidates make the per-candidate means
@@ -247,11 +199,7 @@ def best_response_value(spec: GameSpec, strat1: MixedStoppingStrategy,
     """
     if n < 1:
         raise InputError("need at least one replication")
-    partials = _map_chunks(_response_chunk, (spec, strat1, family), n, seed, threads)
-    sums = np.sum(np.stack([p[0] for p in partials]), axis=0)
-    sumsq = np.sum(np.stack([p[1] for p in partials]), axis=0)
-    counts = np.sum(np.stack([p[2] for p in partials]), axis=0)
-    stops = np.sum(np.stack([p[3] for p in partials]), axis=0)
+    sums, sumsq, counts, stops = _response_chunk(spec, strat1, family, n, seed)
     times = family.times
     finite_top = times[-2]
     value = 0.0
@@ -309,12 +257,19 @@ class GapReport:
 def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: float,
                 family: PureResponseFamily, n: int, seed: int = 0,
                 threads: int = 1) -> GapReport:
-    """best_response_value minus the claimed value (+inf against a -inf claim)."""
+    """best_response_value minus the claimed value (+inf against a -inf claim).
+
+    Monte Carlo runs in the calling process, so ``threads`` accepts only 1.
+    The keyword stays because the benchmark workloads still pass
+    ``threads=1``; it goes with the next change to the benchmark.
+    """
+    if threads != 1:
+        raise InputError(f"Monte Carlo runs in one process; threads must be 1, got {threads!r}")
     if value_claim == -math.inf:
         return GapReport(value_claim, math.nan, math.inf, 0.0, 0, seed, {},
                          family.descriptor(), family.exhaustive_for(spec),
                          dict.fromkeys(STOP_KINDS, 0))
-    br = best_response_value(spec, strat1, family, n, seed, threads)
+    br = best_response_value(spec, strat1, family, n, seed)
     return GapReport(value_claim, br.value, br.value - value_claim, br.std_error,
                      n, seed, br.argmin, br.family, family.exhaustive_for(spec),
                      br.stop_counts)

@@ -1,8 +1,8 @@
 """Round-trippable descriptors for strategies and characteristics.
 
-Strategies carry closures (fields, membership oracles), so files and
-worker processes exchange small descriptor dictionaries instead; the
-characteristics are rebuilt from their defining parameters.
+Strategies carry closures (fields, membership oracles), so strategy
+files hold small descriptor dictionaries instead; the characteristics
+are rebuilt from their defining parameters.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .pdmp import (ConstantTimeStrategy, FlowIntensityStrategy,
                    SplitThenFlowStrategy, StopNowStrategy)
 
 __all__ = [
-    "characteristics_from_params", "strategy_to_descriptor",
-    "strategy_from_descriptor", "strategy_to_json", "strategy_from_json",
+    "characteristics_from_params", "strategy_from_descriptor", "strategy_to_json", "strategy_from_json",
 ]
 
 
@@ -35,10 +34,6 @@ def characteristics_from_params(params: dict) -> PdmpCharacteristics:
             a=float(params["a"]), b=float(params["b"]), r=float(params["r"]),
             h0=float(h[0]), h1=float(h[1]), f0=float(f[0]), f1=float(f[1])))
     raise InputError(f"unknown characteristics kind {kind!r}")
-
-
-def strategy_to_descriptor(strategy: MixedStoppingStrategy) -> dict:
-    return strategy.descriptor()
 
 
 def strategy_from_descriptor(desc: dict) -> MixedStoppingStrategy:
@@ -70,7 +65,7 @@ def strategy_from_descriptor(desc: dict) -> MixedStoppingStrategy:
 
 def strategy_to_json(strategy: MixedStoppingStrategy, value_claim: float | None = None,
                      point: dict | None = None) -> str:
-    payload = {"strategy": strategy_to_descriptor(strategy)}
+    payload = {"strategy": strategy.descriptor()}
     if value_claim is not None:
         payload["value_claim"] = value_claim
     if point:

@@ -6,7 +6,6 @@ they are produced; every tolerance is pinned here, nothing is deferred.
 
 import dataclasses
 import math
-import os
 import time
 
 import numpy as np
@@ -19,8 +18,6 @@ from stopgame.model import ChainSampler, philox_rng
 from stopgame.montecarlo import PureResponseFamily, exploit_gap
 from stopgame.pdmp import belief_consistency, build_mu_case1, sc_check
 from stopgame.solver import residual_check, solve
-
-THREADS = min(4, os.cpu_count() or 1)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -182,7 +179,7 @@ def test_criterion_07_optimality_by_best_response(e1_spec, e2_spec, e2_params):
         strat = ex.e2_optimal_mu(e2_params, p)
         gap = exploit_gap(spec, strat, ex.e2_value(e2_params, p),
                           PureResponseFamily.for_game(spec), n=100_000,
-                          seed=202, threads=THREADS)
+                          seed=202)
         ok &= gap.gap >= -0.05 - 3.0 * gap.std_error
         lines.append(f"e2 p={p:.3f}: gap {gap.gap:+.4f} (se {gap.std_error:.4f})")
     for (p, q) in ((0.25, 0.5), (0.75, 0.75), (0.75, 0.25)):
@@ -190,7 +187,7 @@ def test_criterion_07_optimality_by_best_response(e1_spec, e2_spec, e2_params):
         strat = ex.e1_optimal_mu(p, q)
         gap = exploit_gap(spec, strat, ex.e1_value(p, q),
                           PureResponseFamily.for_game(spec), n=100_000,
-                          seed=203, threads=THREADS)
+                          seed=203)
         ok &= gap.gap >= -0.05 - 3.0 * gap.std_error
         lines.append(f"e1 ({p},{q}): gap {gap.gap:+.4f} (se {gap.std_error:.4f})")
     elapsed = time.perf_counter() - t0
@@ -205,8 +202,7 @@ def test_criterion_08_suboptimality_detection(e2_spec, e2_params):
     spec = game_at(e2_spec, p, None)
     claim = ex.e2_value(e2_params, p)
     gap = exploit_gap(spec, StopNowStrategy(), claim,
-                      PureResponseFamily.for_game(spec), n=100_000, seed=204,
-                      threads=THREADS)
+                      PureResponseFamily.for_game(spec), n=100_000, seed=204)
     expected = e2_params.h(p) - e2_params.f(p)
     report(8, abs(gap.gap - expected) <= 0.05 and gap.gap < -3 * gap.std_error,
            f"stop-at-0 gap {gap.gap:+.4f} vs h(1/3)-f(1/3) = {expected:+.4f} "

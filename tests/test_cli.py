@@ -132,42 +132,34 @@ def test_cli_input_errors(game_files, capsys):
     capsys.readouterr()
 
 
-def test_bad_threads_environment_is_an_input_error(game_files, monkeypatch, capsys):
-    out = str(game_files["dir"] / "x.csv")
-    for bad in ("abc", "0", "-2"):
-        monkeypatch.setenv("STOPGAME_THREADS", bad)
-        assert main(["solve", "--game", str(game_files["e1"]), "--grid", "5",
-                     "--out", out]) == 1
-        assert "--threads" in capsys.readouterr().err
-    assert main(["solve", "--game", str(game_files["e1"]), "--grid", "5",
-                 "--threads", "1", "--out", out]) == 0
-    monkeypatch.setenv("STOPGAME_THREADS", "2")
-    assert main(["solve", "--game", str(game_files["e1"]), "--grid", "5",
-                 "--threads", "x", "--out", out]) == 1
-
-
-@pytest.mark.parametrize("env,expected", [(None, 1), ("3", 3)])
-def test_verify_threads_default_serial(game_files, monkeypatch, env, expected):
-    import stopgame.cli as cli
-
-    if env is None:
-        monkeypatch.delenv("STOPGAME_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("STOPGAME_THREADS", env)
-    seen = {}
-
-    def spy(*args, threads, **kwargs):
-        seen["threads"] = threads
-        return real(*args, threads=1, **kwargs)
-
-    real = cli.exploit_gap
-    monkeypatch.setattr(cli, "exploit_gap", spy)
-    sfile = game_files["dir"] / "s.json"
+def test_malformed_flags_are_input_errors(game_files, capsys):
+    d = game_files["dir"]
+    sfile = d / "s.json"
     assert main(["strategy", "--family", "e2", "--r", "0.1", "--p", str(1.0 / 3.0),
                  "--out", str(sfile)]) == 0
-    assert main(["verify", "optimality", "--game", str(game_files["e2"]),
-                 "--strategy", str(sfile), "--n", "50"]) == 0
-    assert seen["threads"] == expected
+    verify = ["verify", "optimality", "--game", str(game_files["e2"]),
+              "--strategy", str(sfile)]
+    cases = [
+        verify + ["--times", "-1"],
+        verify + ["--n", "0"],
+        verify + ["--n", "many"],
+        ["example", "e1", "--res", "-1"],
+        ["dual", "--oracle", "e1", "--pres", "-1"],
+        ["dual", "--oracle", "e1", "--yres", "0"],
+        ["solve", "--game", str(game_files["e1"]), "--grid", "5", "--max-iter", "0"],
+        ["simulate", "--strategy", str(sfile), "--horizon", "-1"],
+        ["simulate", "--strategy", str(sfile), "--horizon", "nan"],
+        ["simulate", "--strategy", str(sfile), "--horizon", "inf"],
+        ["solve", "--game", str(game_files["e1"]), "--grid", "5", "--seed", "3"],
+        ["solve", "--game", str(game_files["e1"]), "--grid", "5", "--threads", "2"],
+    ]
+    capsys.readouterr()
+    for i, argv in enumerate(cases):
+        out = d / f"bad{i}.out"
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err, argv
+        assert not out.exists(), argv
 
 
 def test_strategy_descriptor_roundtrip(e2_params):

@@ -134,25 +134,32 @@ def test_never_stop_best_response_matches_quadrature(e2_spec, e2_params):
     assert abs(br.value - direct) <= 3.0 * br.std_error + 1e-9
 
 
-def test_threads_reproduce_serial(e2_spec, e2_params):
-    from stopgame.montecarlo import BLOCK, _belief_chunk, _map_chunks
+def test_same_seed_reproduces(e2_spec, e2_params):
+    from stopgame.montecarlo import BLOCK, _response_chunk, survivor_counts
 
     spec = game_at(e2_spec, 0.5, None)
     strat = ex.e2_optimal_mu(e2_params, 0.5)
     fam = small_family()
     n = 20_000
     assert n % BLOCK  # a partial last block
-    serial = best_response_value(spec, strat, fam, n=n, seed=8, threads=1)
-    parallel = best_response_value(spec, strat, fam, n=n, seed=8, threads=2)
-    assert serial.value == parallel.value
-    assert serial.std_error == parallel.std_error
-    assert serial.argmin == parallel.argmin
-    assert serial.stop_counts == parallel.stop_counts
-    assert (estimate_payoff(spec, strat, ConstantTimeStrategy(1.0), n=n, seed=8, threads=1)
-            == estimate_payoff(spec, strat, ConstantTimeStrategy(1.0), n=n, seed=8, threads=2))
-    args = (strat, e2_params.R, strat.initial_belief(), 1.0, 2.0)
-    np.testing.assert_array_equal(np.sum(_map_chunks(_belief_chunk, args, n, 8, 1), axis=0),
-                                  np.sum(_map_chunks(_belief_chunk, args, n, 8, 2), axis=0))
+    first, again = (best_response_value(spec, strat, fam, n=n, seed=8) for _ in range(2))
+    assert first == again
+    assert sum(first.stop_counts.values()) == n
+    _, _, counts, stops = _response_chunk(spec, strat, fam, n, 8)
+    assert counts.sum() == stops.sum() == n
+    assert (estimate_payoff(spec, strat, ConstantTimeStrategy(1.0), n=n, seed=8)
+            == estimate_payoff(spec, strat, ConstantTimeStrategy(1.0), n=n, seed=8))
+    args = (strat, e2_params.R, strat.initial_belief(), 1.0, 2.0, n, 8)
+    survivors = survivor_counts(*args)
+    np.testing.assert_array_equal(survivors, survivor_counts(*args))
+    assert 0 < survivors.sum() <= n
+
+
+def test_exploit_gap_runs_in_one_process(e2_spec, e2_params):
+    spec = game_at(e2_spec, 0.5, None)
+    strat = ex.e2_optimal_mu(e2_params, 0.5)
+    with pytest.raises(InputError):
+        exploit_gap(spec, strat, 0.0, small_family(), n=10, threads=2)
 
 
 @pytest.mark.parametrize("point", ["e2_kink", "e1_split"])
@@ -170,7 +177,7 @@ def test_batched_responses_match_per_path_law(point, e1_spec, e2_spec, e2_params
         strat = ex.e1_optimal_mu(0.75, 0.75)
     fam = PureResponseFamily.for_game(spec, n=40)
     n = 3000
-    batch = _response_chunk(spec, strat, fam, 0, n, seed=40)[:3]
+    batch = _response_chunk(spec, strat, fam, n, seed=40)[:3]
     ref = response_sums(spec, strat, fam, n, seed=41)
     for sums, sumsq, counts in (batch, ref):
         assert counts.sum() == n
