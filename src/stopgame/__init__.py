@@ -27,9 +27,8 @@ from .pdmp import (BeliefReport, ConstantTimeStrategy, FlowIntensityStrategy,
                    InitialStateTimeStrategy, MixedStoppingStrategy,
                    NeverStopStrategy, Orbit, PdmpCharacteristics,
                    SplitThenFlowStrategy, StopNowStrategy, StructureReport,
-                   ZPath, belief_consistency, build_mu_case1, build_mu_case2,
-                   build_mu_case3, integrate_flow, never_horizon, sc_check,
-                   simulate_Z)
+                   ZPath, belief_consistency, build_mu, integrate_flow,
+                   never_horizon, sc_check, simulate_Z)
 from .montecarlo import (BestResponse, GapReport, PayoffEstimate,
                          PureResponseFamily, best_response_value,
                          default_time_grid, estimate_payoff, exploit_gap)
@@ -48,9 +47,8 @@ __all__ = [
     "BeliefReport", "ConstantTimeStrategy", "FlowIntensityStrategy",
     "InitialStateTimeStrategy", "MixedStoppingStrategy", "NeverStopStrategy",
     "Orbit", "PdmpCharacteristics", "SplitThenFlowStrategy", "StopNowStrategy",
-    "StructureReport", "ZPath", "belief_consistency", "build_mu_case1",
-    "build_mu_case2", "build_mu_case3", "integrate_flow", "never_horizon",
-    "sc_check", "simulate_Z",
+    "StructureReport", "ZPath", "belief_consistency", "build_mu",
+    "integrate_flow", "never_horizon", "sc_check", "simulate_Z",
     "BestResponse", "GapReport", "PayoffEstimate", "PureResponseFamily",
     "best_response_value", "default_time_grid", "estimate_payoff",
     "exploit_gap",

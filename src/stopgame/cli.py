@@ -7,6 +7,7 @@ dimension mismatches), 2 integrity or convergence failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -81,22 +82,22 @@ def _build_parser() -> _Parser:
     e.add_argument("which", choices=["e1", "e2"])
     e.add_argument("--what", default="value",
                    choices=["value", "dual", "pure", "blind"])
-    e.add_argument("--r", type=float, default=None)
-    e.add_argument("--a", type=float, default=1.0)
-    e.add_argument("--b", type=float, default=1.0)
-    e.add_argument("--h", default="0.5,2", help="h(0),h(1) chart endpoints")
-    e.add_argument("--f", default="1,3", help="f(0),f(1) chart endpoints")
+    e.add_argument("--r", type=float, help="e2 only (default 0.1)")
+    e.add_argument("--a", type=float, help="e2 only (default 1)")
+    e.add_argument("--b", type=float, help="e2 only (default 1)")
+    e.add_argument("--h", help="e2 only: h(0),h(1) chart endpoints (default 0.5,2)")
+    e.add_argument("--f", help="e2 only: f(0),f(1) chart endpoints (default 1,3)")
     e.add_argument("--res", type=_positive_int, default=200)
     e.add_argument("--ybox", default="-1,3")
     e.add_argument("--out", required=True)
 
     t = sub.add_parser("strategy", help="build an optimal-strategy descriptor")
     t.add_argument("--family", required=True, choices=["e1", "e2"])
-    t.add_argument("--r", type=float, default=None)
-    t.add_argument("--a", type=float, default=1.0)
-    t.add_argument("--b", type=float, default=1.0)
-    t.add_argument("--h", default="0.5,2")
-    t.add_argument("--f", default="1,3")
+    t.add_argument("--r", type=float, help="default 1 for e1, 0.1 for e2")
+    t.add_argument("--a", type=float, help="e2 only (default 1)")
+    t.add_argument("--b", type=float, help="e2 only (default 1)")
+    t.add_argument("--h", help="e2 only (default 0.5,2)")
+    t.add_argument("--f", help="e2 only (default 1,3)")
     t.add_argument("--p", type=float, required=True)
     t.add_argument("--q", type=float, default=0.5)
     t.add_argument("--out", required=True)
@@ -155,10 +156,19 @@ def _check_out(path: str) -> Path:
 
 
 def _e2_params(args) -> ex.Example2Params:
-    h0, h1 = _parse_pair_arg(args.h, "--h")
-    f0, f1 = _parse_pair_arg(args.f, "--f")
-    r = args.r if args.r is not None else 0.1
-    return ex.Example2Params(a=args.a, b=args.b, r=r, h0=h0, h1=h1, f0=f0, f1=f1)
+    """The reference e2 game with the flags that were given."""
+    given = {k: getattr(args, k) for k in ("a", "b", "r") if getattr(args, k) is not None}
+    if args.h is not None:
+        given["h0"], given["h1"] = _parse_pair_arg(args.h, "--h")
+    if args.f is not None:
+        given["f0"], given["f1"] = _parse_pair_arg(args.f, "--f")
+    return dataclasses.replace(ex.REFERENCE_E2, **given)
+
+
+def _reject_e2_flags(args, names) -> None:
+    given = [f"--{n}" for n in names if getattr(args, n) is not None]
+    if given:
+        raise InputError(f"e1 takes no {' '.join(given)}")
 
 
 def _grid_csv_rows(header: str, rows) -> str:
@@ -211,7 +221,7 @@ def _cmd_dual(args) -> int:
 def _cmd_example(args) -> int:
     out = _check_out(args.out)
     if args.which == "e1":
-        r = args.r if args.r is not None else 1.0
+        _reject_e2_flags(args, ("r", "a", "b", "h", "f"))
         grid = np.linspace(0.0, 1.0, args.res + 1)
         if args.what == "value":
             rows = [(float(p), float(q), ex.e1_value(float(p), float(q)))
@@ -255,6 +265,7 @@ def _cmd_example(args) -> int:
 def _cmd_strategy(args) -> int:
     out = _check_out(args.out)
     if args.family == "e1":
+        _reject_e2_flags(args, ("a", "b", "h", "f"))
         r = args.r if args.r is not None else 1.0
         if not (0.0 <= args.p <= 1.0 and 0.0 <= args.q <= 1.0):
             raise InputError("chart coordinates must lie in [0, 1]")

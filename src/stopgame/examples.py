@@ -28,8 +28,7 @@ import numpy as np
 from .errors import InputError, IntegrityError
 from .model import GameSpec
 from .pdmp import (MixedStoppingStrategy, NeverStopStrategy,
-                   PdmpCharacteristics, build_mu_case1, build_mu_case2,
-                   build_mu_case3)
+                   PdmpCharacteristics, build_mu)
 
 __all__ = [
     "scalar_payoff_matrix", "e1_game", "e1_value", "e1_value_qslope",
@@ -81,25 +80,18 @@ def e1_value(p: float, q: float) -> float:
 
 def e1_value_qslope(p: float, q: float) -> float:
     """Midpoint selection from the subgradient of the (convex) q-slice."""
-    def right(qq):  # slope just right of qq (one-sided, qq < 1)
-        if qq >= 0.5 and p >= 1.0 - qq:
-            return (p + qq - 1.0) / qq**2 + 2.0 - 1.0 / qq
-        if p >= 0.5:
-            return 0.0
-        return (1.0 - 2.0 * p) / (1.0 - p)
-
-    def left(qq):
-        if qq > 0.5 and p >= 1.0 - qq:
+    def slope(qq, right):  # one-sided; at qq = 1/2 only the right slope is on the upper piece
+        if (qq >= 0.5 if right else qq > 0.5) and p >= 1.0 - qq:
             return (p + qq - 1.0) / qq**2 + 2.0 - 1.0 / qq
         if p >= 0.5:
             return 0.0
         return (1.0 - 2.0 * p) / (1.0 - p)
 
     if q <= 0.0:
-        return right(0.0)
+        return slope(0.0, right=True)
     if q >= 1.0:
-        return left(1.0)
-    return 0.5 * (left(q) + right(q))
+        return slope(1.0, right=False)
+    return 0.5 * (slope(q, right=False) + slope(q, right=True))
 
 
 def e1_pure_values(p: float, q: float) -> tuple[float, float]:
@@ -273,11 +265,7 @@ def e1_optimal_mu(p: float, q: float, r: float = 1.0,
     z = _z1(p, y)
     if y <= 0.0 or p <= _MTOL:
         return NeverStopStrategy(R=np.zeros((2, 2)), p0=[p, 1.0 - p])
-    if char.in_S(z):
-        return build_mu_case3(z)
-    if char.in_EH(z):
-        return build_mu_case1(char, z, horizon)
-    return build_mu_case2(char, z, horizon=horizon, vstar=e1_vstar_full)
+    return build_mu(char, z, horizon, vstar=e1_vstar_full)
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +488,8 @@ def e2_optimal_mu(params: Example2Params, p: float,
     state 0, then run the kink rule.  Below it: the rule is silent until
     the belief flow reaches the kink.
     """
-    char = e2_characteristics(params)
-    z = np.array([p, 1.0 - p])
-    if char.in_S(z):
-        return build_mu_case3(z)
-    if char.in_EH(z):
-        return build_mu_case1(char, z, horizon)
-    return build_mu_case2(char, z, horizon=horizon, vstar=e2_vstar_full(params))
+    return build_mu(e2_characteristics(params), np.array([p, 1.0 - p]), horizon,
+                    vstar=e2_vstar_full(params))
 
 
 # ---------------------------------------------------------------------------

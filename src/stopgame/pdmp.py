@@ -8,14 +8,19 @@ vectors: the belief block (length ``dim_p``, a simplex point) followed by
 the dual-slope block (length ``dim_y``, possibly absent).
 
 Five structure conditions tie the characteristics to the dual value
-``V_*``; :func:`sc_check` verifies them on sample sets, and the strategy
-builders below turn admissible characteristics into stopping rules:
+``V_*``; :func:`sc_check` verifies them on sample sets, and
+:func:`build_mu` turns admissible characteristics into the stopping rule
+of the verification theorem's case for the starting point:
 
 * ``flow`` (start in ``E_H``): stop at the conditional intensity
   ``lam(z_t) * phi_p(z_t)[k] / p_t[k]`` while the own chain sits in ``k``,
+  by one exponential threshold against the cumulative hazard per
+  inter-jump segment of the own chain,
 * ``split`` (start outside ``E``): randomize at time zero between an
   immediate stop and a ``flow`` start,
 * ``stop_now`` (start in ``S``): stop immediately.
+
+Every rule stops a whole :class:`~stopgame.model.PathBlock` at once.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ __all__ = [
     "StructureReport", "sc_check",
     "MixedStoppingStrategy", "FlowIntensityStrategy", "SplitThenFlowStrategy",
     "StopNowStrategy", "NeverStopStrategy", "ConstantTimeStrategy",
-    "InitialStateTimeStrategy",
-    "build_mu_case1", "build_mu_case2", "build_mu_case3",
+    "InitialStateTimeStrategy", "build_mu",
     "BeliefReport", "belief_consistency", "never_horizon",
 ]
 
@@ -126,18 +130,20 @@ class Orbit:
     def state_at(self, t: float) -> np.ndarray:
         if t >= self.ts[-1]:
             return self.zs[-1].copy()
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1 - w) * self.zs[i] + w * self.zs[i + 1]
+        return _lerp(self.ts, self.zs, t)
 
     def lam_at(self, t: float) -> float:
         if t >= self.ts[-1]:
             return 0.0 if self.quiescent else float(self.lams[-1])
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return float((1 - w) * self.lams[i] + w * self.lams[i + 1])
+        return float(_lerp(self.ts, self.lams, t))
+
+
+def _lerp(ts: np.ndarray, values: np.ndarray, t: float):
+    """Linear interpolation of ``values`` sampled at ``ts``, for ``t < ts[-1]``."""
+    i = int(np.searchsorted(ts, t, side="right")) - 1
+    t0, t1 = ts[i], ts[i + 1]
+    w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+    return (1 - w) * values[i] + w * values[i + 1]
 
 
 def _rk4(alpha, z, h):
@@ -245,7 +251,6 @@ class _Hazard:
             mids = 0.5 * (rho[1:] + rho[:-1])
             self.H[1:] = np.cumsum(mids * np.diff(orbit.ts)[:, None], axis=0)
         self.tail_rate = rho[-1] if (orbit.stationary and not orbit.quiescent) else np.zeros(K)
-        self.rho = rho
         self.columns = [np.ascontiguousarray(self.H[:, k]) for k in range(K)]
 
     def inverse(self, k: np.ndarray, t0: np.ndarray, excess: np.ndarray) -> np.ndarray:
@@ -274,14 +279,6 @@ class _Hazard:
                          where=rate > 0.0)
         return np.where(i > last, np.maximum(ts[-1] + tail, t0), t)
 
-    def rho_at(self, k: int, t: float) -> float:
-        if t >= self.ts[-1]:
-            return float(self.tail_rate[k])
-        return float(np.interp(t, self.ts, self.rho[:, k]))
-
-    def max_rate(self) -> float:
-        return float(self.rho.max(initial=0.0))
-
 
 @dataclass
 class ZPath:
@@ -303,10 +300,7 @@ class ZPath:
             return self.post_jump.copy()
         if t >= self.ts[-1]:
             return self.zs[-1].copy()
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1 - w) * self.zs[i] + w * self.zs[i + 1]
+        return _lerp(self.ts, self.zs, t)
 
 
 def simulate_Z(char: PdmpCharacteristics, z0, horizon: float,
@@ -470,30 +464,24 @@ def sc_check(char: PdmpCharacteristics, vstar, samples, tol: float = 1e-6,
 class MixedStoppingStrategy:
     """A stopping rule of the own filtration plus an exogenous random stream.
 
-    ``stopping_time`` consumes randomness from ``rng`` in an order
-    determined only by the trajectory prefix up to the decision, which is
-    what makes the rule adapted: altering the path strictly after the
-    realized stopping time cannot change it.
-
-    ``stopping_times`` stops a whole :class:`PathBlock` from one stream;
-    the other rows only move where a row's draws sit in the stream, so
-    each row keeps the law of the one-path rule.  A subclass implements
-    one of the two: the block version by default loops over the paths,
-    and ``stopping_time`` of a rule with a block version is its one-row
-    view.  That view returns the time the one-path rule returns from the
-    same stream, but may leave the stream further along: a ``segment``
-    flow rule draws thresholds for a whole column block of segments.
+    A rule implements ``stopping_times``, which stops a whole
+    :class:`PathBlock` from one stream.  A row's decision uses only its
+    path up to that decision and the draws the rule takes for it, which
+    is what makes the rule adapted: altering the path strictly after the
+    realized stopping time cannot change it.  The other rows only move
+    where a row's draws sit in the stream, so each row has the law of the
+    rule on one path.  ``stopping_time`` is the one-row view; it may leave
+    the stream further along than a one-path rule would, since a flow
+    rule draws thresholds for a whole column block of segments.
     """
 
     case = "abstract"
 
     def stopping_time(self, traj: Trajectory, rng: np.random.Generator) -> float:
-        if type(self).stopping_times is MixedStoppingStrategy.stopping_times:
-            raise NotImplementedError
         return float(self.stopping_times(PathBlock.from_trajectory(traj), rng)[0])
 
     def stopping_times(self, paths: PathBlock, rng: np.random.Generator) -> np.ndarray:
-        return np.array([self.stopping_time(paths.row(i), rng) for i in range(paths.n)])
+        raise NotImplementedError
 
     def belief(self, t: float) -> np.ndarray:
         """Conditional law of the own chain given no stop by ``t``."""
@@ -574,33 +562,24 @@ class InitialStateTimeStrategy(MixedStoppingStrategy):
 class FlowIntensityStrategy(MixedStoppingStrategy):
     """Stop at the conditional intensity carried by the characteristics' orbit.
 
-    Two equivalent-in-law mechanisations: ``segment`` draws one
-    exponential threshold against the cumulative hazard per inter-jump
-    segment of the own chain (the fresh uniform at each restart becomes a
-    fresh exponential, same law); ``thinning`` runs a global homogeneous
-    candidate stream and accepts with probability ``rho(t, X_t) / rho_bar``.
+    While the own chain sits in ``k`` the rule stops at rate
+    ``lam(z_t) * phi_p(z_t)[k] / p_t[k]``: each inter-jump segment of the
+    own chain draws one exponential threshold, and the rule stops where
+    the cumulative hazard ``H[k]`` gained since the segment start reaches
+    it.
     """
 
     case = "flow"
 
-    def __init__(self, char: PdmpCharacteristics, z0, horizon: float | None = None,
-                 method: str = "segment"):
+    def __init__(self, char: PdmpCharacteristics, z0, horizon: float | None = None):
         z0 = np.asarray(z0, dtype=float)
         if not char.in_EH(z0):
-            raise InputError("case-1 strategies start inside E_H")
-        if method not in ("segment", "thinning"):
-            raise InputError(f"unknown mechanisation {method!r}")
+            raise InputError("flow strategies start inside E_H")
         self.char = char
         self.z0 = z0
         self.t_max = never_horizon(char.r) if horizon is None else float(horizon)
-        self.method = method
         self.orbit = integrate_flow(char, z0, self.t_max, truncate_quiescent=True)
         self.hazard = _Hazard(char, self.orbit)
-        if method == "thinning":
-            self.rho_bar = 1.5 * self.hazard.max_rate()
-            if not math.isfinite(self.rho_bar) or self.rho_bar > 1e9:
-                raise InputError("conditional intensity unbounded on the orbit; "
-                                 "use the segment mechanisation")
 
     def initial_belief(self) -> np.ndarray:
         return self.char.p_part(self.z0)
@@ -608,31 +587,14 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
     def belief(self, t):
         return self.char.p_part(self.orbit.state_at(min(t, self.t_max)))
 
-    def stopping_time(self, traj, rng):
-        if self.method == "segment":
-            return super().stopping_time(traj, rng)
-        if self.rho_bar <= 0.0:
-            return math.inf
-        end = min(traj.horizon, self.t_max)
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / self.rho_bar)
-            if t >= end:
-                return math.inf
-            k = traj.state_at(t)
-            if rng.uniform() * self.rho_bar < self.hazard.rho_at(k, t):
-                return t
-
     def stopping_times(self, paths, rng):
-        """Segment rule: one exponential threshold per inter-jump segment.
+        """One exponential threshold per inter-jump segment.
 
         Rows draw thresholds for ``_SEGMENT_COLUMNS`` segments at a time,
         never for more segments than the longest row has before the
         horizon; only rows that have neither stopped nor run past the
         horizon go on to the next columns.
         """
-        if self.method == "thinning":
-            return super().stopping_times(paths, rng)
         end = min(paths.horizon, self.t_max)
         # segment j runs from bounds[:, j] to bounds[:, j + 1]
         width = int((paths.times < end).sum(axis=1).max(initial=0))
@@ -657,7 +619,7 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
 
     def descriptor(self):
         return {"case": self.case, "z": self.z0.tolist(), "horizon": self.t_max,
-                "method": self.method, "characteristics": dict(self.char.params)}
+                "characteristics": dict(self.char.params)}
 
 
 class SplitThenFlowStrategy(MixedStoppingStrategy):
@@ -710,23 +672,23 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
                 "characteristics": dict(self.char.params), "note": self.note}
 
 
-def build_mu_case1(char: PdmpCharacteristics, z0, horizon: float | None = None,
-                   method: str = "segment") -> FlowIntensityStrategy:
-    return FlowIntensityStrategy(char, z0, horizon, method)
+def build_mu(char: PdmpCharacteristics, z, horizon: float | None = None,
+             vstar=None) -> MixedStoppingStrategy:
+    """Optimal stopping rule from ``z``, by the case of the verification theorem.
 
-
-def build_mu_case2(char: PdmpCharacteristics, z, decomposition=None,
-                   horizon: float | None = None, vstar=None) -> SplitThenFlowStrategy:
-    if decomposition is None:
-        if char.split is None:
-            raise InputError("no split available for exterior starting points")
-        decomposition = char.split(np.asarray(z, dtype=float))
-    z_flow, z_stop, m = decomposition
+    Stop now on ``S``, follow the flow intensity from ``E_H``, and split
+    at time zero through ``char.split`` everywhere else; ``vstar``, when
+    given, must be affine along that split.
+    """
+    z = np.asarray(z, dtype=float)
+    if char.in_S(z):
+        return StopNowStrategy()
+    if char.in_EH(z):
+        return FlowIntensityStrategy(char, z, horizon)
+    if char.split is None:
+        raise InputError("no split available for exterior starting points")
+    z_flow, z_stop, m = char.split(z)
     return SplitThenFlowStrategy(char, z, z_flow, z_stop, m, horizon, vstar=vstar)
-
-
-def build_mu_case3(z=None) -> StopNowStrategy:
-    return StopNowStrategy()
 
 
 @dataclass

@@ -51,9 +51,9 @@ def strategy_from_descriptor(desc: dict) -> MixedStoppingStrategy:
         return InitialStateTimeStrategy(desc["times"])
     if case == "flow":
         char = characteristics_from_params(desc["characteristics"])
+        # other keys, such as the mechanisation name older files carry, are ignored
         return FlowIntensityStrategy(char, np.asarray(desc["z"], dtype=float),
-                                     horizon=desc.get("horizon"),
-                                     method=desc.get("method", "segment"))
+                                     horizon=desc.get("horizon"))
     if case == "split":
         char = characteristics_from_params(desc["characteristics"])
         return SplitThenFlowStrategy(char, np.asarray(desc["z"], dtype=float),

@@ -121,7 +121,7 @@ def reference_stopping_time(strategy, traj: Trajectory, rng) -> float:
     """Segment and split rules through the code above, the others as they are."""
     if isinstance(strategy, SplitThenFlowStrategy):
         return split_stopping_time(strategy, traj, rng)
-    if isinstance(strategy, FlowIntensityStrategy) and strategy.method == "segment":
+    if isinstance(strategy, FlowIntensityStrategy):
         return segment_stopping_time(strategy, traj, rng)
     return strategy.stopping_time(traj, rng)
 

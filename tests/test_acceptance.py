@@ -16,7 +16,7 @@ from conftest import game_at, z1, z2
 from stopgame.conjugate import convex_conjugate_q, pair, ycoord
 from stopgame.model import ChainSampler, philox_rng
 from stopgame.montecarlo import PureResponseFamily, exploit_gap
-from stopgame.pdmp import belief_consistency, build_mu_case1, sc_check
+from stopgame.pdmp import FlowIntensityStrategy, belief_consistency, sc_check
 from stopgame.solver import residual_check, solve
 
 
@@ -227,7 +227,7 @@ def test_criterion_10_belief_consistency(e2_char, e2_params, e1_char):
     r = 1.0
     sol = solve_ivp(lambda t, w: [-0.5 * r * (1 - 2 * w[0]) * (1 - w[0])],
                     (0.0, 0.6), [0.25], dense_output=True, rtol=1e-11, atol=1e-13)
-    strat1 = build_mu_case1(e1_char, z1(0.25, 2.0 / 3.0))
+    strat1 = FlowIntensityStrategy(e1_char, z1(0.25, 2.0 / 3.0))
     n = 100_000
     t_check = 0.5
     survivors = 0

@@ -7,6 +7,8 @@ import stopgame.examples as ex
 from conftest import game_at
 from stopgame.cli import main
 from stopgame.grids import read_value_csv
+from stopgame.model import ChainSampler, philox_rng
+from stopgame.montecarlo import _blocks
 from stopgame.serialize import (strategy_from_descriptor, strategy_from_json,
                                 strategy_to_json)
 
@@ -152,6 +154,16 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["simulate", "--strategy", str(sfile), "--horizon", "inf"],
         ["solve", "--game", str(game_files["e1"]), "--grid", "5", "--seed", "3"],
         ["solve", "--game", str(game_files["e1"]), "--grid", "5", "--threads", "2"],
+        ["example", "e1", "--r", "nan"],
+        ["example", "e1", "--r", "2"],
+        ["example", "e1", "--a", "2"],
+        ["example", "e1", "--b", "2"],
+        ["example", "e1", "--h", "0.5,2", "--what", "pure"],
+        ["example", "e1", "--f", "1,3", "--what", "dual"],
+        ["strategy", "--family", "e1", "--p", "0.5", "--a", "2"],
+        ["strategy", "--family", "e1", "--p", "0.5", "--b", "2"],
+        ["strategy", "--family", "e1", "--p", "0.5", "--h", "0.5,2"],
+        ["strategy", "--family", "e1", "--p", "0.5", "--r", "1", "--f", "1,3"],
     ]
     capsys.readouterr()
     for i, argv in enumerate(cases):
@@ -172,3 +184,22 @@ def test_strategy_descriptor_roundtrip(e2_params):
     assert again.case == "split" and claim == pytest.approx(1.0 / 3.0)
     np.testing.assert_allclose(again.z, strat.z)
     np.testing.assert_allclose(again.flow.z0, strat.flow.z0)
+
+
+def test_descriptor_with_mechanisation_key_loads(e2_params):
+    # flow descriptors from versions with a second mechanisation carry
+    # "method": "segment"; the key is ignored and the rule is unchanged
+    p = 1.0 / 3.0
+    strat = ex.e2_optimal_mu(e2_params, p)
+    desc = strat.descriptor()
+    assert desc["case"] == "flow" and "method" not in desc
+    old = json.dumps({"strategy": {**desc, "method": "segment"}, "value_claim": 5.0 / 3.0})
+    again, claim = strategy_from_json(old)
+    assert claim == 5.0 / 3.0 and again.descriptor() == desc
+    sampler = ChainSampler(e2_params.R, [p, 1 - p])
+
+    def stops(rule):
+        return np.concatenate([rule.stopping_times(sampler.sample_block(60.0, rng, rows), rng)
+                               for rng, rows in _blocks(2000, 52)])
+
+    np.testing.assert_array_equal(stops(again), stops(strat))

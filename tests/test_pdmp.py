@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 import stopgame.examples as ex
 from conftest import z1, z2
 from stopgame.errors import InputError, IntegrityError
 from stopgame.model import ChainSampler, Trajectory, philox_rng
+from stopgame.montecarlo import _blocks
 from stopgame.pdmp import (FlowIntensityStrategy, NeverStopStrategy,
-                           belief_consistency, build_mu_case1, build_mu_case2,
-                           build_mu_case3, integrate_flow, sc_check,
-                           simulate_Z)
+                           SplitThenFlowStrategy, StopNowStrategy,
+                           belief_consistency, build_mu, integrate_flow,
+                           sc_check, simulate_Z)
 
 FLAT0 = Trajectory(np.array([0.0]), np.array([0]), 1e6)
 FLAT1 = Trajectory(np.array([0.0]), np.array([1]), 1e6)
@@ -188,48 +189,67 @@ def test_sc_check_requires_split_for_exterior(e2_char, e2_params):
 
 def test_kink_strategy_hazard_structure(e2_char, e2_params):
     p0 = ex.e2_p0(e2_params)
-    strat = build_mu_case1(e2_char, z2(p0))
+    strat = FlowIntensityStrategy(e2_char, z2(p0))
     lam1 = ex.e2_lambda1(e2_params)
     np.testing.assert_allclose(strat.hazard.tail_rate, [lam1, 0.0], atol=1e-9)
     assert strat.stopping_time(FLAT1, philox_rng(0)) == math.inf
 
 
 def test_flow_strategy_never_below_zero_curve(e1_char):
-    strat = build_mu_case1(e1_char, z1(0.7, -0.5))  # zone A: silent forever
+    strat = FlowIntensityStrategy(e1_char, z1(0.7, -0.5))  # zone A: silent forever
     for i in range(50):
         assert strat.stopping_time(FLAT0, philox_rng(4, i)) == math.inf
 
 
 def test_case1_rejects_exterior_start(e1_char):
     with pytest.raises(InputError):
-        build_mu_case1(e1_char, z1(0.75, 0.5))
+        FlowIntensityStrategy(e1_char, z1(0.75, 0.5))
 
 
-def test_law_equivalence_segment_vs_thinning(e2_char, e2_params):
-    # same conditional-intensity rule realized two ways: KS < 0.01 at 1e5
+def test_kink_rule_law_is_exponential(e2_char, e2_params):
+    # before the first stop the belief stays at p0, so (p0, 1 - p0) is an
+    # eigenvector of R^T - diag(lambda1, 0) with eigenvalue -lam: the rule
+    # stops at an exact Exp(lam) time, cut at the horizon (KS < 0.01 at 1e5)
     p0 = ex.e2_p0(e2_params)
-    seg = build_mu_case1(e2_char, z2(p0), method="segment")
-    thin = build_mu_case1(e2_char, z2(p0), method="thinning")
+    lam = ex.e2_jump_intensity(e2_params)
+    strat = FlowIntensityStrategy(e2_char, z2(p0))
     sampler = ChainSampler(e2_params.R, [p0, 1 - p0])
+    horizon = 60.0
     n = 100_000
-    a = np.empty(n)
-    b = np.empty(n)
-    for i in range(n):
-        rng = philox_rng(5, i)
-        X = sampler.sample(60.0, rng)
-        a[i] = seg.stopping_time(X, rng)
-        rng2 = philox_rng(6, i)
-        X2 = sampler.sample(60.0, rng2)
-        b[i] = thin.stopping_time(X2, rng2)
-    a = a[np.isfinite(a)]
-    b = b[np.isfinite(b)]
-    assert ks_2samp(a, b).statistic < 0.01
+    mu = np.concatenate([strat.stopping_times(sampler.sample_block(horizon, rng, rows), rng)
+                         for rng, rows in _blocks(n, 5)])
+    assert mu.size == n
+    mu = mu[np.isfinite(mu)]
+    assert mu.max() < horizon
+    cut = -math.expm1(-lam * horizon)
+    assert kstest(mu, lambda t: -np.expm1(-lam * t) / cut).statistic < 0.01
+
+
+def test_build_mu_dispatches_on_the_case(e1_char, e2_char, e2_params):
+    p0 = ex.e2_p0(e2_params)
+    v1, v2 = ex.e1_vstar_full, ex.e2_vstar_full(e2_params)
+    cases = [
+        (e1_char, z1(1.0, 2.5), v1, StopNowStrategy),              # S
+        (e1_char, z1(0.25, 2.0 / 3.0), v1, FlowIntensityStrategy),  # E_H: jump curve
+        (e1_char, z1(0.7, -0.5), v1, FlowIntensityStrategy),        # E_H: zone A
+        (e1_char, z1(0.75, 0.5), v1, SplitThenFlowStrategy),        # zone B
+        (e1_char, z1(0.75, 14.0 / 9.0), v1, SplitThenFlowStrategy),  # zone D
+        (e1_char, z1(0.3, 2.0), v1, SplitThenFlowStrategy),         # zone E
+        (e2_char, z2(0.15), v2, FlowIntensityStrategy),             # below the kink
+        (e2_char, z2(p0), v2, FlowIntensityStrategy),               # at the kink
+        (e2_char, z2(0.6), v2, SplitThenFlowStrategy),              # above the kink
+        (e2_char, z2(1.0), v2, StopNowStrategy),                    # p = 1
+    ]
+    for char, z, vstar, cls in cases:
+        assert type(build_mu(char, z, vstar=vstar)) is cls, z
+    with pytest.raises(InputError):
+        build_mu(dataclasses.replace(e2_char, split=None), z2(0.6))
 
 
 def test_split_strategy_masses(e1_char):
     # zone D point (3/4, 14/9): flow restart at p' = 1/4, overall mass 2/3
     y = 14.0 / 9.0
-    strat = build_mu_case2(e1_char, z1(0.75, y), vstar=ex.e1_vstar_full)
+    strat = build_mu(e1_char, z1(0.75, y), vstar=ex.e1_vstar_full)
     assert strat.m == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert strat.flow.z0[0] == pytest.approx(0.25, abs=1e-12)
     # conditional time-zero mass given state 0 equals (p - p')/(p (1 - p'))
@@ -240,14 +260,13 @@ def test_split_strategy_masses(e1_char):
 
 def test_split_strategy_rejects_bad_decomposition(e1_char):
     with pytest.raises(InputError):
-        build_mu_case2(e1_char, z1(0.75, 0.5),
-                       decomposition=(z1(0.25, 0.0), z1(1.0, 2.0), 0.1),
-                       vstar=ex.e1_vstar_full)
+        SplitThenFlowStrategy(e1_char, z1(0.75, 0.5), z1(0.25, 0.0), z1(1.0, 2.0), 0.1,
+                              vstar=ex.e1_vstar_full)
 
 
 def test_zone_B_split_probability(e1_char):
     # (p, y) = (0.75, 0.5): stop at 0 with probability y/(2p) = 1/3 given X0=0
-    strat = build_mu_case2(e1_char, z1(0.75, 0.5), vstar=ex.e1_vstar_full)
+    strat = build_mu(e1_char, z1(0.75, 0.5), vstar=ex.e1_vstar_full)
     n = 100_000
     stops = sum(strat.stopping_time(FLAT0, philox_rng(7, i)) == 0.0
                 for i in range(n))
@@ -261,7 +280,7 @@ def test_zone_B_split_probability(e1_char):
 
 
 def test_case3_stops_now():
-    strat = build_mu_case3()
+    strat = StopNowStrategy()
     assert strat.stopping_time(FLAT0, philox_rng(0)) == 0.0
 
 
@@ -275,7 +294,7 @@ def test_flow_survival_matches_quadrature_oracle(e1_char):
 
     sol = solve_ivp(rhs, (0.0, 0.7), [0.25, 0.0], dense_output=True,
                     rtol=1e-11, atol=1e-13)
-    strat = build_mu_case1(e1_char, z1(0.25, 2.0 / 3.0))
+    strat = FlowIntensityStrategy(e1_char, z1(0.25, 2.0 / 3.0))
     n = 100_000
     mus = np.fromiter((strat.stopping_time(FLAT0, philox_rng(9, i))
                        for i in range(n)), float)
@@ -305,13 +324,13 @@ def _perturb_after(traj: Trajectory, cut: float, rng) -> Trajectory:
 def test_adaptedness_prefix_perturbation(builder, e2_char, e2_params):
     p0 = ex.e2_p0(e2_params)
     if builder == "kink":
-        strat = build_mu_case1(e2_char, z2(p0))
+        strat = FlowIntensityStrategy(e2_char, z2(p0))
         start = p0
     elif builder == "split":
-        strat = build_mu_case2(e2_char, z2(0.6), vstar=ex.e2_vstar_full(e2_params))
+        strat = build_mu(e2_char, z2(0.6), vstar=ex.e2_vstar_full(e2_params))
         start = 0.6
     else:
-        strat = build_mu_case1(e2_char, z2(0.15))
+        strat = FlowIntensityStrategy(e2_char, z2(0.15))
         start = 0.15
     sampler = ChainSampler(e2_params.R, [start, 1 - start])
     perturb_rng = np.random.default_rng(17)
@@ -332,7 +351,7 @@ def test_adaptedness_prefix_perturbation(builder, e2_char, e2_params):
 
 def test_belief_consistency_reports(e2_char, e2_params):
     p0 = ex.e2_p0(e2_params)
-    strat = build_mu_case1(e2_char, z2(p0))
+    strat = FlowIntensityStrategy(e2_char, z2(p0))
     rep = belief_consistency(strat, e2_params.R, t=1.0, n=20_000, seed=12)
     assert not rep.inconclusive
     assert rep.consistent
@@ -353,7 +372,7 @@ def test_belief_consistency_never_stop(e2_params):
 
 def test_belief_consistency_inconclusive_flag(e1_char):
     # stop-at-zero-now strategies leave (almost) no survivors
-    strat = build_mu_case2(e1_char, z1(0.4, 1.4002), vstar=ex.e1_vstar_full)
+    strat = build_mu(e1_char, z1(0.4, 1.4002), vstar=ex.e1_vstar_full)
     rep = belief_consistency(strat, np.zeros((2, 2)), t=0.5, n=150, seed=14)
     assert rep.inconclusive
 
@@ -381,13 +400,13 @@ def test_stopping_time_matches_per_path_reference(builder, e1_char, e2_char, e2_
 
     p0 = ex.e2_p0(e2_params)
     strat, start, R, horizon = {
-        "kink": lambda: (build_mu_case1(e2_char, z2(p0)), p0, e2_params.R, 60.0),
-        "wait": lambda: (build_mu_case1(e2_char, z2(0.15)), 0.15, e2_params.R, 184.0),
-        "split_e2": lambda: (build_mu_case2(e2_char, z2(0.6), vstar=ex.e2_vstar_full(e2_params)),
+        "kink": lambda: (FlowIntensityStrategy(e2_char, z2(p0)), p0, e2_params.R, 60.0),
+        "wait": lambda: (FlowIntensityStrategy(e2_char, z2(0.15)), 0.15, e2_params.R, 184.0),
+        "split_e2": lambda: (build_mu(e2_char, z2(0.6), vstar=ex.e2_vstar_full(e2_params)),
                              0.6, e2_params.R, 184.0),
-        "split_e1": lambda: (build_mu_case2(e1_char, z1(0.75, 0.5), vstar=ex.e1_vstar_full),
+        "split_e1": lambda: (build_mu(e1_char, z1(0.75, 0.5), vstar=ex.e1_vstar_full),
                              0.75, np.zeros((2, 2)), 30.0),
-        "ride_e1": lambda: (build_mu_case1(e1_char, z1(0.25, 2.0 / 3.0)), 0.25,
+        "ride_e1": lambda: (FlowIntensityStrategy(e1_char, z1(0.25, 2.0 / 3.0)), 0.25,
                             np.array([[-1.0, 1.0], [1.0, -1.0]]), 1.0),
     }[builder]()
     sampler = ChainSampler(R, [start, 1 - start])
