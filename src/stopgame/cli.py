@@ -27,6 +27,8 @@ from .solver import solve
 from .conjugate import convex_conjugate_q, pair, ycoord
 
 GAP_SLACK = 0.05
+DUAL_GRID = "200x200"  # dual --game defaults
+DUAL_TOL = 1e-7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,16 +65,16 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("solve", help="compute the value grid of a game")
     s.add_argument("--game", required=True)
     s.add_argument("--grid", default="201x201", help="nodes per side, N or NxM")
-    s.add_argument("--tol", type=float, default=1e-7)
+    s.add_argument("--tol", type=_positive_float, default=1e-7)
     s.add_argument("--max-iter", type=_positive_int, default=200_000)
     s.add_argument("--out", required=True)
 
     d = sub.add_parser("dual", help="export a dual surface p,y,value,zone")
-    d.add_argument("--oracle", choices=["e1"], help="use the closed-form surface")
-    d.add_argument("--game", help="or: solve this game and conjugate numerically")
-    d.add_argument("--grid", default="200x200")
-    d.add_argument("--tol", type=float, default=1e-7)
-    d.add_argument("--r", type=float, default=1.0)
+    source = d.add_mutually_exclusive_group()
+    source.add_argument("--oracle", choices=["e1"], help="use the closed-form surface")
+    source.add_argument("--game", help="or: solve this game and conjugate numerically")
+    d.add_argument("--grid", help=f"--game only (default {DUAL_GRID})")
+    d.add_argument("--tol", type=_positive_float, help=f"--game only (default {DUAL_TOL:g})")
     d.add_argument("--ybox", default="-1,3")
     d.add_argument("--yres", type=_positive_int, default=200)
     d.add_argument("--pres", type=_positive_int, default=200)
@@ -165,10 +167,10 @@ def _e2_params(args) -> ex.Example2Params:
     return dataclasses.replace(ex.REFERENCE_E2, **given)
 
 
-def _reject_e2_flags(args, names) -> None:
+def _reject_flags(args, names, owner: str) -> None:
     given = [f"--{n}" for n in names if getattr(args, n) is not None]
     if given:
-        raise InputError(f"e1 takes no {' '.join(given)}")
+        raise InputError(f"{owner} takes no {' '.join(given)}")
 
 
 def _grid_csv_rows(header: str, rows) -> str:
@@ -196,6 +198,7 @@ def _cmd_dual(args) -> int:
     ys = np.linspace(ylo, yhi, args.yres + 1)
     rows = []
     if args.oracle == "e1":
+        _reject_flags(args, ("grid", "tol"), "--oracle e1")
         for p in ps:
             for y in ys:
                 val, zone = ex.e1_dual(float(p), float(y))
@@ -204,8 +207,8 @@ def _cmd_dual(args) -> int:
         spec = _read_game(args.game)
         if spec.L > 2:
             raise InputError("dual export needs a two-state (or singleton) q side")
-        n_p, n_q = _parse_grid(args.grid)
-        grid = solve(spec, n_p, n_q, tol=args.tol)
+        n_p, n_q = _parse_grid(DUAL_GRID if args.grid is None else args.grid)
+        grid = solve(spec, n_p, n_q, tol=DUAL_TOL if args.tol is None else args.tol)
         for p in ps:
             for y in ys:
                 val = convex_conjugate_q(grid, pair(float(p)),
@@ -221,7 +224,7 @@ def _cmd_dual(args) -> int:
 def _cmd_example(args) -> int:
     out = _check_out(args.out)
     if args.which == "e1":
-        _reject_e2_flags(args, ("r", "a", "b", "h", "f"))
+        _reject_flags(args, ("r", "a", "b", "h", "f"), "e1")
         grid = np.linspace(0.0, 1.0, args.res + 1)
         if args.what == "value":
             rows = [(float(p), float(q), ex.e1_value(float(p), float(q)))
@@ -265,7 +268,7 @@ def _cmd_example(args) -> int:
 def _cmd_strategy(args) -> int:
     out = _check_out(args.out)
     if args.family == "e1":
-        _reject_e2_flags(args, ("a", "b", "h", "f"))
+        _reject_flags(args, ("a", "b", "h", "f"), "e1")
         r = args.r if args.r is not None else 1.0
         if not (0.0 <= args.p <= 1.0 and 0.0 <= args.q <= 1.0):
             raise InputError("chart coordinates must lie in [0, 1]")

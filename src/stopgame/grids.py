@@ -9,11 +9,13 @@ envelopes.
 The validated path is two-state sides (1-d charts).  There the envelope
 of every slice is computed at once by round-wise pruning: each round
 drops, in all columns together, every node on or below the chord of its
-alive neighbours, until a round drops nothing.  Solver iterates need
-about ten rounds; the worst case, a concave run ending in a spike, needs
-one round per node.  Higher dimensions use Delaunay barycentric
-interpolation and qhull envelopes; both are exact for piecewise-affine
-data but cost grows quickly with dimension.
+alive neighbours, until a round drops nothing.  From all nodes, solver
+iterates need 9-12 rounds; started from the previous sweep's vertex
+sets, as ``solve`` does, about 2 on e2 401x1, 4 on the moving-chain game
+at 41x41 and 8 on e1 101x101.  The worst case, a concave run ending in a
+spike, needs one round per node.  Higher dimensions use Delaunay
+barycentric interpolation and qhull envelopes; both are exact for
+piecewise-affine data but cost grows quickly with dimension.
 """
 
 from __future__ import annotations
@@ -114,26 +116,44 @@ class SimplexGrid:
         return idx.astype(np.int64), w
 
 
-def _upper_hull_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _upper_hull_columns(x: np.ndarray, v: np.ndarray, alive: np.ndarray | None = None):
     """Least concave majorant of every column of ``v`` over the increasing chart ``x``.
 
-    Round-wise pruning: each round finds, per column, every alive node's
-    alive neighbours ``a < b < c`` and drops, in all columns at once, each
+    Round-wise pruning: each round finds, per column, every node's alive
+    neighbours ``a < b < c`` and drops, in all columns at once, each alive
     interior ``b`` on or below the chord ``a -> c``.  Such a node is never
     a hull vertex, so dropping many at once is exact; once a round drops
-    nothing every alive chain is locally concave, hence the hull.  Typical
-    iterates need about ten rounds; a concave run ending in a spike drops
-    one node per round, so the worst case is ``n - 2`` rounds of O(n m).
-    Between vertices the envelope is the chord ``(1 - w) v_a + w v_c``.
+    nothing every alive chain is locally concave, hence the hull.  Cold
+    starts need 9-12 rounds on solver iterates; a concave run ending in a
+    spike drops one node per round, so the worst case is ``n - 2`` rounds
+    of O(n m).  Between vertices the envelope is the chord
+    ``(1 - w) v_a + w v_c``.
+
+    ``alive`` is an optional vertex-mask hint, such as the mask this
+    function returned for a nearby ``v``.  A hinted column keeps its dead
+    nodes dead while each lies on or below the chord of its alive
+    neighbours; once one does not, the column restarts from all nodes and
+    prunes cold, so the loop ends and the result is the hull.  The hint
+    cuts the rounds (10.2 to 1.7 per call on e2 401x1).  In exact
+    arithmetic the hull's vertex set is unique; in floating point, which
+    points of a near-collinear run survive can depend on the pruning
+    order, so a hinted envelope may differ from the cold one in the last
+    bits.  Returns ``(envelope, alive)``, the mask of the hull vertices.
     """
     n, m = v.shape
     if n < 3:
-        return v.copy()
+        return v.copy(), np.ones((n, m), dtype=bool)
     flat = v.ravel()
     rows = np.arange(n)[:, None]
     cols = np.arange(m)
     xs = x[:, None]
-    alive = np.ones((n, m), dtype=bool)
+    if alive is None:
+        hinted = np.zeros(m, dtype=bool)
+        alive = np.ones((n, m), dtype=bool)
+    else:
+        alive = alive.copy()
+        alive[0] = alive[-1] = True  # the end nodes are always vertices
+        hinted = ~alive.all(axis=0)
     while True:
         seen = np.maximum.accumulate(np.where(alive, rows, 0), axis=0)
         ahead = np.minimum.accumulate(np.where(alive, rows, n - 1)[::-1], axis=0)[::-1]
@@ -141,30 +161,43 @@ def _upper_hull_columns(x: np.ndarray, v: np.ndarray) -> np.ndarray:
         c = np.concatenate([ahead[1:], ahead[-1:]])  # next alive node
         va, vc, xa = flat[a * m + cols], flat[c * m + cols], x[a]
         # the monotone chain's pop test: b on or below the chord a -> c
-        drop = alive & ((v - va) * (x[c] - xa) <= (vc - va) * (xs - xa))
-        drop[0] = drop[-1] = False  # the end nodes are always vertices
-        if not drop.any():
+        below = (v - va) * (x[c] - xa) <= (vc - va) * (xs - xa)
+        drop = alive & below
+        drop[0] = drop[-1] = False
+        reset = False
+        if hinted.any():
+            # a dead node above its chord: the hint was wrong, restart cold
+            reset = hinted & ~(alive | below).all(axis=0)
+            hinted &= ~reset
+            drop[:, reset] = False
+            alive[:, reset] = True
+        if not (np.any(reset) or drop.any()):
             break
         alive &= ~drop
     w = (xs - xa) / (x[c] - xa)
-    return np.maximum(np.where(alive, v, (1.0 - w) * va + w * vc), v)
+    return np.maximum(np.where(alive, v, (1.0 - w) * va + w * vc), v), alive
 
 
-def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Upper concave envelope over ``chart`` of a slice or of every column of ``v``.
+def _concave_envelope(chart: np.ndarray, v: np.ndarray, alive: np.ndarray | None = None):
+    """:func:`concave_envelope` with a vertex-mask hint; returns ``(envelope, alive)``.
 
-    ``chart`` has one row per node; ``v`` is a slice of node values or a
-    2-d array whose columns are slices.  One chart coordinate uses the
-    pruning kernel on all columns at once, more use qhull per column.
+    Only one chart coordinate uses the hint (see :func:`_upper_hull_columns`).
+    With no chart coordinate every node is a vertex; charts of two or more
+    coordinates are always computed cold and return ``alive=None``.
     """
     v = np.asarray(v, dtype=float)
     if chart.shape[1] == 0:
-        return v.copy()
+        return v.copy(), np.ones(v.shape, dtype=bool)
     if chart.shape[1] == 1:
         cols = np.ascontiguousarray(v.reshape(v.shape[0], -1))
-        return _upper_hull_columns(np.asarray(chart[:, 0], dtype=float), cols).reshape(v.shape)
+        env, alive = _upper_hull_columns(np.asarray(chart[:, 0], dtype=float), cols, alive)
+        return env.reshape(v.shape), alive
     if v.ndim == 2:
-        return np.column_stack([concave_envelope(chart, col) for col in v.T])
+        return np.column_stack([_qhull_envelope(chart, col) for col in v.T]), None
+    return _qhull_envelope(chart, v), None
+
+
+def _qhull_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
     from scipy.spatial import ConvexHull
     from scipy.spatial._qhull import QhullError
 
@@ -185,9 +218,29 @@ def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.maximum(vals.min(axis=1), v)
 
 
+def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Upper concave envelope over ``chart`` of a slice or of every column of ``v``.
+
+    ``chart`` has one row per node; ``v`` is a slice of node values or a
+    2-d array whose columns are slices.  One chart coordinate uses the
+    pruning kernel on all columns at once, more use qhull per column.
+    """
+    return _concave_envelope(chart, v)[0]
+
+
+def _convex_envelope(chart: np.ndarray, v: np.ndarray, alive: np.ndarray | None = None):
+    """:func:`convex_envelope` with a vertex-mask hint; returns ``(envelope, alive)``.
+
+    The mirror image of :func:`_concave_envelope`: ``alive`` masks the
+    vertices of the concave envelope of ``-v``.
+    """
+    env, alive = _concave_envelope(chart, -np.asarray(v, dtype=float), alive)
+    return -env, alive
+
+
 def convex_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Lower convex envelope; the mirror image of :func:`concave_envelope`."""
-    return -concave_envelope(chart, -np.asarray(v, dtype=float))
+    return _convex_envelope(chart, v)[0]
 
 
 @dataclass

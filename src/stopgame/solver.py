@@ -20,8 +20,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConvergenceError, InputError
-from .grids import (SimplexGrid, ValueGrid, concave_envelope, convex_envelope,
-                    payoff_grids)
+from .grids import (SimplexGrid, ValueGrid, _concave_envelope, _convex_envelope,
+                    concave_envelope, convex_envelope, payoff_grids)
 from .model import GameSpec
 
 __all__ = [
@@ -93,9 +93,17 @@ def obstacle_step(grid: ValueGrid, delta: float) -> ValueGrid:
 
 def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
           max_iter: int = 200_000) -> ValueGrid:
-    """Iterate the sweep from ``(f+h)/2`` until the sup-norm change drops below ``tol``."""
-    if not tol > 0:
-        raise InputError("tolerance must be positive")
+    """Iterate the sweep from ``(f+h)/2`` until the sup-norm change drops below ``tol``.
+
+    Each side's hull vertex masks are carried from one sweep to the next as
+    the envelope kernel's hint: the same hulls as :func:`cav_p` and
+    :func:`vex_q` give, in fewer pruning rounds (equal up to the last bits
+    on near-collinear runs).  ``metadata`` records the final sweep's vertex
+    counts per side (``hull_vertices``; ``None`` for charts of two or more
+    coordinates) and the nodes pinned to each obstacle (``pinned``).
+    """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InputError("tolerance must be positive and finite")
     p_grid = SimplexGrid(spec.K, N_p)
     q_grid = SimplexGrid(spec.L, N_q)
     H, F = payoff_grids(spec, p_grid, q_grid)
@@ -106,10 +114,12 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
 
     V = 0.5 * (H + F)
     change = math.inf
+    alive_p = alive_q = None
     for it in range(1, max_iter + 1):
         new = _obstacle_apply(V, H, F, disc, ip, wp, iq, wq)
-        new = concave_envelope(p_grid.chart, new)
-        new = convex_envelope(q_grid.chart, new.T).T
+        new, alive_p = _concave_envelope(p_grid.chart, new, alive_p)
+        new, alive_q = _convex_envelope(q_grid.chart, new.T, alive_q)
+        new = new.T
         change = float(np.abs(new - V).max())
         V = new
         if change < tol:
@@ -121,8 +131,11 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
     # the median semantics guarantee the band; clipping only removes
     # envelope-arithmetic rounding at the 1e-16 scale
     V = np.clip(V, H, F)
+    vertices = {side: None if mask is None else int(mask.sum())
+                for side, mask in (("p", alive_p), ("q", alive_q))}
     meta = {"iterations": it, "residual": change, "delta": delta,
-            "N_p": N_p, "N_q": N_q, "tol": tol}
+            "N_p": N_p, "N_q": N_q, "tol": tol, "hull_vertices": vertices,
+            "pinned": {"h": int((V == H).sum()), "f": int((V == F).sum())}}
     return ValueGrid(p_grid, q_grid, V, spec, meta)
 
 

@@ -164,7 +164,17 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["strategy", "--family", "e1", "--p", "0.5", "--b", "2"],
         ["strategy", "--family", "e1", "--p", "0.5", "--h", "0.5,2"],
         ["strategy", "--family", "e1", "--p", "0.5", "--r", "1", "--f", "1,3"],
+        ["dual", "--oracle", "e1", "--r", "nan", "--game", str(d / "missing.json"),
+         "--grid", "zz", "--tol", "-1", "--pres", "2", "--yres", "2"],
+        ["dual", "--oracle", "e1", "--r", "1", "--pres", "2", "--yres", "2"],
+        ["dual", "--oracle", "e1", "--game", str(game_files["e1"]), "--pres", "2", "--yres", "2"],
+        ["dual", "--oracle", "e1", "--grid", "5", "--pres", "2", "--yres", "2"],
+        ["dual", "--oracle", "e1", "--tol", "1e-6", "--pres", "2", "--yres", "2"],
     ]
+    for tol in ("inf", "nan", "0", "-1"):
+        cases.append(["solve", "--game", str(game_files["e1"]), "--grid", "5", "--tol", tol])
+        cases.append(["dual", "--game", str(game_files["e1"]), "--grid", "5", "--tol", tol,
+                      "--pres", "2", "--yres", "2"])
     capsys.readouterr()
     for i, argv in enumerate(cases):
         out = d / f"bad{i}.out"

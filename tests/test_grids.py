@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopgame.errors import InputError
-from stopgame.grids import (SimplexGrid, ValueGrid, concave_envelope,
-                            convex_envelope, read_value_csv, write_value_csv)
+from stopgame.grids import (SimplexGrid, ValueGrid, _upper_hull_columns,
+                            concave_envelope, convex_envelope, read_value_csv,
+                            write_value_csv)
 
 
 def monotone_chain_envelope(x, vals):
@@ -135,6 +136,49 @@ def test_envelope_matches_monotone_chain(case):
     else:
         np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(_lower(x, -v), -got)
+
+
+def _hint(kind, cold_mask, seed):
+    if kind == "random":
+        return np.random.default_rng(seed).random(cold_mask.shape) < 0.5
+    if kind == "none":
+        return np.zeros_like(cold_mask)
+    if kind == "all":
+        return np.ones_like(cold_mask)
+    return cold_mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(_envelope_case(), st.sampled_from(("random", "none", "all", "cold")),
+       st.integers(0, 2**32 - 1))
+def test_hinted_envelope_matches_cold(case, hint_kind, seed):
+    # a vertex-mask hint changes the pruning path, never the hull
+    kind, x, v = case
+    cold, mask = _upper_hull_columns(x, v)
+    hinted, alive = _upper_hull_columns(x, v, _hint(hint_kind, mask, seed))
+    np.testing.assert_array_equal(hinted, cold)
+    np.testing.assert_array_equal(alive, mask)
+    if kind == "collinear":
+        # the same runs in inexact floats: near-ties may fall either way
+        # depending on the pruning order, so only rounding may differ
+        vf = v / 3.0
+        cold, mask = _upper_hull_columns(x, vf)
+        hinted, _ = _upper_hull_columns(x, vf, _hint(hint_kind, mask, seed))
+        np.testing.assert_allclose(hinted, cold, rtol=0, atol=1e-12 * (1 + np.abs(vf).max()))
+
+
+def test_hinted_envelope_nan_columns_terminate():
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, 41)
+    v = rng.normal(size=(41, 5))
+    cold, mask = _upper_hull_columns(x, v)
+    dead, alive = np.flatnonzero(~mask[1:-1, 1]) + 1, np.flatnonzero(mask[1:-1, 3]) + 1
+    assert dead.size and alive.size
+    v[dead[0], 1] = v[alive[0], 3] = math.nan
+    hinted, _ = _upper_hull_columns(x, v, mask)
+    keep = [0, 2, 4]
+    np.testing.assert_array_equal(hinted[:, keep], cold[:, keep])
+    assert np.isnan(hinted[:, 1]).any() and np.isnan(hinted[:, 3]).any()
 
 
 def test_envelope_three_state_slice():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import stopgame.examples as ex
 from stopgame.errors import InputError
-from stopgame.grids import SimplexGrid, ValueGrid, payoff_grids
+from stopgame.grids import SimplexGrid, ValueGrid, payoff_grids, write_value_csv
 from stopgame.model import GameSpec
 from stopgame.solver import (cav_p, default_time_step, directional_derivative,
                              obstacle_step, residual_check, solve, vex_q)
@@ -128,19 +129,79 @@ def test_solve_stops_on_first_non_finite_sweep(e1_spec, monkeypatch):
 
     # a blow-up inside the sweep must end the solve at once, not after max_iter
     sweeps = []
-    real = solver.concave_envelope
+    real = solver._concave_envelope
 
-    def poisoned(chart, v):
+    def poisoned(chart, v, alive):
         sweeps.append(1)
-        out = real(chart, v)
+        out, alive = real(chart, v, alive)
         if len(sweeps) == 2:
             out[0, 0] = math.nan
-        return out
+        return out, alive
 
-    monkeypatch.setattr(solver, "concave_envelope", poisoned)
+    monkeypatch.setattr(solver, "_concave_envelope", poisoned)
     with pytest.raises(ConvergenceError) as err:
         solve(e1_spec, 10, 10, tol=1e-300, max_iter=1000)
     assert len(sweeps) == 2 and not math.isfinite(err.value.residual)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_solve_rejects_bad_tolerance(e1_spec, tol):
+    with pytest.raises(InputError):
+        solve(e1_spec, 5, 5, tol=tol)
+
+
+def _moving_game():
+    return GameSpec(R=[[-1.0, 1.0], [0.6, -0.6]], Q=[[-0.8, 0.8], [1.2, -1.2]], r=0.8,
+                    f=ex.scalar_payoff_matrix(-1.0, 2.0, 3.0),
+                    h=ex.scalar_payoff_matrix(-4.0, 3.0, 2.0),
+                    p0=[0.5, 0.5], q0=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("game,N_p,N_q,tol", [
+    ("e1", 20, 20, 1e-7), ("e2", 40, 1, 1e-9), ("moving", 13, 13, 1e-8)])
+def test_solve_matches_public_sweep_loop(game, N_p, N_q, tol):
+    # solve carries hull vertex masks between sweeps; the public, stateless
+    # functions start every envelope cold.  Both reach the same hull on
+    # every slice, but which points of a near-collinear run survive the
+    # pruning can depend on its order, so values may differ in the last bits.
+    spec = {"e1": ex.e1_game(1.0), "e2": ex.e2_game(ex.REFERENCE_E2),
+            "moving": _moving_game()}[game]
+    grid = solve(spec, N_p, N_q, tol=tol)
+    H, F = payoff_grids(spec, grid.p_grid, grid.q_grid)
+    delta = default_time_step(spec, N_p, N_q)
+    V = ValueGrid(grid.p_grid, grid.q_grid, 0.5 * (H + F), spec)
+    for it in range(1, 10_000):
+        new = vex_q(cav_p(obstacle_step(V, delta)))
+        change = float(np.abs(new.values - V.values).max())
+        V = new
+        if change < tol:
+            break
+    ref = np.clip(V.values, H, F)
+    assert grid.metadata["iterations"] == it
+    np.testing.assert_allclose(grid.values, ref, rtol=0, atol=1e-12 * (1 + np.abs(ref).max()))
+
+
+def test_solve_records_vertices_and_pins(tmp_path):
+    spec = _moving_game()
+    grid = solve(spec, 13, 13, tol=1e-8)
+    H, F = payoff_grids(spec, grid.p_grid, grid.q_grid)
+    write_value_csv(grid, tmp_path / "v.csv")
+    meta = json.loads((tmp_path / "v.csv.meta.json").read_text())
+    assert {k: meta[k] for k in ("hull_vertices", "pinned")} == {
+        k: grid.metadata[k] for k in ("hull_vertices", "pinned")}
+    assert set(meta["hull_vertices"]) == {"p", "q"}
+    assert all(0 < n <= grid.values.size for n in meta["hull_vertices"].values())
+    assert meta["pinned"] == {"h": int((grid.values == H).sum()),
+                              "f": int((grid.values == F).sum())}
+    assert meta["pinned"]["h"] > 0 and meta["pinned"]["f"] > 0
+    # one-state sides: every node of a one-node slice is a vertex
+    single = solve(ex.e2_game(ex.REFERENCE_E2), 40, 1, tol=1e-9)
+    assert single.metadata["hull_vertices"]["q"] == 41
+    # charts of two coordinates are enveloped cold, without a mask
+    spec3 = GameSpec(R=np.zeros((3, 3)), Q=np.zeros((1, 1)), r=1.0,
+                     f=[[2.0], [1.5], [3.0]], h=[[1.0], [0.5], [2.0]],
+                     p0=[1 / 3, 1 / 3, 1 / 3], q0=[1.0])
+    assert solve(spec3, 4, 1, tol=1e-9).metadata["hull_vertices"] == {"p": None, "q": 15}
 
 
 def test_saddle_posteriori_stability(e1_solved):
