@@ -2,9 +2,10 @@
 player privately observes one of two independent finite-state chains.
 
 The pieces fit together as follows: :mod:`stopgame.model` holds the game
-primitives (chains, payoffs, realized plays), :mod:`stopgame.solver`
-computes the value on a belief-product grid and checks its variational
-characterization, :mod:`stopgame.conjugate` builds the dual objects,
+primitives (chains, payoffs, blocks of sample paths and their realized
+payoffs), :mod:`stopgame.solver` computes the value on a belief-product
+grid and checks its variational characterization,
+:mod:`stopgame.conjugate` builds the dual objects,
 :mod:`stopgame.pdmp` carries optimal randomized stopping rules as
 piecewise-deterministic belief processes, :mod:`stopgame.examples`
 provides two fully solved benchmark games, and :mod:`stopgame.montecarlo`
@@ -12,9 +13,8 @@ certifies strategies by Monte Carlo best responses.
 """
 
 from .errors import ConvergenceError, InputError, IntegrityError, StopGameError
-from .model import (ChainSampler, GameSpec, PathBlock, StopOutcome, Stopper,
-                    Trajectory, as_generator, as_simplex, bilinear_payoff,
-                    marginal_flow, philox_rng, realized_payoff, simulate_chain)
+from .model import (ChainSampler, GameSpec, PathBlock, as_generator, as_simplex,
+                    bilinear_payoff, marginal_flow, philox_rng, realized_payoffs)
 from .grids import SimplexGrid, ValueGrid, read_value_csv, write_value_csv
 from .solver import (ResidualReport, cav_p, directional_derivative,
                      obstacle_step, residual_check, solve, vex_q)
@@ -35,9 +35,8 @@ from .montecarlo import (BestResponse, GapReport, PayoffEstimate,
 
 __all__ = [
     "ConvergenceError", "InputError", "IntegrityError", "StopGameError",
-    "ChainSampler", "GameSpec", "PathBlock", "StopOutcome", "Stopper", "Trajectory",
-    "as_generator", "as_simplex", "bilinear_payoff", "marginal_flow",
-    "philox_rng", "realized_payoff", "simulate_chain",
+    "ChainSampler", "GameSpec", "PathBlock", "as_generator", "as_simplex",
+    "bilinear_payoff", "marginal_flow", "philox_rng", "realized_payoffs",
     "SimplexGrid", "ValueGrid", "read_value_csv", "write_value_csv",
     "ResidualReport", "cav_p", "directional_derivative", "obstacle_step",
     "residual_check", "solve", "vex_q",

@@ -180,6 +180,11 @@ def _grid_csv_rows(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _e1_dual_rows(ps, ys) -> list:
+    """``(p, y, value, zone)`` rows of the closed-form e1 dual surface."""
+    return [(float(p), float(y), *ex.e1_dual(float(p), float(y))) for p in ps for y in ys]
+
+
 def _cmd_solve(args) -> int:
     spec = _read_game(args.game)
     out = _check_out(args.out)
@@ -196,19 +201,16 @@ def _cmd_dual(args) -> int:
     ylo, yhi = _parse_pair_arg(args.ybox, "--ybox")
     ps = np.linspace(0.0, 1.0, args.pres + 1)
     ys = np.linspace(ylo, yhi, args.yres + 1)
-    rows = []
     if args.oracle == "e1":
         _reject_flags(args, ("grid", "tol"), "--oracle e1")
-        for p in ps:
-            for y in ys:
-                val, zone = ex.e1_dual(float(p), float(y))
-                rows.append((float(p), float(y), val, zone))
+        rows = _e1_dual_rows(ps, ys)
     elif args.game:
         spec = _read_game(args.game)
         if spec.L > 2:
             raise InputError("dual export needs a two-state (or singleton) q side")
         n_p, n_q = _parse_grid(DUAL_GRID if args.grid is None else args.grid)
         grid = solve(spec, n_p, n_q, tol=DUAL_TOL if args.tol is None else args.tol)
+        rows = []
         for p in ps:
             for y in ys:
                 val = convex_conjugate_q(grid, pair(float(p)),
@@ -240,12 +242,7 @@ def _cmd_example(args) -> int:
         elif args.what == "dual":
             ylo, yhi = _parse_pair_arg(args.ybox, "--ybox")
             ys = np.linspace(ylo, yhi, args.res + 1)
-            rows = []
-            for p in grid:
-                for y in ys:
-                    val, zone = ex.e1_dual(float(p), float(y))
-                    rows.append((float(p), float(y), val, zone))
-            out.write_text(_grid_csv_rows("p,y,value,zone", rows))
+            out.write_text(_grid_csv_rows("p,y,value,zone", _e1_dual_rows(grid, ys)))
         else:
             raise InputError("e1 supports --what value|pure|dual")
         print(f"example e1 {args.what} -> {out}")

@@ -180,11 +180,6 @@ def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _grid_q_value(V: ValueGrid, row: np.ndarray, q: np.ndarray) -> float:
-    iq, wq = V.q_grid.interp_weights(np.atleast_2d(q[: V.q_grid.dim - 1]))
-    return float(sum(wq[0, b] * row[iq[0, b]] for b in range(iq.shape[1])))
-
-
 def _one_sided(V: ValueGrid, row: np.ndarray, q: np.ndarray, direction: np.ndarray,
                step: float) -> float:
     eps = step
@@ -194,7 +189,9 @@ def _one_sided(V: ValueGrid, row: np.ndarray, q: np.ndarray, direction: np.ndarr
         if eps <= 1e-14:
             return math.nan
         target = q + eps * direction
-    return (_grid_q_value(V, row, np.maximum(target, 0.0)) - _grid_q_value(V, row, q)) / eps
+    values = row[None, :]
+    return (_grid_slice(V.q_grid, np.maximum(target, 0.0), values)[0]
+            - _grid_slice(V.q_grid, q, values)[0]) / eps
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Game primitives: chains, payoffs, sample paths, and the realized payoff.
+"""Game primitives: chains, payoffs, blocks of sample paths, realized payoffs.
 
 Conventions used throughout the package:
 
@@ -11,11 +11,13 @@ Conventions used throughout the package:
   ``p_t = expm(t * G.T) @ p``.
 * Player 1 (the maximizer) stops at ``mu`` and collects ``h``; player 2
   (the minimizer) stops at ``nu`` and pays ``f``; ties go to player 1.
+  :func:`realized_payoffs` is the one place this rule lives.
+* Sample paths come as :class:`PathBlock` arrays, one path per row;
+  there is no separate one-path type.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -134,74 +136,19 @@ class GameSpec:
     def from_json(cls, text: str) -> "GameSpec":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed game JSON: {exc}") from exc
-        for key in ("K", "L", "R", "Q", "r", "f", "h", "p", "q"):
-            if key not in payload:
-                raise InputError(f"game JSON missing field {key!r}")
-        spec = cls(
-            R=payload["R"], Q=payload["Q"], r=float(payload["r"]),
-            f=payload["f"], h=payload["h"], p0=payload["p"], q0=payload["q"],
-        )
-        if spec.K != int(payload["K"]) or spec.L != int(payload["L"]):
+            for key in ("K", "L", "R", "Q", "r", "f", "h", "p", "q"):
+                if key not in payload:
+                    raise InputError(f"game JSON missing field {key!r}")
+            spec = cls(
+                R=payload["R"], Q=payload["Q"], r=float(payload["r"]),
+                f=payload["f"], h=payload["h"], p0=payload["p"], q0=payload["q"],
+            )
+            shape = int(payload["K"]), int(payload["L"])
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise InputError(f"malformed game JSON: {type(exc).__name__}: {exc}") from exc
+        if (spec.K, spec.L) != shape:
             raise InputError("fields K/L disagree with the matrix shapes")
         return spec
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-constant path of a finite-state chain on ``[0, horizon]``.
-
-    ``times[0] == 0`` carries the initial state; later entries are jump
-    times.  Lookups past the horizon fail loudly rather than extrapolate.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=np.int64)
-        if t.ndim != 1 or s.shape != t.shape or t.size == 0:
-            raise InputError("trajectory needs matching 1-d times and states")
-        if t[0] != 0.0:
-            raise InputError("trajectory must start at time 0")
-        if np.any(np.diff(t) <= 0):
-            raise InputError("jump times must be strictly increasing")
-        if t[-1] > self.horizon:
-            raise InputError("jump time beyond the trajectory horizon")
-        if np.any(s[1:] == s[:-1]):
-            raise InputError("consecutive states must differ")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-
-    @property
-    def initial_state(self) -> int:
-        return int(self.states[0])
-
-    @property
-    def n_jumps(self) -> int:
-        return self.times.size - 1
-
-    def state_at(self, t: float) -> int:
-        if t < 0 or t > self.horizon:
-            raise InputError(f"time {t} outside trajectory domain [0, {self.horizon}]")
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.states[idx])
-
-
-class Stopper(enum.Enum):
-    P1 = "P1_stopped"
-    P2 = "P2_stopped"
-    NOBODY = "nobody"
-
-
-@dataclass(frozen=True)
-class StopOutcome:
-    who: Stopper
-    time: float
-    payoff: float
 
 
 def marginal_flow(p, G, t: float) -> np.ndarray:
@@ -222,20 +169,22 @@ class PathBlock:
     ``times[i]`` is 0 followed by the jump times of path ``i``, padded with
     ``+inf`` to a common width; ``states[i, j]`` is the state held from
     ``times[i, j]`` on (entries under the padding carry no meaning).
-    Row ``i`` is the :class:`Trajectory` ``row(i)``.
+    This is the package's only path type: samplers, stopping rules and
+    :func:`realized_payoffs` all work on whole blocks.
     """
 
     times: np.ndarray
     states: np.ndarray
     horizon: float
 
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "PathBlock":
-        return cls(traj.times[None, :], traj.states[None, :], traj.horizon)
-
     @property
     def n(self) -> int:
         return self.times.shape[0]
+
+    @property
+    def n_jumps(self) -> int:
+        """Total number of jumps over all rows."""
+        return int(np.isfinite(self.times).sum()) - self.n
 
     @property
     def initial_states(self) -> np.ndarray:
@@ -243,10 +192,6 @@ class PathBlock:
 
     def take(self, rows) -> "PathBlock":
         return PathBlock(self.times[rows], self.states[rows], self.horizon)
-
-    def row(self, i: int) -> Trajectory:
-        k = int(np.isfinite(self.times[i]).sum())
-        return Trajectory(self.times[i, :k], self.states[i, :k], self.horizon)
 
     def states_at(self, t: np.ndarray) -> np.ndarray:
         """State of row ``i`` at time ``t[i]`` (meaningless where ``t[i]`` is inf)."""
@@ -298,8 +243,14 @@ class ChainSampler:
                 np.where(sums[:, None] > 0, kernels / np.where(sums[:, None] > 0, sums[:, None], 1.0), 0.0),
                 axis=1)
 
-    def sample(self, horizon: float, rng: np.random.Generator) -> Trajectory:
-        return self.sample_block(horizon, rng, 1).row(0)
+    def sample(self, horizon: float, rng: np.random.Generator) -> PathBlock:
+        """``sample_block(horizon, rng, 1)``: one path, with no ``+inf`` padding.
+
+        It stays only because perfbench's certify probe still replays one
+        replication at a time through it; it goes with the next change to
+        the benchmark.
+        """
+        return self.sample_block(horizon, rng, 1)
 
     def sample_block(self, horizon: float, rng: np.random.Generator, n: int) -> PathBlock:
         """``n`` independent paths on ``[0, horizon]``, all drawn from ``rng``."""
@@ -383,14 +334,6 @@ class ChainSampler:
         return times
 
 
-def simulate_chain(G, p, horizon: float, rng: np.random.Generator) -> Trajectory:
-    """Sample one path: exponential holding times, jump kernel from the rates.
-
-    Absorbing states (zero exit rate) simply produce no further events.
-    """
-    return ChainSampler(G, p).sample(horizon, rng)
-
-
 def bilinear_payoff(M, p, q) -> float:
     """Extend a payoff matrix linearly to beliefs: sum_kl p_k q_l M[k, l]."""
     M = np.asarray(M, dtype=float)
@@ -401,25 +344,27 @@ def bilinear_payoff(M, p, q) -> float:
     return float(p @ M @ q)
 
 
-def realized_payoff(spec: GameSpec, X: Trajectory, Y: Trajectory,
-                    mu: float, nu: float) -> StopOutcome:
-    """Discounted payoff of one realized play.
+def realized_payoffs(spec: GameSpec, X: PathBlock, Y: PathBlock,
+                     mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Discounted payoff of each row's realized play.
 
-    Strict priority to the minimizer on ``nu < mu``; ties and ``mu < nu``
-    pay the maximizer's obstacle; nobody stopping pays exactly zero.
+    Strict priority to the minimizer on ``nu < mu`` (pays ``f``); ties and
+    ``mu < nu`` pay the maximizer's obstacle ``h``; nobody stopping pays
+    exactly zero.
     """
-    if mu < 0 or nu < 0:
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if np.any(mu < 0) or np.any(nu < 0):
         raise InputError("stopping times must be nonnegative")
-    first = min(mu, nu)
-    if math.isinf(first):
-        return StopOutcome(Stopper.NOBODY, math.inf, 0.0)
-    if first > X.horizon or first > Y.horizon:
-        raise InputError("trajectory shorter than the realized stopping time")
-    k, l = X.state_at(first), Y.state_at(first)
-    disc = math.exp(-spec.r * first)
-    if nu < mu:
-        return StopOutcome(Stopper.P2, nu, disc * float(spec.f[k, l]))
-    return StopOutcome(Stopper.P1, mu, disc * float(spec.h[k, l]))
+    first = np.minimum(mu, nu)
+    done = np.isfinite(first)
+    if np.any(first[done] > min(X.horizon, Y.horizon)):
+        raise InputError("paths shorter than the realized stopping time")
+    k, l = X.states_at(first)[done], Y.states_at(first)[done]
+    pay = np.zeros(first.shape)
+    pay[done] = np.exp(-spec.r * first[done]) * np.where(
+        nu[done] < mu[done], spec.f[k, l], spec.h[k, l])
+    return pay
 
 
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .model import ChainSampler, GameSpec, philox_rng
+from .model import ChainSampler, GameSpec, philox_rng, realized_payoffs
 from .pdmp import MixedStoppingStrategy, never_horizon
 
 __all__ = [
@@ -107,12 +107,7 @@ def estimate_payoff(spec: GameSpec, strat1: MixedStoppingStrategy,
         Y = sy.sample_block(horizon, rng, m)
         mu = _capped(strat1.stopping_times(X, rng), horizon)
         nu = _capped(strat2.stopping_times(Y, rng), horizon)
-        first = np.minimum(mu, nu)
-        done = np.isfinite(first)
-        k, l = X.states_at(first)[done], Y.states_at(first)[done]
-        pay = np.zeros(m)
-        pay[done] = np.exp(-spec.r * first[done]) * np.where(
-            nu[done] < mu[done], spec.f[k, l], spec.h[k, l])
+        pay = realized_payoffs(spec, X, Y, mu, nu)
         total += [pay.sum(), (pay * pay).sum(), m]
     mean = total[0] / n
     var = max(total[1] / n - mean * mean, 0.0)

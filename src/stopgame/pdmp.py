@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, IntegrityError
-from .model import PathBlock, Trajectory, as_simplex, marginal_flow
+from .model import PathBlock, as_simplex, marginal_flow
 
 __all__ = [
     "PdmpCharacteristics", "Orbit", "integrate_flow", "ZPath", "simulate_Z",
@@ -132,11 +132,6 @@ class Orbit:
             return self.zs[-1].copy()
         return _lerp(self.ts, self.zs, t)
 
-    def lam_at(self, t: float) -> float:
-        if t >= self.ts[-1]:
-            return 0.0 if self.quiescent else float(self.lams[-1])
-        return float(_lerp(self.ts, self.lams, t))
-
 
 def _lerp(ts: np.ndarray, values: np.ndarray, t: float):
     """Linear interpolation of ``values`` sampled at ``ts``, for ``t < ts[-1]``."""
@@ -221,19 +216,29 @@ def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
 
 
 class _Hazard:
-    """Cumulative conditional stopping hazard per own-chain state.
+    """Cumulative hazards ``H[:, k](t) = int_0^t rho[:, k]`` along an orbit.
 
-    ``H[k](t) = int_0^t lam(z_s) * phi_p(z_s)[k] / (p_s)[k] ds`` with the
-    0/0 = 0 convention; beyond the sampled orbit the rate is constant
-    (stationary tail) or zero (quiescent tail).
+    The rates ``rho`` are sampled at the orbit's times and linear in
+    between, so the trapezoid rule is exact; beyond the sampled orbit the
+    rate is constant (stationary tail) or zero (quiescent tail).
     """
 
-    def __init__(self, char: PdmpCharacteristics, orbit: Orbit):
+    def __init__(self, orbit: Orbit, rho: np.ndarray):
+        n, K = rho.shape
+        self.ts = orbit.ts
+        self.H = np.zeros((n, K))
+        if n > 1:
+            mids = 0.5 * (rho[1:] + rho[:-1])
+            self.H[1:] = np.cumsum(mids * np.diff(orbit.ts)[:, None], axis=0)
+        self.tail_rate = rho[-1] if (orbit.stationary and not orbit.quiescent) else np.zeros(K)
+        self.columns = [np.ascontiguousarray(self.H[:, k]) for k in range(K)]
+
+    @classmethod
+    def conditional(cls, char: PdmpCharacteristics, orbit: Orbit) -> "_Hazard":
+        """Stopping hazard per own-chain state: ``lam(z) * phi_p(z)[k] / p[k]``, 0/0 = 0."""
         K = char.dim_p
-        n = orbit.ts.size
-        rho = np.zeros((n, K))
-        for i in range(n):
-            li = orbit.lams[i]
+        rho = np.zeros((orbit.ts.size, K))
+        for i, li in enumerate(orbit.lams):
             if li <= 0.0:
                 continue
             p = char.p_part(orbit.zs[i])
@@ -245,13 +250,7 @@ class _Hazard:
                     raise IntegrityError(
                         "jump target puts mass on a state the belief excludes "
                         "(support shrinkage violated along the orbit)")
-        self.ts = orbit.ts
-        self.H = np.zeros((n, K))
-        if n > 1:
-            mids = 0.5 * (rho[1:] + rho[:-1])
-            self.H[1:] = np.cumsum(mids * np.diff(orbit.ts)[:, None], axis=0)
-        self.tail_rate = rho[-1] if (orbit.stationary and not orbit.quiescent) else np.zeros(K)
-        self.columns = [np.ascontiguousarray(self.H[:, k]) for k in range(K)]
+        return cls(orbit, rho)
 
     def inverse(self, k: np.ndarray, t0: np.ndarray, excess: np.ndarray) -> np.ndarray:
         """Smallest ``t >= t0[i]`` with ``H[k](t) - H[k](t0[i]) >= excess[i]``, ``k = k[i]``.
@@ -305,33 +304,28 @@ class ZPath:
 
 def simulate_Z(char: PdmpCharacteristics, z0, horizon: float,
                rng: np.random.Generator) -> ZPath:
-    """Sample the auxiliary process: flow, one thinned jump, absorption in S."""
+    """Sample the auxiliary process: flow, one jump, absorption in S.
+
+    The jump comes where the cumulative intensity along the orbit reaches
+    one ``Exp(1)`` draw.
+    """
     z0 = np.asarray(z0, dtype=float)
     if char.in_S(z0):
         return ZPath(z0, np.array([0.0]), z0[None, :], math.inf, None, horizon)
     if not char.in_EH(z0):
         raise InputError("simulate_Z starts in E (pass exterior points through a split)")
     orbit = integrate_flow(char, z0, horizon, truncate_quiescent=True)
-    lam_bar = 1.5 * float(orbit.lams.max(initial=0.0))
-    jump_time = math.inf
-    if lam_bar > 0.0:
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / lam_bar)
-            if t >= horizon:
-                break
-            if rng.uniform() * lam_bar < orbit.lam_at(t):
-                jump_time = t
-                break
+    jump_time = float(_Hazard(orbit, orbit.lams[:, None]).inverse(
+        np.zeros(1, dtype=np.intp), np.zeros(1), np.array([rng.exponential()]))[0])
+    if jump_time >= horizon:
+        jump_time = math.inf
     post = None
     if math.isfinite(jump_time):
         post = char.phi(orbit.state_at(jump_time))
         if not char.in_S(post):
             raise IntegrityError("jump landed outside the absorbing set S")
     keep = orbit.ts <= min(jump_time, horizon)
-    ts = orbit.ts[keep]
-    zs = orbit.zs[keep]
-    return ZPath(z0, ts, zs, jump_time, post, horizon)
+    return ZPath(z0, orbit.ts[keep], orbit.zs[keep], jump_time, post, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +464,22 @@ class MixedStoppingStrategy:
     is what makes the rule adapted: altering the path strictly after the
     realized stopping time cannot change it.  The other rows only move
     where a row's draws sit in the stream, so each row has the law of the
-    rule on one path.  ``stopping_time`` is the one-row view; it may leave
-    the stream further along than a one-path rule would, since a flow
-    rule draws thresholds for a whole column block of segments.
+    rule on one path.
     """
 
     case = "abstract"
 
-    def stopping_time(self, traj: Trajectory, rng: np.random.Generator) -> float:
-        return float(self.stopping_times(PathBlock.from_trajectory(traj), rng)[0])
+    def stopping_time(self, paths: PathBlock, rng: np.random.Generator) -> float:
+        """The stopping time of a one-row block; more rows raise ``ValueError``.
+
+        A flow rule may leave the stream further along than a one-path
+        rule would, since it draws thresholds for a column block of
+        segments.  It stays only because perfbench's certify probe still stops one
+        replication at a time through it; it goes with the next change to
+        the benchmark.
+        """
+        (mu,) = self.stopping_times(paths, rng)
+        return float(mu)
 
     def stopping_times(self, paths: PathBlock, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -579,7 +580,7 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
         self.z0 = z0
         self.t_max = never_horizon(char.r) if horizon is None else float(horizon)
         self.orbit = integrate_flow(char, z0, self.t_max, truncate_quiescent=True)
-        self.hazard = _Hazard(char, self.orbit)
+        self.hazard = _Hazard.conditional(char, self.orbit)
 
     def initial_belief(self) -> np.ndarray:
         return self.char.p_part(self.z0)

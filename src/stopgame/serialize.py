@@ -74,12 +74,13 @@ def strategy_to_json(strategy: MixedStoppingStrategy, value_claim: float | None 
 
 
 def strategy_from_json(text: str):
-    """Returns ``(strategy, value_claim_or_None)`` from a descriptor file."""
+    """Returns ``(strategy, value_claim_or_None)``; a malformed file is an :class:`InputError`."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed strategy JSON: {exc}") from exc
-    if "strategy" not in payload:
-        raise InputError("strategy JSON missing the 'strategy' field")
-    claim = payload.get("value_claim")
-    return strategy_from_descriptor(payload["strategy"]), claim
+        if "strategy" not in payload:
+            raise InputError("strategy JSON missing the 'strategy' field")
+        claim = payload.get("value_claim")
+        return (strategy_from_descriptor(payload["strategy"]),
+                None if claim is None else float(claim))
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:  # incl. JSONDecodeError
+        raise InputError(f"malformed strategy JSON: {type(exc).__name__}: {exc}") from exc

@@ -1,22 +1,49 @@
 """Per-path Monte Carlo code the batched implementation replaced.
 
-These are the one-trajectory-at-a-time chain sampler, the segment and
-split stopping rules and the per-replication response rows, kept
-verbatim as test oracles: on a shared stream the batched code must
-return bit for bit the paths and stopping times of the first three, and
-match the last one in law.
+These are the one-path-at-a-time chain sampler, the segment and split
+stopping rules and the per-replication response rows, kept verbatim as
+test oracles: on a shared stream the batched code must return bit for
+bit the paths and stopping times of the first three, and match the last
+one in law.  Paths are :class:`OnePath` records, independent of the
+package's :class:`~stopgame.model.PathBlock`.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from stopgame.model import ChainSampler, Trajectory, philox_rng
+from stopgame.model import ChainSampler, PathBlock, philox_rng
 from stopgame.pdmp import (_ZERO_P, FlowIntensityStrategy,
                            SplitThenFlowStrategy, never_horizon)
 
 
-def sample_path(sampler: ChainSampler, horizon: float, rng) -> Trajectory:
+@dataclass(frozen=True)
+class OnePath:
+    """One path on ``[0, horizon]``: time 0 and the jump times, and the state held from each."""
+
+    times: np.ndarray
+    states: np.ndarray
+    horizon: float
+
+    @classmethod
+    def of(cls, paths: PathBlock) -> "OnePath":
+        """The path of a one-row block."""
+        (times,), (states,) = paths.times, paths.states
+        return cls(times, states.astype(np.int64), paths.horizon)
+
+    def block(self) -> PathBlock:
+        return PathBlock(self.times[None, :], self.states[None, :], self.horizon)
+
+    @property
+    def initial_state(self) -> int:
+        return int(self.states[0])
+
+    def state_at(self, t: float) -> int:
+        return int(self.states[np.searchsorted(self.times, t, side="right") - 1])
+
+
+def sample_path(sampler: ChainSampler, horizon: float, rng) -> OnePath:
     state = int(np.searchsorted(sampler.p_cum, rng.random(), side="right"))
     if sampler.K == 2:
         return _two_state(sampler, state, horizon, rng)
@@ -33,10 +60,10 @@ def sample_path(sampler: ChainSampler, horizon: float, rng) -> Trajectory:
         state = int(np.searchsorted(sampler.kernel_cum[state], rng.random(), side="right"))
         times.append(t)
         states.append(state)
-    return Trajectory(np.array(times), np.array(states, dtype=np.int64), horizon)
+    return OnePath(np.array(times), np.array(states, dtype=np.int64), horizon)
 
 
-def _two_state(sampler, state: int, horizon: float, rng) -> Trajectory:
+def _two_state(sampler, state: int, horizon: float, rng) -> OnePath:
     times = [np.zeros(1)]
     all_states = [np.array([state], dtype=np.int64)]
     t, s = 0.0, state
@@ -63,7 +90,7 @@ def _two_state(sampler, state: int, horizon: float, rng) -> Trajectory:
             break
         t = float(jumps[-1])
         s = int(seq[-1]) if cut else s
-    return Trajectory(np.concatenate(times), np.concatenate(all_states), horizon)
+    return OnePath(np.concatenate(times), np.concatenate(all_states), horizon)
 
 
 def _cumulative(hazard, k: int, t: float) -> float:
@@ -89,7 +116,7 @@ def hazard_inverse(hazard, k: int, t0: float, excess: float) -> float:
     return math.inf
 
 
-def segment_stopping_time(flow, traj: Trajectory, rng) -> float:
+def segment_stopping_time(flow, traj: OnePath, rng) -> float:
     """The ``segment`` mechanisation of a FlowIntensityStrategy."""
     end = min(traj.horizon, flow.t_max)
     times = traj.times
@@ -107,7 +134,7 @@ def segment_stopping_time(flow, traj: Trajectory, rng) -> float:
     return math.inf
 
 
-def split_stopping_time(split, traj: Trajectory, rng) -> float:
+def split_stopping_time(split, traj: OnePath, rng) -> float:
     k = traj.initial_state
     p_k = float(split.char.p_part(split.z)[k])
     stop_k = float(split.char.p_part(split.z_stop)[k])
@@ -117,13 +144,13 @@ def split_stopping_time(split, traj: Trajectory, rng) -> float:
     return segment_stopping_time(split.flow, traj, rng)
 
 
-def reference_stopping_time(strategy, traj: Trajectory, rng) -> float:
+def reference_stopping_time(strategy, traj: OnePath, rng) -> float:
     """Segment and split rules through the code above, the others as they are."""
     if isinstance(strategy, SplitThenFlowStrategy):
         return split_stopping_time(strategy, traj, rng)
     if isinstance(strategy, FlowIntensityStrategy):
         return segment_stopping_time(strategy, traj, rng)
-    return strategy.stopping_time(traj, rng)
+    return float(strategy.stopping_times(traj.block(), rng)[0])
 
 
 def response_sums(spec, strat1, family, n: int, seed: int):

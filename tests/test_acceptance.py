@@ -14,8 +14,7 @@ from scipy.integrate import solve_ivp
 import stopgame.examples as ex
 from conftest import game_at, z1, z2
 from stopgame.conjugate import convex_conjugate_q, pair, ycoord
-from stopgame.model import ChainSampler, philox_rng
-from stopgame.montecarlo import PureResponseFamily, exploit_gap
+from stopgame.montecarlo import PureResponseFamily, exploit_gap, survivor_counts
 from stopgame.pdmp import FlowIntensityStrategy, belief_consistency, sc_check
 from stopgame.solver import residual_check, solve
 
@@ -230,15 +229,10 @@ def test_criterion_10_belief_consistency(e2_char, e2_params, e1_char):
     strat1 = FlowIntensityStrategy(e1_char, z1(0.25, 2.0 / 3.0))
     n = 100_000
     t_check = 0.5
-    survivors = 0
-    in_state0 = 0
-    sampler = ChainSampler(np.zeros((2, 2)), [0.25, 0.75])
-    for i in range(n):
-        rng = philox_rng(206, i)
-        X = sampler.sample(1.0, rng)
-        if strat1.stopping_time(X, rng) > t_check:
-            survivors += 1
-            in_state0 += X.initial_state == 0
+    # frozen chain: the state at t_check is the initial state
+    counts = survivor_counts(strat1, np.zeros((2, 2)), np.array([0.25, 0.75]), t_check,
+                             1.0, n, 206)
+    survivors, in_state0 = int(counts.sum()), int(counts[0])
     pred = float(sol.sol(t_check)[0])
     emp = in_state0 / survivors
     se = math.sqrt(pred * (1 - pred) / survivors)

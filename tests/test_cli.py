@@ -171,6 +171,27 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["dual", "--oracle", "e1", "--grid", "5", "--pres", "2", "--yres", "2"],
         ["dual", "--oracle", "e1", "--tol", "1e-6", "--pres", "2", "--yres", "2"],
     ]
+    # malformed strategy and game files: a missing key, a wrong type or length
+    flow = json.loads(sfile.read_text())
+    no_h = json.loads(sfile.read_text())
+    del no_h["strategy"]["characteristics"]["h"]
+    game = json.loads(game_files["e2"].read_text())
+    game["r"] = "abc"
+    bad_strategies = {
+        "no_time": {"strategy": {"case": "constant_time"}, "value_claim": 1.0},
+        "text_time": {"strategy": {"case": "constant_time", "time": "abc"}, "value_claim": 1.0},
+        "no_h": no_h,
+        "list": {"strategy": [], "value_claim": 1.0},
+        "short_z": {**flow, "strategy": {**flow["strategy"], "z": [0.3]}},
+        "text_claim": {**flow, "value_claim": "abc"},
+    }
+    for name, payload in bad_strategies.items():
+        (d / f"{name}.json").write_text(json.dumps(payload))
+        cases.append(verify[:4] + ["--strategy", str(d / f"{name}.json")])
+        cases.append(["simulate", "--strategy", str(d / f"{name}.json")])
+    (d / "text_r.json").write_text(json.dumps(game))
+    cases.append(["verify", "optimality", "--game", str(d / "text_r.json"),
+                  "--strategy", str(sfile)])
     for tol in ("inf", "nan", "0", "-1"):
         cases.append(["solve", "--game", str(game_files["e1"]), "--grid", "5", "--tol", tol])
         cases.append(["dual", "--game", str(game_files["e1"]), "--grid", "5", "--tol", tol,

@@ -6,10 +6,10 @@ import pytest
 import stopgame.examples as ex
 from conftest import z1
 from stopgame.errors import InputError
-from stopgame.model import philox_rng, Trajectory
+from stopgame.model import PathBlock, philox_rng
 
-FLAT0 = Trajectory(np.array([0.0]), np.array([0]), 1e6)
-FLAT1 = Trajectory(np.array([0.0]), np.array([1]), 1e6)
+FLAT0 = PathBlock(np.zeros((1, 1)), np.zeros((1, 1), dtype=np.int64), 1e6)
+FLAT1 = PathBlock(np.zeros((1, 1)), np.ones((1, 1), dtype=np.int64), 1e6)
 
 
 # ---------------------------------------------------------------------------

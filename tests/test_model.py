@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from stopgame.errors import InputError
-from stopgame.model import (ChainSampler, GameSpec, Stopper, Trajectory,
-                            as_generator, as_simplex, bilinear_payoff,
-                            marginal_flow, philox_rng, realized_payoff,
-                            simulate_chain)
+from stopgame.model import (ChainSampler, GameSpec, PathBlock, as_generator,
+                            as_simplex, bilinear_payoff, marginal_flow,
+                            philox_rng, realized_payoffs)
+from stopgame.montecarlo import _blocks
 
 FLIP = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -97,17 +97,19 @@ def test_marginal_flow_semigroup(seed):
 
 
 def test_simulate_chain_zero_generator():
-    traj = simulate_chain(np.zeros((2, 2)), [0.5, 0.5], 10.0, philox_rng(0))
-    assert traj.n_jumps == 0
-    assert traj.state_at(10.0) == traj.initial_state
+    paths = ChainSampler(np.zeros((2, 2)), [0.5, 0.5]).sample_block(10.0, philox_rng(0), 1)
+    assert paths.n_jumps == 0 and paths.times.shape == (1, 1)
+    assert paths.states_at(np.array([10.0]))[0] == paths.initial_states[0]
 
 
 def test_simulate_chain_jump_count():
     # rate 1 in both states: number of jumps on [0, 10] is Poisson(10)
     sampler = ChainSampler(FLIP, [1.0, 0.0])
     n = 100_000
-    counts = np.fromiter(
-        (sampler.sample(10.0, philox_rng(1, i)).n_jumps for i in range(n)), float)
+    counts = np.concatenate([
+        np.isfinite(sampler.sample_block(10.0, rng, m).times).sum(axis=1) - 1.0
+        for rng, m in _blocks(n, 1)])
+    assert counts.size == n
     se = counts.std() / math.sqrt(n)
     assert abs(counts.mean() - 10.0) <= 3.0 * se
 
@@ -116,8 +118,8 @@ def test_simulate_chain_matches_marginal_flow():
     sampler = ChainSampler(FLIP, [1.0, 0.0])
     n = 100_000
     t = math.log(2.0)
-    hits = sum(sampler.sample(1.0, philox_rng(2, i)).state_at(t) == 0
-               for i in range(n))
+    hits = sum(int((sampler.sample_block(1.0, rng, m).states_at(np.full(m, t)) == 0).sum())
+               for rng, m in _blocks(n, 2))
     p_hat = hits / n
     se = math.sqrt(0.625 * 0.375 / n)
     assert abs(p_hat - 0.625) <= 3.0 * se
@@ -125,22 +127,9 @@ def test_simulate_chain_matches_marginal_flow():
 
 def test_simulate_chain_absorbing_state():
     G = np.array([[-1.0, 1.0], [0.0, 0.0]])  # state 1 absorbs
-    traj = simulate_chain(G, [1.0, 0.0], 50.0, philox_rng(3))
-    assert traj.n_jumps <= 1
-    assert traj.state_at(50.0) == 1 or traj.n_jumps == 0
-
-
-def test_trajectory_invariants():
-    with pytest.raises(InputError):
-        Trajectory(np.array([0.0, 1.0, 1.0]), np.array([0, 1, 0]), 2.0)
-    with pytest.raises(InputError):
-        Trajectory(np.array([0.0, 1.0]), np.array([0, 0]), 2.0)
-    with pytest.raises(InputError):
-        Trajectory(np.array([0.0, 3.0]), np.array([0, 1]), 2.0)
-    traj = Trajectory(np.array([0.0, 1.0]), np.array([0, 1]), 2.0)
-    assert traj.state_at(0.5) == 0 and traj.state_at(1.0) == 1
-    with pytest.raises(InputError):
-        traj.state_at(2.5)
+    paths = ChainSampler(G, [1.0, 0.0]).sample_block(50.0, philox_rng(3), 1)
+    assert paths.n_jumps <= 1
+    assert paths.states_at(np.array([50.0]))[0] == 1 or paths.n_jumps == 0
 
 
 def test_bilinear_payoff_examples(e1_spec):
@@ -157,20 +146,19 @@ def test_bilinear_payoff_examples(e1_spec):
         bilinear_payoff(M, [1, 0, 0], [1, 0])
 
 
-def _flat(state, horizon=100.0):
-    return Trajectory(np.array([0.0]), np.array([state]), horizon)
+def _flat(state, horizon=100.0, n=1):
+    """``n`` rows that hold ``state`` on ``[0, horizon]``."""
+    return PathBlock(np.zeros((n, 1)), np.full((n, 1), state), horizon)
 
 
 def test_realized_payoff_conventions(e1_spec):
-    X, Y = _flat(0), _flat(0)
-    out = realized_payoff(e1_spec, X, Y, 0.0, 5.0)
-    assert out.who is Stopper.P1 and out.payoff == e1_spec.h[0, 0]
-    out = realized_payoff(e1_spec, X, Y, 0.0, 0.0)  # tie goes to player 1
-    assert out.who is Stopper.P1
-    out = realized_payoff(e1_spec, X, Y, 3.0, 0.0)
-    assert out.who is Stopper.P2 and out.payoff == e1_spec.f[0, 0]
-    out = realized_payoff(e1_spec, X, Y, math.inf, math.inf)
-    assert out.who is Stopper.NOBODY and out.time == math.inf and out.payoff == 0.0
+    # h[0, 0] = 1 and f[0, 0] = 4, so the payoff tells who stopped
+    assert e1_spec.h[0, 0] != e1_spec.f[0, 0]
+    X, Y = _flat(0, n=4), _flat(0, n=4)
+    mu = np.array([0.0, 0.0, 3.0, math.inf])
+    nu = np.array([5.0, 0.0, 0.0, math.inf])  # player 1 first, tie, player 2 first, nobody
+    got = realized_payoffs(e1_spec, X, Y, mu, nu)
+    np.testing.assert_array_equal(got, [e1_spec.h[0, 0], e1_spec.h[0, 0], e1_spec.f[0, 0], 0.0])
 
 
 def test_realized_payoff_monotone_shift(e1_spec):
@@ -178,18 +166,21 @@ def test_realized_payoff_monotone_shift(e1_spec):
     shifted = GameSpec(R=e1_spec.R, Q=e1_spec.Q, r=e1_spec.r,
                        f=e1_spec.f + c, h=e1_spec.h + c,
                        p0=e1_spec.p0, q0=e1_spec.q0)
-    X, Y = _flat(0), _flat(1)
-    for mu, nu in [(0.3, 2.0), (4.0, 1.2), (0.0, 0.0)]:
-        base = realized_payoff(e1_spec, X, Y, mu, nu).payoff
-        up = realized_payoff(shifted, X, Y, mu, nu).payoff
-        assert up - base == pytest.approx(c * math.exp(-e1_spec.r * min(mu, nu)))
+    X, Y = _flat(0, n=3), _flat(1, n=3)
+    mu, nu = np.array([0.3, 4.0, 0.0]), np.array([2.0, 1.2, 0.0])
+    base = realized_payoffs(e1_spec, X, Y, mu, nu)
+    up = realized_payoffs(shifted, X, Y, mu, nu)
+    for shift, first in zip(up - base, np.minimum(mu, nu)):
+        assert shift == pytest.approx(c * math.exp(-e1_spec.r * first))
 
 
 def test_realized_payoff_short_trajectory(e1_spec):
     X = _flat(0, horizon=1.0)
     Y = _flat(0, horizon=100.0)
     with pytest.raises(InputError):
-        realized_payoff(e1_spec, X, Y, 2.0, 5.0)
+        realized_payoffs(e1_spec, X, Y, np.array([2.0]), np.array([5.0]))
+    with pytest.raises(InputError):
+        realized_payoffs(e1_spec, Y, Y, np.array([-1.0]), np.array([5.0]))
 
 
 def test_philox_streams_reproducible():
@@ -223,8 +214,9 @@ def test_sample_matches_per_path_reference(G, p, horizon):
         rng_got, rng_want = philox_rng(21, i), philox_rng(21, i)
         got = sampler.sample(horizon, rng_got)
         want = sample_path(sampler, horizon, rng_want)
-        np.testing.assert_array_equal(got.times, want.times)
-        np.testing.assert_array_equal(got.states, want.states)
+        # one row, with no +inf padding
+        np.testing.assert_array_equal(got.times, want.times[None, :])
+        np.testing.assert_array_equal(got.states, want.states[None, :])
         assert rng_got.random() == rng_want.random()  # and left the stream at the same place
 
 
@@ -246,5 +238,3 @@ def test_three_state_chain_law_and_invariants():
         assert np.all(valid[:, 1:] <= valid[:, :-1])
         assert np.all((times[:, 1:] > times[:, :-1])[valid[:, 1:]])
         assert np.all((states[:, 1:] != states[:, :-1])[valid[:, 1:]])
-    for i in range(0, paths[0].n, 5):
-        paths[0].row(i)  # the Trajectory constructor re-checks every invariant

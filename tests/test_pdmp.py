@@ -9,15 +9,15 @@ from scipy.stats import ks_2samp, kstest
 import stopgame.examples as ex
 from conftest import z1, z2
 from stopgame.errors import InputError, IntegrityError
-from stopgame.model import ChainSampler, Trajectory, philox_rng
-from stopgame.montecarlo import _blocks
+from stopgame.model import ChainSampler, PathBlock, philox_rng
+from stopgame.montecarlo import _blocks, survivor_counts
 from stopgame.pdmp import (FlowIntensityStrategy, NeverStopStrategy,
                            SplitThenFlowStrategy, StopNowStrategy,
                            belief_consistency, build_mu, integrate_flow,
                            sc_check, simulate_Z)
 
-FLAT0 = Trajectory(np.array([0.0]), np.array([0]), 1e6)
-FLAT1 = Trajectory(np.array([0.0]), np.array([1]), 1e6)
+FLAT0 = PathBlock(np.zeros((1, 1)), np.zeros((1, 1), dtype=np.int64), 1e6)
+FLAT1 = PathBlock(np.zeros((1, 1)), np.ones((1, 1), dtype=np.int64), 1e6)
 
 
 def e1_sample_points(n_each=40, seed=0):
@@ -296,28 +296,28 @@ def test_flow_survival_matches_quadrature_oracle(e1_char):
                     rtol=1e-11, atol=1e-13)
     strat = FlowIntensityStrategy(e1_char, z1(0.25, 2.0 / 3.0))
     n = 100_000
-    mus = np.fromiter((strat.stopping_time(FLAT0, philox_rng(9, i))
-                       for i in range(n)), float)
     for t in (0.2, 0.5):
         surv_theory = math.exp(-sol.sol(t)[1])
-        surv_hat = float(np.mean(mus > t))
+        # a frozen chain from state 0: every path holds state 0 forever
+        survivors = survivor_counts(strat, np.zeros((2, 2)), np.array([1.0, 0.0]), t, 1e6, n, 9)
+        surv_hat = float(survivors.sum()) / n
         se = math.sqrt(surv_theory * (1 - surv_theory) / n)
         assert abs(surv_hat - surv_theory) <= 3.0 * se
 
 
-def _perturb_after(traj: Trajectory, cut: float, rng) -> Trajectory:
-    """A fresh tail strictly after ``cut`` (same prefix, same horizon)."""
-    keep = traj.times <= cut
-    times = list(traj.times[keep])
-    states = list(traj.states[keep])
+def _perturb_after(path: PathBlock, cut: float, rng) -> PathBlock:
+    """A one-row block with a fresh tail strictly after ``cut`` (same prefix, same horizon)."""
+    keep = path.times[0] <= cut
+    times = list(path.times[0, keep])
+    states = list(path.states[0, keep])
     t = max(cut, times[-1]) + rng.uniform(0.01, 0.5)
     s = states[-1]
-    while t < traj.horizon and rng.random() < 0.7:
+    while t < path.horizon and rng.random() < 0.7:
         s = 1 - s
         times.append(t)
         states.append(s)
         t += rng.uniform(0.01, 1.0)
-    return Trajectory(np.array(times), np.array(states), traj.horizon)
+    return PathBlock(np.array([times]), np.array([states]), path.horizon)
 
 
 @pytest.mark.parametrize("builder", ["kink", "split", "wait"])
@@ -396,7 +396,7 @@ def test_stopping_time_matches_per_path_reference(builder, e1_char, e2_char, e2_
     # the one-row view of each vectorized rule returns the time the
     # per-path rule returned from the same stream (it may draw further
     # ahead in it), and a block gives each row the law of that rule
-    from per_path_reference import reference_stopping_time
+    from per_path_reference import OnePath, reference_stopping_time
 
     p0 = ex.e2_p0(e2_params)
     strat, start, R, horizon = {
@@ -415,7 +415,7 @@ def test_stopping_time_matches_per_path_reference(builder, e1_char, e2_char, e2_
     for i in range(n):
         X = sampler.sample(horizon, philox_rng(30, i))
         one_row[i] = strat.stopping_time(X, philox_rng(31, i))
-        assert one_row[i] == reference_stopping_time(strat, X, philox_rng(31, i))
+        assert one_row[i] == reference_stopping_time(strat, OnePath.of(X), philox_rng(31, i))
     block = np.concatenate([
         strat.stopping_times(sampler.sample_block(horizon, philox_rng(32, b), 250),
                              philox_rng(33, b)) for b in range(n // 250)])
