@@ -18,20 +18,21 @@ from .model import (ChainSampler, GameSpec, PathBlock, as_generator, as_simplex,
 from .grids import SimplexGrid, ValueGrid, read_value_csv, write_value_csv
 from .solver import (ResidualReport, cav_p, directional_derivative,
                      obstacle_step, residual_check, solve, vex_q)
-from .conjugate import (DualFlowState, DualPoint, concave_conjugate_p,
+from .conjugate import (DualFlowState, concave_conjugate_p,
                         convex_conjugate_q, dual_flow,
                         dual_pde_residual_lower, dual_pde_residual_upper,
                         obstacle_conjugate_p, obstacle_conjugate_q,
                         subgradient_q)
-from .pdmp import (BeliefReport, ConstantTimeStrategy, FlowIntensityStrategy,
+from .pdmp import (ConstantTimeStrategy, FlowIntensityStrategy,
                    InitialStateTimeStrategy, MixedStoppingStrategy,
                    NeverStopStrategy, Orbit, PdmpCharacteristics,
                    SplitThenFlowStrategy, StopNowStrategy, StructureReport,
-                   ZPath, belief_consistency, build_mu, integrate_flow,
-                   never_horizon, sc_check, simulate_Z)
-from .montecarlo import (BestResponse, GapReport, PayoffEstimate,
-                         PureResponseFamily, best_response_value,
-                         default_time_grid, estimate_payoff, exploit_gap)
+                   ZPath, build_mu, integrate_flow, never_horizon, sc_check,
+                   simulate_Z)
+from .montecarlo import (BeliefReport, BestResponse, GapReport, PayoffEstimate,
+                         PureResponseFamily, belief_consistency,
+                         best_response_value, default_time_grid,
+                         estimate_payoff, exploit_gap)
 
 __all__ = [
     "ConvergenceError", "InputError", "IntegrityError", "StopGameError",
@@ -40,17 +41,17 @@ __all__ = [
     "SimplexGrid", "ValueGrid", "read_value_csv", "write_value_csv",
     "ResidualReport", "cav_p", "directional_derivative", "obstacle_step",
     "residual_check", "solve", "vex_q",
-    "DualFlowState", "DualPoint", "concave_conjugate_p", "convex_conjugate_q",
+    "DualFlowState", "concave_conjugate_p", "convex_conjugate_q",
     "dual_flow", "dual_pde_residual_lower", "dual_pde_residual_upper",
     "obstacle_conjugate_p", "obstacle_conjugate_q", "subgradient_q",
-    "BeliefReport", "ConstantTimeStrategy", "FlowIntensityStrategy",
+    "ConstantTimeStrategy", "FlowIntensityStrategy",
     "InitialStateTimeStrategy", "MixedStoppingStrategy", "NeverStopStrategy",
     "Orbit", "PdmpCharacteristics", "SplitThenFlowStrategy", "StopNowStrategy",
-    "StructureReport", "ZPath", "belief_consistency", "build_mu",
-    "integrate_flow", "never_horizon", "sc_check", "simulate_Z",
-    "BestResponse", "GapReport", "PayoffEstimate", "PureResponseFamily",
-    "best_response_value", "default_time_grid", "estimate_payoff",
-    "exploit_gap",
+    "StructureReport", "ZPath", "build_mu", "integrate_flow", "never_horizon",
+    "sc_check", "simulate_Z",
+    "BeliefReport", "BestResponse", "GapReport", "PayoffEstimate",
+    "PureResponseFamily", "belief_consistency", "best_response_value",
+    "default_time_grid", "estimate_payoff", "exploit_gap",
 ]
 
 __version__ = "0.1.0"

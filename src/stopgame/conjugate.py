@@ -27,12 +27,13 @@ from .model import as_simplex, marginal_flow
 __all__ = [
     "concave_conjugate_p", "convex_conjugate_q", "subgradient_q",
     "obstacle_conjugate_p", "obstacle_conjugate_q",
-    "DualPoint", "DualFlowState", "dual_flow",
+    "DualFlowState", "dual_flow",
     "dual_pde_residual_upper", "dual_pde_residual_lower",
     "pair", "ycoord",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERS = 90  # shrinks the bracket by 0.618**90, below 1e-18 of its width
 
 
 def pair(p: float) -> np.ndarray:
@@ -45,27 +46,12 @@ def ycoord(y: float) -> np.ndarray:
     return np.array([y, 0.0])
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    """A dual-side evaluation point: a slope vector paired with the opponent belief."""
-
-    vector: np.ndarray
-    partner: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise InputError("dual vector must be finite")
-        object.__setattr__(self, "vector", v)
-        object.__setattr__(self, "partner", as_simplex(self.partner))
-
-
-def _golden_min(f, a: float, b: float, iters: int = 90) -> float:
+def _golden_min(f, a: float, b: float) -> float:
     """Golden-section minimum of a unimodal function on ``[a, b]``."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -171,8 +171,8 @@ def e1_characteristics(r: float = 1.0) -> PdmpCharacteristics:
     with intensity ``r (1-2p)/2`` toward the single target ``(1, 2)``;
     everywhere else the motion is the raw dual drift ``(0, ry)``.
     """
-    if not r > 0:
-        raise InputError("discount rate must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise InputError("discount rate must be positive and finite")
     A = np.zeros((4, 4))
     A[2, 2] = r
     A[3, 3] = r
@@ -247,12 +247,10 @@ def e1_characteristics(r: float = 1.0) -> PdmpCharacteristics:
     return PdmpCharacteristics(
         dim_p=2, dim_y=2, r=r, A=A, alpha=alpha, lam=lam,
         phi=lambda z: phi_target.copy(), in_EH=in_EH, in_S=in_S,
-        split=split, snap=snap, quiescent=quiescent,
-        label="frozen-two-state", params={"kind": "example1", "r": r})
+        split=split, snap=snap, quiescent=quiescent, params={"kind": "example1", "r": r})
 
 
-def e1_optimal_mu(p: float, q: float, r: float = 1.0,
-                  horizon: float | None = None) -> MixedStoppingStrategy:
+def e1_optimal_mu(p: float, q: float, r: float = 1.0) -> MixedStoppingStrategy:
     """Optimal stopping rule of the informed maximizer at chart point (p, q).
 
     The dual coordinate is the midpoint subgradient of the q-slice; the
@@ -265,7 +263,7 @@ def e1_optimal_mu(p: float, q: float, r: float = 1.0,
     z = _z1(p, y)
     if y <= 0.0 or p <= _MTOL:
         return NeverStopStrategy(R=np.zeros((2, 2)), p0=[p, 1.0 - p])
-    return build_mu(char, z, horizon, vstar=e1_vstar_full)
+    return build_mu(char, z, vstar=e1_vstar_full)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +290,8 @@ class Example2Params:
     f1: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise InputError("rates, discount and obstacle endpoints must be finite")
         if min(self.a, self.b, self.r) <= 0:
             raise InputError("rates a, b and discount r must be positive")
         if not (0 < self.h0 < self.f0 and 0 < self.h1 < self.f1):
@@ -474,13 +474,11 @@ def e2_characteristics(params: Example2Params) -> PdmpCharacteristics:
         dim_p=2, dim_y=0, r=params.r, A=A, alpha=alpha, lam=lam,
         phi=lambda z: target.copy(), in_EH=in_EH, in_S=in_S,
         split=split, snap=snap, quiescent=lambda z: False,
-        label="one-sided-ergodic",
         params={"kind": "example2", "a": params.a, "b": params.b, "r": params.r,
                 "h": [params.h0, params.h1], "f": [params.f0, params.f1]})
 
 
-def e2_optimal_mu(params: Example2Params, p: float,
-                  horizon: float | None = None) -> MixedStoppingStrategy:
+def e2_optimal_mu(params: Example2Params, p: float) -> MixedStoppingStrategy:
     """Optimal stopping rule in case i for any starting belief.
 
     At the kink: stop at intensity ``lambda1`` while the chain is in
@@ -488,7 +486,7 @@ def e2_optimal_mu(params: Example2Params, p: float,
     state 0, then run the kink rule.  Below it: the rule is silent until
     the belief flow reaches the kink.
     """
-    return build_mu(e2_characteristics(params), np.array([p, 1.0 - p]), horizon,
+    return build_mu(e2_characteristics(params), np.array([p, 1.0 - p]),
                     vstar=e2_vstar_full(params))
 
 

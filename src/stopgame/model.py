@@ -32,10 +32,10 @@ SIMPLEX_SUM_TOL = 1e-9
 GENERATOR_ROW_TOL = 1e-12
 
 
-def as_simplex(weights, *, clamp: float = SIMPLEX_CLAMP) -> np.ndarray:
+def as_simplex(weights) -> np.ndarray:
     """Validate and normalize a probability vector.
 
-    Entries in ``[-clamp, 0)`` are rounded up to zero (arithmetic noise);
+    Entries in ``[-SIMPLEX_CLAMP, 0)`` are rounded up to zero (arithmetic noise);
     anything more negative is an error, as is a total mass off by more
     than ``SIMPLEX_SUM_TOL``.
     """
@@ -44,7 +44,7 @@ def as_simplex(weights, *, clamp: float = SIMPLEX_CLAMP) -> np.ndarray:
         raise InputError("simplex point must be a nonempty 1-d vector")
     if not np.all(np.isfinite(w)):
         raise InputError("probabilities must be finite")
-    if np.any(w < -clamp):
+    if np.any(w < -SIMPLEX_CLAMP):
         raise InputError(f"negative probability {w.min():.3e} below clamp tolerance")
     total = float(w.sum())
     if abs(total - 1.0) > SIMPLEX_SUM_TOL:
@@ -114,9 +114,6 @@ class GameSpec:
     @property
     def L(self) -> int:
         return self.Q.shape[0]
-
-    def payoff_scale(self) -> float:
-        return float(max(np.abs(self.f).max(), np.abs(self.h).max()))
 
     def to_json(self) -> str:
         payload = {

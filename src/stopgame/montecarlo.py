@@ -1,12 +1,15 @@
-"""Payoff estimation, best responses over pure families, optimality gaps.
+"""Payoff estimation, best responses over pure families, optimality gaps,
+and the belief consistency check of a stopping rule.
 
 Replications run in blocks of ``BLOCK`` rows: block ``b`` holds
 replications ``b * BLOCK`` up to the next multiple (or ``n``) and draws
 everything from one counter-based stream, Philox keyed by ``(seed, b)``.
 Within a block the chains, the stopping times and the payoffs are
 computed as arrays, in this stream order: the own paths, the opponent's
-paths, then the stopping times.  All blocks run in the calling process,
-one after the other, so every estimate depends only on ``seed`` and ``n``.
+paths (where there is an opponent), then the stopping times.  All blocks
+run in the calling process, one after the other, so every estimate
+depends only on ``seed`` and ``n``.  This module is the only one that
+knows the block layout.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .pdmp import MixedStoppingStrategy, never_horizon
 __all__ = [
     "PayoffEstimate", "PureResponseFamily", "default_time_grid",
     "estimate_payoff", "BestResponse", "best_response_value",
-    "GapReport", "exploit_gap",
+    "GapReport", "exploit_gap", "BeliefReport", "belief_consistency",
 ]
 
 BLOCK = 128
@@ -49,17 +52,16 @@ def default_time_grid(r: float, n: int = 200) -> np.ndarray:
 class PureResponseFamily:
     """Enumerable pure stopping times of the opponent.
 
-    ``per_initial_state`` means one deterministic time per initial state
-    of the opponent's chain (the product over states of the time grid).
-    That family is exhaustive when the opponent's chain never moves
-    (every stopping time of its filtration is of this form) and when the
+    One deterministic time from ``times`` per initial state of the
+    opponent's chain (the product over states of the time grid).  The
+    family is exhaustive when the opponent's chain never moves (every
+    stopping time of its filtration is of this form) and when the
     opponent has a single state (plain deterministic times).  For a
     moving multi-state chain it is only a relaxation, and gap reports are
     flagged as upper bounds on exploitability.
     """
 
     times: np.ndarray
-    per_initial_state: bool = True
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -77,7 +79,7 @@ class PureResponseFamily:
         return spec.L == 1 or not np.any(spec.Q)
 
     def descriptor(self) -> dict:
-        return {"kind": "per_initial_state" if self.per_initial_state else "shared",
+        return {"kind": "per_initial_state",
                 "n_times": int(self.times.size),
                 "t_max_finite": float(self.times[-2])}
 
@@ -126,7 +128,7 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     horizon = max(float(finite[-1]), never_horizon(spec.r), 1.0)
     sx = ChainSampler(spec.R, spec.p0)
     sy = ChainSampler(spec.Q, spec.q0)
-    L = spec.L if family.per_initial_state else 1
+    L = spec.L
     sums = np.zeros((L, g + 1))
     sumsq = np.zeros((L, g + 1))
     counts = np.zeros(L)
@@ -149,8 +151,7 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
         response[:, :g] *= disc
         response[:, g] = h_payoff
         np.copyto(response[:, :g], h_payoff[:, None], where=finite >= mu[:, None])
-        side = Y.initial_states if family.per_initial_state else np.zeros(m, dtype=np.int64)
-        groups = [(side == j)[:, None] for j in range(L)]
+        groups = [(Y.initial_states == j)[:, None] for j in range(L)]
         for j, mine in enumerate(groups):
             counts[j] += mine.sum()
             sums[j] += response.sum(axis=0, where=mine)
@@ -170,6 +171,47 @@ def survivor_counts(strategy: MixedStoppingStrategy, R, p0: np.ndarray, t: float
         alive = strategy.stopping_times(paths, rng) > t
         counts += np.bincount(paths.states_at(np.full(m, t))[alive], minlength=p0.size)
     return counts
+
+
+@dataclass
+class BeliefReport:
+    t: float
+    predicted: np.ndarray
+    empirical: np.ndarray
+    z_scores: np.ndarray
+    n_survivors: int
+    n: int
+    inconclusive: bool
+
+    @property
+    def consistent(self) -> bool:
+        return (not self.inconclusive) and bool(np.all(np.abs(self.z_scores) <= 3.0))
+
+
+def belief_consistency(strategy: MixedStoppingStrategy, R, t: float, n: int,
+                       seed: int = 0) -> BeliefReport:
+    """Estimate P(X_t = k | no stop by t) and compare with the tracked belief.
+
+    The chain starts from the strategy's initial belief and runs under
+    generator ``R`` on ``[0, max(2t, 1)]``; survivors of the stopping rule
+    at ``t`` are binned by state and z-scored against the deterministic
+    belief flow.
+    """
+    if not hasattr(strategy, "initial_belief"):
+        raise InputError("strategy does not expose an initial belief")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise InputError(f"check time must be finite and nonnegative, got {t!r}")
+    p0 = strategy.initial_belief()
+    predicted = np.asarray(strategy.belief(t), dtype=float)
+    K = p0.size
+    counts = survivor_counts(strategy, np.asarray(R, dtype=float), p0, t, max(2.0 * t, 1.0),
+                             n, seed).astype(float)
+    survivors = int(counts.sum())
+    inconclusive = survivors < 100
+    empirical = counts / survivors if survivors else np.zeros(K)
+    se = np.sqrt(np.maximum(predicted * (1 - predicted), 1e-12) / max(survivors, 1))
+    z = (empirical - predicted) / se
+    return BeliefReport(t, predicted, empirical, z, survivors, n, inconclusive)
 
 
 @dataclass(frozen=True)

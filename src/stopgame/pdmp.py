@@ -20,7 +20,9 @@ of the verification theorem's case for the starting point:
   immediate stop and a ``flow`` start,
 * ``stop_now`` (start in ``S``): stop immediately.
 
-Every rule stops a whole :class:`~stopgame.model.PathBlock` at once.
+Every rule stops a whole :class:`~stopgame.model.PathBlock` at once; the
+Monte Carlo checks that run the rules over sampled blocks, the belief
+consistency check included, live in :mod:`stopgame.montecarlo`.
 """
 
 from __future__ import annotations
@@ -39,12 +41,17 @@ __all__ = [
     "StructureReport", "sc_check",
     "MixedStoppingStrategy", "FlowIntensityStrategy", "SplitThenFlowStrategy",
     "StopNowStrategy", "NeverStopStrategy", "ConstantTimeStrategy",
-    "InitialStateTimeStrategy", "build_mu",
-    "BeliefReport", "belief_consistency", "never_horizon",
+    "InitialStateTimeStrategy", "build_mu", "never_horizon",
 ]
 
 _STALL_FRACTION = 1e-6
 _ZERO_P = 1e-12
+_MAX_FLOW_STEPS = 2_000_000
+# sc_check follows each E_H sample's orbit this far, at this step, for sc2
+_SC_FLOW_HORIZON = 0.2
+_SC_FLOW_DT = 2e-3
+# largest gap from affinity of V_* along a split that a split rule accepts
+_SPLIT_AFFINE_TOL = 1e-6
 # inter-jump segments a flow rule draws thresholds for at a time, per path
 _SEGMENT_COLUMNS = 32
 
@@ -81,7 +88,6 @@ class PdmpCharacteristics:
     split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, float]] | None = None
     snap: Callable[[np.ndarray], np.ndarray] | None = None
     quiescent: Callable[[np.ndarray], bool] | None = None
-    label: str = ""
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -96,9 +102,6 @@ class PdmpCharacteristics:
 
     def p_part(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float)[: self.dim_p]
-
-    def y_part(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float)[self.dim_p:]
 
     def in_E(self, z: np.ndarray) -> bool:
         return self.in_EH(z) or self.in_S(z)
@@ -119,7 +122,6 @@ class Orbit:
     ts: np.ndarray
     zs: np.ndarray
     lams: np.ndarray
-    horizon: float
     stationary: bool
     quiescent: bool
 
@@ -150,19 +152,20 @@ def _rk4(alpha, z, h):
 
 
 def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
-                   dt: float = 1e-3, truncate_quiescent: bool = False,
-                   max_steps: int = 2_000_000) -> Orbit:
+                   dt: float = 1e-3) -> Orbit:
     """Integrate the drift from ``z0``, never leaving ``E_H``.
 
     Fixed-step RK4 with a local step ``dt / max(1, |alpha|)``.  A step
     that would exit ``E_H`` is bisected onto the boundary; if the field
     keeps pushing outward there, that is a flow-invariance violation and
-    an :class:`IntegrityError` is raised.  Stationary points terminate the
-    sampling (exact for an autonomous field).
+    an :class:`IntegrityError` is raised.  Sampling stops at a stationary
+    point (exact for an autonomous field) and at the first quiescent
+    state, where the intensity is zero from then on; more than
+    ``_MAX_FLOW_STEPS`` steps is an :class:`IntegrityError`.
     """
     z = np.asarray(z0, dtype=float).copy()
     if char.in_S(z):
-        return Orbit(np.array([0.0]), z[None, :], np.array([0.0]), horizon, True, True)
+        return Orbit(np.array([0.0]), z[None, :], np.array([0.0]), True, True)
     if not char.in_EH(z):
         raise InputError("flow must start inside E_H")
     ts = [0.0]
@@ -170,10 +173,10 @@ def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
     lams = [float(char.lam(z))]
     t = 0.0
     stationary = quiescent = False
-    for _ in range(max_steps):
+    for _ in range(_MAX_FLOW_STEPS):
         if t >= horizon:
             break
-        if truncate_quiescent and char.is_quiescent(z):
+        if char.is_quiescent(z):
             quiescent = True
             break
         a = char.alpha(z)
@@ -211,8 +214,8 @@ def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
         lams.append(float(char.lam(z)))
     else:
         raise IntegrityError("flow integration exceeded the step budget")
-    return Orbit(np.array(ts), np.array(zs), np.array(lams), horizon,
-                 stationary, quiescent or (stationary and lams[-1] == 0.0))
+    return Orbit(np.array(ts), np.array(zs), np.array(lams), stationary,
+                 quiescent or (stationary and lams[-1] == 0.0))
 
 
 class _Hazard:
@@ -283,12 +286,10 @@ class _Hazard:
 class ZPath:
     """One sampled PDMP path: deterministic segment, at most one jump, absorption."""
 
-    z0: np.ndarray
     ts: np.ndarray
     zs: np.ndarray
     jump_time: float
     post_jump: np.ndarray | None
-    horizon: float
 
     @property
     def jumped(self) -> bool:
@@ -311,10 +312,10 @@ def simulate_Z(char: PdmpCharacteristics, z0, horizon: float,
     """
     z0 = np.asarray(z0, dtype=float)
     if char.in_S(z0):
-        return ZPath(z0, np.array([0.0]), z0[None, :], math.inf, None, horizon)
+        return ZPath(np.array([0.0]), z0[None, :], math.inf, None)
     if not char.in_EH(z0):
         raise InputError("simulate_Z starts in E (pass exterior points through a split)")
-    orbit = integrate_flow(char, z0, horizon, truncate_quiescent=True)
+    orbit = integrate_flow(char, z0, horizon)
     jump_time = float(_Hazard(orbit, orbit.lams[:, None]).inverse(
         np.zeros(1, dtype=np.intp), np.zeros(1), np.array([rng.exponential()]))[0])
     if jump_time >= horizon:
@@ -325,7 +326,7 @@ def simulate_Z(char: PdmpCharacteristics, z0, horizon: float,
         if not char.in_S(post):
             raise IntegrityError("jump landed outside the absorbing set S")
     keep = orbit.ts <= min(jump_time, horizon)
-    return ZPath(z0, orbit.ts[keep], orbit.zs[keep], jump_time, post, horizon)
+    return ZPath(orbit.ts[keep], orbit.zs[keep], jump_time, post)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +365,14 @@ def _directional(vstar, z, d, eps=1e-7):
     return (vstar(z + step * d) - vstar(z)) / step
 
 
-def sc_check(char: PdmpCharacteristics, vstar, samples, tol: float = 1e-6,
-             flow_horizon: float = 0.2, flow_dt: float = 2e-3) -> StructureReport:
+def sc_check(char: PdmpCharacteristics, vstar, samples, tol: float = 1e-6) -> StructureReport:
     """Machine-check the structure conditions at each sample point.
 
     ``vstar`` is the dual value as a callable of the flat state.  Samples
     are classified through the membership oracles; exterior points need
-    the characteristics to provide a ``split``.
+    the characteristics to provide a ``split``.  Flow invariance (sc2) is
+    checked on the orbit from each ``E_H`` sample over ``_SC_FLOW_HORIZON``
+    at step ``_SC_FLOW_DT``.
     """
     names = ["sc1_membership", "sc2_absorbing", "sc2_invariant", "sc3_jump",
              "sc4_flatjump", "sc4_cone", "sc4_dynamic", "sc5_split"]
@@ -403,8 +405,7 @@ def sc_check(char: PdmpCharacteristics, vstar, samples, tol: float = 1e-6,
             record("sc1_membership", max(0.0, -resid), tol,
                    f"dual inequality fails at {z}")
             try:
-                orbit = integrate_flow(char, z, flow_horizon, dt=flow_dt,
-                                       truncate_quiescent=True)
+                orbit = integrate_flow(char, z, _SC_FLOW_HORIZON, dt=_SC_FLOW_DT)
                 inside = all(char.in_E(w) for w in orbit.zs[:: max(1, orbit.zs.shape[0] // 16)])
                 record("sc2_invariant", 0.0 if inside else 1.0, 0.5,
                        f"orbit from {z} leaves E")
@@ -567,7 +568,8 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
     ``lam(z_t) * phi_p(z_t)[k] / p_t[k]``: each inter-jump segment of the
     own chain draws one exponential threshold, and the rule stops where
     the cumulative hazard ``H[k]`` gained since the segment start reaches
-    it.
+    it.  ``horizon`` (default :func:`never_horizon`) must be positive and
+    finite; the rule never stops after it.
     """
 
     case = "flow"
@@ -576,10 +578,13 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
         z0 = np.asarray(z0, dtype=float)
         if not char.in_EH(z0):
             raise InputError("flow strategies start inside E_H")
+        t_max = never_horizon(char.r) if horizon is None else float(horizon)
+        if not (t_max > 0 and math.isfinite(t_max)):
+            raise InputError(f"strategy horizon must be positive and finite, got {t_max!r}")
         self.char = char
         self.z0 = z0
-        self.t_max = never_horizon(char.r) if horizon is None else float(horizon)
-        self.orbit = integrate_flow(char, z0, self.t_max, truncate_quiescent=True)
+        self.t_max = t_max
+        self.orbit = integrate_flow(char, z0, t_max)
         self.hazard = _Hazard.conditional(char, self.orbit)
 
     def initial_belief(self) -> np.ndarray:
@@ -624,12 +629,16 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
 
 
 class SplitThenFlowStrategy(MixedStoppingStrategy):
-    """Randomize at time zero between stopping (posterior in S) and a flow start."""
+    """Randomize at time zero between stopping (posterior in S) and a flow start.
+
+    ``vstar``, when given, must be affine along the split to within
+    ``_SPLIT_AFFINE_TOL``.
+    """
 
     case = "split"
 
     def __init__(self, char: PdmpCharacteristics, z, z_flow, z_stop, m: float,
-                 horizon: float | None = None, vstar=None, tol: float = 1e-6):
+                 horizon: float | None = None, vstar=None):
         z = np.asarray(z, dtype=float)
         z_flow = np.asarray(z_flow, dtype=float)
         z_stop = np.asarray(z_stop, dtype=float)
@@ -641,7 +650,7 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
             raise InputError("split pieces must lie in E_H and S")
         if vstar is not None:
             gap = abs(vstar(z) - (1 - m) * vstar(z_flow) - m * vstar(z_stop))
-            if gap > tol:
+            if gap > _SPLIT_AFFINE_TOL:
                 raise InputError(f"V_* is not affine along the split (gap {gap:.3e})")
         self.char = char
         self.z = z
@@ -673,8 +682,7 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
                 "characteristics": dict(self.char.params), "note": self.note}
 
 
-def build_mu(char: PdmpCharacteristics, z, horizon: float | None = None,
-             vstar=None) -> MixedStoppingStrategy:
+def build_mu(char: PdmpCharacteristics, z, vstar=None) -> MixedStoppingStrategy:
     """Optimal stopping rule from ``z``, by the case of the verification theorem.
 
     Stop now on ``S``, follow the flow intensity from ``E_H``, and split
@@ -685,52 +693,8 @@ def build_mu(char: PdmpCharacteristics, z, horizon: float | None = None,
     if char.in_S(z):
         return StopNowStrategy()
     if char.in_EH(z):
-        return FlowIntensityStrategy(char, z, horizon)
+        return FlowIntensityStrategy(char, z)
     if char.split is None:
         raise InputError("no split available for exterior starting points")
     z_flow, z_stop, m = char.split(z)
-    return SplitThenFlowStrategy(char, z, z_flow, z_stop, m, horizon, vstar=vstar)
-
-
-@dataclass
-class BeliefReport:
-    t: float
-    predicted: np.ndarray
-    empirical: np.ndarray
-    z_scores: np.ndarray
-    n_survivors: int
-    n: int
-    inconclusive: bool
-
-    @property
-    def consistent(self) -> bool:
-        return (not self.inconclusive) and bool(np.all(np.abs(self.z_scores) <= 3.0))
-
-
-def belief_consistency(strategy: MixedStoppingStrategy, R, t: float, n: int,
-                       seed: int = 0, horizon: float | None = None) -> BeliefReport:
-    """Estimate P(X_t = k | no stop by t) and compare with the tracked belief.
-
-    The chain starts from the strategy's initial belief and runs under
-    generator ``R``; survivors of the stopping rule at ``t`` are binned
-    by state and z-scored against the deterministic belief flow.
-    Replications use the block streams of :mod:`stopgame.montecarlo`.
-    """
-    from .montecarlo import survivor_counts
-
-    if not hasattr(strategy, "initial_belief"):
-        raise InputError("strategy does not expose an initial belief")
-    p0 = strategy.initial_belief()
-    predicted = np.asarray(strategy.belief(t), dtype=float)
-    K = p0.size
-    horizon = horizon if horizon is not None else max(2.0 * t, 1.0)
-    if not 0.0 <= t <= horizon:
-        raise InputError(f"check time {t} outside the sampled horizon [0, {horizon}]")
-    counts = survivor_counts(strategy, np.asarray(R, dtype=float), p0, t, horizon,
-                             n, seed).astype(float)
-    survivors = int(counts.sum())
-    inconclusive = survivors < 100
-    empirical = counts / survivors if survivors else np.zeros(K)
-    se = np.sqrt(np.maximum(predicted * (1 - predicted), 1e-12) / max(survivors, 1))
-    z = (empirical - predicted) / se
-    return BeliefReport(t, predicted, empirical, z, survivors, n, inconclusive)
+    return SplitThenFlowStrategy(char, z, z_flow, z_stop, m, vstar=vstar)

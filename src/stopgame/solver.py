@@ -253,11 +253,14 @@ def _flow_derivative(grid: ValueGrid, side: str) -> np.ndarray:
     return quot if side == "p" else quot.T
 
 
-def residual_check(grid: ValueGrid, eps_extreme: float | None = None) -> ResidualReport:
+def residual_check(grid: ValueGrid) -> ResidualReport:
     """Evaluate the variational inequalities of the saddle characterization.
 
     At p-extreme nodes the max/min expression must be <= 0 (its excess is
-    the subsolution violation); at q-extreme nodes it must be >= 0.
+    the subsolution violation); at q-extreme nodes it must be >= 0.  A node
+    counts as extreme in its slice unless a straddling chord matches its
+    value to within ``eps_extreme = 10 / N**2 * max|V|``, with ``N`` the
+    finer side's resolution; the report carries that tolerance.
     """
     if grid.spec is None:
         raise InputError("residual check needs a grid carrying its game spec")
@@ -265,9 +268,8 @@ def residual_check(grid: ValueGrid, eps_extreme: float | None = None) -> Residua
     H, F = payoff_grids(spec, grid.p_grid, grid.q_grid)
     V = grid.values
     scale = float(np.abs(V).max(initial=0.0)) or 1.0
-    if eps_extreme is None:
-        N = max(grid.p_grid.resolution, grid.q_grid.resolution)
-        eps_extreme = 10.0 / N**2 * scale
+    N = max(grid.p_grid.resolution, grid.q_grid.resolution)
+    eps_extreme = 10.0 / N**2 * scale
     p_ext = _extreme_flags(V, _neighbor_pairs(grid.p_grid), eps_extreme, axis=0)
     q_ext = _extreme_flags(V, _neighbor_pairs(grid.q_grid), eps_extreme, axis=1)
     pde = spec.r * V - _flow_derivative(grid, "p") - _flow_derivative(grid, "q")

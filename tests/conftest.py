@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stopgame.examples as ex
-from stopgame.model import GameSpec
+from stopgame.model import GameSpec, PathBlock
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +75,8 @@ def z1(p, y):
 def z2(p):
     """Example-2 chart point in flat coordinates."""
     return np.array([p, 1.0 - p])
+
+
+def flat(state, n=1):
+    """A block of ``n`` paths that hold ``state`` on ``[0, 1e6]``."""
+    return PathBlock(np.zeros((n, 1)), np.full((n, 1), state, dtype=np.int64), 1e6)

@@ -164,7 +164,7 @@ def response_sums(spec, strat1, family, n: int, seed: int):
     horizon = max(float(finite[-1]), never_horizon(spec.r), 1.0)
     sx = ChainSampler(spec.R, spec.p0)
     sy = ChainSampler(spec.Q, spec.q0)
-    L = spec.L if family.per_initial_state else 1
+    L = spec.L
     sums = np.zeros((L, g + 1))
     sumsq = np.zeros((L, g + 1))
     counts = np.zeros(L)
@@ -186,8 +186,7 @@ def response_sums(spec, strat1, family, n: int, seed: int):
             before = finite < mu
         row[:g] = np.where(before, disc * spec.f[xs, ys], h_payoff)
         row[g] = h_payoff
-        j = Y.initial_state if family.per_initial_state else 0
-        sums[j] += row
-        sumsq[j] += row * row
-        counts[j] += 1.0
+        sums[Y.initial_state] += row
+        sumsq[Y.initial_state] += row * row
+        counts[Y.initial_state] += 1.0
     return sums, sumsq, counts

@@ -14,8 +14,9 @@ from scipy.integrate import solve_ivp
 import stopgame.examples as ex
 from conftest import game_at, z1, z2
 from stopgame.conjugate import convex_conjugate_q, pair, ycoord
-from stopgame.montecarlo import PureResponseFamily, exploit_gap, survivor_counts
-from stopgame.pdmp import FlowIntensityStrategy, belief_consistency, sc_check
+from stopgame.montecarlo import (PureResponseFamily, belief_consistency, exploit_gap,
+                                 survivor_counts)
+from stopgame.pdmp import FlowIntensityStrategy, sc_check
 from stopgame.solver import residual_check, solve
 
 

@@ -171,20 +171,38 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["dual", "--oracle", "e1", "--grid", "5", "--pres", "2", "--yres", "2"],
         ["dual", "--oracle", "e1", "--tol", "1e-6", "--pres", "2", "--yres", "2"],
     ]
-    # malformed strategy and game files: a missing key, a wrong type or length
+    # malformed strategy and game files: a missing key, a wrong type or
+    # length, a horizon that is not positive and finite, a non-finite rate
     flow = json.loads(sfile.read_text())
     no_h = json.loads(sfile.read_text())
     del no_h["strategy"]["characteristics"]["h"]
+    split_file = d / "split.json"
+    assert main(["strategy", "--family", "e1", "--p", "0.75", "--q", "0.75",
+                 "--out", str(split_file)]) == 0
+    split = json.loads(split_file.read_text())
+    assert split["strategy"]["case"] == "split"
     game = json.loads(game_files["e2"].read_text())
     game["r"] = "abc"
+
+    def edited(payload, r=None, **changes):
+        desc = {**payload["strategy"], **changes}
+        if r is not None:
+            desc["characteristics"] = {**desc["characteristics"], "r": r}
+        return {**payload, "strategy": desc}
+
     bad_strategies = {
         "no_time": {"strategy": {"case": "constant_time"}, "value_claim": 1.0},
         "text_time": {"strategy": {"case": "constant_time", "time": "abc"}, "value_claim": 1.0},
         "no_h": no_h,
         "list": {"strategy": [], "value_claim": 1.0},
-        "short_z": {**flow, "strategy": {**flow["strategy"], "z": [0.3]}},
+        "short_z": edited(flow, z=[0.3]),
         "text_claim": {**flow, "value_claim": "abc"},
+        "nan_r": edited(flow, r=float("nan")),
+        "inf_r_e1": edited(split, r=float("inf")),
+        "split_horizon": edited(split, horizon=-1.0),
     }
+    for i, horizon in enumerate((-1.0, 0.0, float("nan"), float("inf"))):
+        bad_strategies[f"horizon{i}"] = edited(flow, horizon=horizon)
     for name, payload in bad_strategies.items():
         (d / f"{name}.json").write_text(json.dumps(payload))
         cases.append(verify[:4] + ["--strategy", str(d / f"{name}.json")])

@@ -5,25 +5,17 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import stopgame.examples as ex
-from stopgame.conjugate import (DualPoint, concave_conjugate_p,
-                                convex_conjugate_q, dual_flow,
-                                dual_pde_residual_lower,
+from stopgame.conjugate import (concave_conjugate_p, convex_conjugate_q,
+                                dual_flow, dual_pde_residual_lower,
                                 dual_pde_residual_upper, obstacle_conjugate_p,
                                 obstacle_conjugate_q, pair, subgradient_q,
                                 ycoord)
-from stopgame.errors import InputError
 from stopgame.grids import ValueGrid
 from stopgame.model import GameSpec
 
 
 def e1_callable(p_vec, q_vec):
     return ex.e1_value(float(p_vec[0]), float(q_vec[0]))
-
-
-def test_dual_point_validation():
-    DualPoint(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
-    with pytest.raises(InputError):
-        DualPoint(np.array([np.inf, 0.0]), np.array([0.5, 0.5]))
 
 
 def test_reduced_h_conjugate(e1_spec):

@@ -1,15 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import stopgame.examples as ex
-from conftest import z1
+from conftest import flat, z1
 from stopgame.errors import InputError
-from stopgame.model import PathBlock, philox_rng
-
-FLAT0 = PathBlock(np.zeros((1, 1)), np.zeros((1, 1), dtype=np.int64), 1e6)
-FLAT1 = PathBlock(np.zeros((1, 1)), np.ones((1, 1), dtype=np.int64), 1e6)
+from stopgame.model import philox_rng
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +117,15 @@ def test_optimal_mu_dispatch():
 
 def test_optimal_mu_zone_E_stops_iff_state0():
     strat = ex.e1_optimal_mu(0.3, 1.0)  # slope p+1 = zone-E seam
-    for i in range(200):
-        assert strat.stopping_time(FLAT0, philox_rng(20, i)) == 0.0
-        assert strat.stopping_time(FLAT1, philox_rng(21, i)) == math.inf
+    assert np.all(strat.stopping_times(flat(0, 200), philox_rng(20)) == 0.0)
+    assert np.all(strat.stopping_times(flat(1, 200), philox_rng(21)) == math.inf)
 
 
 def test_optimal_mu_zone_B_split_mass():
     strat = ex.e1_optimal_mu(0.8, 0.5)
     y = ex.e1_value_qslope(0.8, 0.5)
     n = 20_000
-    stops = sum(strat.stopping_time(FLAT0, philox_rng(22, i)) == 0.0
-                for i in range(n))
+    stops = int((strat.stopping_times(flat(0, n), philox_rng(22)) == 0.0).sum())
     target = y / (2 * 0.8)
     se = math.sqrt(target * (1 - target) / n)
     assert abs(stops / n - target) <= 3.0 * se
@@ -146,6 +142,12 @@ def test_params_validation():
         ex.Example2Params(a=1, b=1, r=0.1, h0=2, h1=0.5, f0=1, f1=3)
     with pytest.raises(InputError):
         ex.Example2Params(a=1, b=1, r=0.1, h0=0.5, h1=2, f0=0.4, f1=3)
+    for bad in ({"a": math.nan}, {"r": math.nan}, {"b": math.inf}, {"f1": math.inf}):
+        with pytest.raises(InputError):
+            dataclasses.replace(ex.REFERENCE_E2, **bad)
+    for r in (math.inf, math.nan, 0.0):
+        with pytest.raises(InputError):
+            ex.e1_characteristics(r)
 
 
 def test_case_classification(e2_params):
@@ -229,9 +231,8 @@ def test_wait_and_split_formulas(e2_params):
 def test_optimal_mu_never_stops_at_zero_from_kink(e2_params):
     strat = ex.e2_optimal_mu(e2_params, ex.e2_p0(e2_params))
     assert strat.case == "flow"
-    for i in range(100):
-        assert strat.stopping_time(FLAT1, philox_rng(23, i)) == math.inf
-        assert strat.stopping_time(FLAT0, philox_rng(24, i)) > 0.0
+    assert np.all(strat.stopping_times(flat(1, 100), philox_rng(23)) == math.inf)
+    assert np.all(strat.stopping_times(flat(0, 100), philox_rng(24)) > 0.0)
 
 
 def test_characteristics_perturbed_target_not_absorbing(e2_char):

@@ -1,15 +1,18 @@
-"""Export lists resolve, and the package keeps a single path type."""
+"""Export lists resolve, the package keeps a single path type, and options
+that only ever took one value stay constants."""
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import stopgame
-from stopgame import model
-from stopgame.model import PathBlock
-from stopgame.pdmp import Orbit
+from stopgame import conjugate, examples, model, montecarlo, pdmp, solver
+from stopgame.model import GameSpec, PathBlock
+from stopgame.montecarlo import PureResponseFamily
+from stopgame.pdmp import Orbit, PdmpCharacteristics, ZPath
 
 MODULES = ["stopgame"] + [f"stopgame.{m.name}" for m in pkgutil.iter_modules(stopgame.__path__)]
 
@@ -37,5 +40,38 @@ def test_model_keeps_one_path_type():
     assert defined <= set(stopgame.__all__)
     assert _public(PathBlock) == {"times", "states", "horizon", "n", "n_jumps", "initial_states",
                                   "take", "states_at", "states_on_grid"}
-    assert _public(Orbit) == {"ts", "zs", "lams", "horizon", "stationary", "quiescent",
+    assert _public(Orbit) == {"ts", "zs", "lams", "stationary", "quiescent",
                               "t_end", "state_at"}
+    assert _public(ZPath) == {"ts", "zs", "jump_time", "post_jump", "jumped", "state_at"}
+
+
+# parameter names, as allowlists: a keyword that every caller leaves at one
+# value is a constant, and adding one back needs a change here
+SIGNATURES = {
+    PureResponseFamily: ["times"],
+    pdmp.integrate_flow: ["char", "z0", "horizon", "dt"],
+    pdmp.sc_check: ["char", "vstar", "samples", "tol"],
+    pdmp.SplitThenFlowStrategy: ["char", "z", "z_flow", "z_stop", "m", "horizon", "vstar"],
+    pdmp.build_mu: ["char", "z", "vstar"],
+    solver.residual_check: ["grid"],
+    montecarlo.belief_consistency: ["strategy", "R", "t", "n", "seed"],
+    model.as_simplex: ["weights"],
+    conjugate._golden_min: ["f", "a", "b"],
+    examples.e1_optimal_mu: ["p", "q", "r"],
+    examples.e2_optimal_mu: ["params", "p"],
+}
+
+
+@pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__qualname__)
+def test_one_value_options_stay_constants(fn):
+    assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
+def test_public_names_of_spec_and_characteristics():
+    assert _public(GameSpec) == {"R", "Q", "r", "f", "h", "p0", "q0", "K", "L",
+                                 "to_json", "from_json"}
+    assert _public(PdmpCharacteristics) == {
+        "dim_p", "dim_y", "r", "A", "alpha", "lam", "phi", "in_EH", "in_S", "split",
+        "snap", "quiescent", "params", "dim", "p_part", "in_E", "is_quiescent"}
+    assert _public(PureResponseFamily) == {"times", "for_game", "exhaustive_for",
+                                           "descriptor"}

@@ -7,17 +7,13 @@ from scipy.integrate import solve_ivp
 from scipy.stats import ks_2samp, kstest
 
 import stopgame.examples as ex
-from conftest import z1, z2
+from conftest import flat, z1, z2
 from stopgame.errors import InputError, IntegrityError
 from stopgame.model import ChainSampler, PathBlock, philox_rng
-from stopgame.montecarlo import _blocks, survivor_counts
+from stopgame.montecarlo import _blocks, belief_consistency, survivor_counts
 from stopgame.pdmp import (FlowIntensityStrategy, NeverStopStrategy,
-                           SplitThenFlowStrategy, StopNowStrategy,
-                           belief_consistency, build_mu, integrate_flow,
-                           sc_check, simulate_Z)
-
-FLAT0 = PathBlock(np.zeros((1, 1)), np.zeros((1, 1), dtype=np.int64), 1e6)
-FLAT1 = PathBlock(np.zeros((1, 1)), np.ones((1, 1), dtype=np.int64), 1e6)
+                           SplitThenFlowStrategy, StopNowStrategy, build_mu,
+                           integrate_flow, sc_check, simulate_Z)
 
 
 def e1_sample_points(n_each=40, seed=0):
@@ -59,8 +55,7 @@ def e2_sample_points(e2_params, n_each=60, seed=1):
 
 
 def test_flow_rides_jump_curve(e1_char):
-    orbit = integrate_flow(e1_char, z1(0.25, 2.0 / 3.0), 18.5,
-                           truncate_quiescent=True)
+    orbit = integrate_flow(e1_char, z1(0.25, 2.0 / 3.0), 18.5)
     assert orbit.quiescent
     mid = orbit.zs[orbit.ts.size // 2]
     assert mid[2] == pytest.approx((1 - 2 * mid[0]) / (1 - mid[0]), abs=1e-8)
@@ -192,13 +187,12 @@ def test_kink_strategy_hazard_structure(e2_char, e2_params):
     strat = FlowIntensityStrategy(e2_char, z2(p0))
     lam1 = ex.e2_lambda1(e2_params)
     np.testing.assert_allclose(strat.hazard.tail_rate, [lam1, 0.0], atol=1e-9)
-    assert strat.stopping_time(FLAT1, philox_rng(0)) == math.inf
+    assert strat.stopping_time(flat(1), philox_rng(0)) == math.inf
 
 
 def test_flow_strategy_never_below_zero_curve(e1_char):
     strat = FlowIntensityStrategy(e1_char, z1(0.7, -0.5))  # zone A: silent forever
-    for i in range(50):
-        assert strat.stopping_time(FLAT0, philox_rng(4, i)) == math.inf
+    assert np.all(strat.stopping_times(flat(0, 50), philox_rng(4)) == math.inf)
 
 
 def test_case1_rejects_exterior_start(e1_char):
@@ -268,20 +262,17 @@ def test_zone_B_split_probability(e1_char):
     # (p, y) = (0.75, 0.5): stop at 0 with probability y/(2p) = 1/3 given X0=0
     strat = build_mu(e1_char, z1(0.75, 0.5), vstar=ex.e1_vstar_full)
     n = 100_000
-    stops = sum(strat.stopping_time(FLAT0, philox_rng(7, i)) == 0.0
-                for i in range(n))
-    p_hat = stops / n
+    p_hat = np.mean(strat.stopping_times(flat(0, n), philox_rng(7)) == 0.0)
     target = 0.5 / 1.5
     se = math.sqrt(target * (1 - target) / n)
     assert abs(p_hat - target) <= 3.0 * se
     # and never stops when the chain sits in state 1
-    assert all(strat.stopping_time(FLAT1, philox_rng(8, i)) == math.inf
-               for i in range(300))
+    assert np.all(strat.stopping_times(flat(1, 300), philox_rng(8)) == math.inf)
 
 
 def test_case3_stops_now():
     strat = StopNowStrategy()
-    assert strat.stopping_time(FLAT0, philox_rng(0)) == 0.0
+    assert strat.stopping_time(flat(0), philox_rng(0)) == 0.0
 
 
 def test_flow_survival_matches_quadrature_oracle(e1_char):
