@@ -19,7 +19,7 @@ from .errors import InputError, IntegrityError, StopGameError
 from .grids import write_value_csv
 from .model import GameSpec, philox_rng
 from .montecarlo import PureResponseFamily, exploit_gap
-from .pdmp import simulate_Z
+from .pdmp import InitialStateTimeStrategy, simulate_Z
 from . import examples as ex
 from .serialize import (characteristics_from_params, strategy_from_json,
                         strategy_to_json)
@@ -322,6 +322,9 @@ def _cmd_verify(args) -> int:
             raise InputError(
                 f"strategy was built for initial law {belief.tolist()} but the "
                 f"game starts at {spec.p0.tolist()}")
+    if isinstance(strat, InitialStateTimeStrategy) and strat.times.size != spec.K:
+        raise InputError(f"strategy has {strat.times.size} stopping times but the "
+                         f"game has {spec.K} own states")
     family = PureResponseFamily.for_game(spec, n=args.times)
     report = exploit_gap(spec, strat, float(claim), family, args.n,
                          seed=args.seed)

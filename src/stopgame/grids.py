@@ -8,8 +8,9 @@ envelopes.
 
 The validated path is two-state sides (1-d charts).  There the envelope
 of every slice is computed at once by round-wise pruning: each round
-drops, in all columns together, every node on or below the chord of its
-alive neighbours, until a round drops nothing.  From all nodes, solver
+drops every node on or below the chord of its alive neighbours, in the
+columns that changed in the round before (the first round takes all
+columns), until no column changes.  From all nodes, solver
 iterates need 9-12 rounds; started from the previous sweep's vertex
 sets, as ``solve`` does, about 2 on e2 401x1, 4 on the moving-chain game
 at 41x41 and 8 on e1 101x101.  The worst case, a concave run ending in a
@@ -120,10 +121,15 @@ def _upper_hull_columns(x: np.ndarray, v: np.ndarray, alive: np.ndarray | None =
     """Least concave majorant of every column of ``v`` over the increasing chart ``x``.
 
     Round-wise pruning: each round finds, per column, every node's alive
-    neighbours ``a < b < c`` and drops, in all columns at once, each alive
-    interior ``b`` on or below the chord ``a -> c``.  Such a node is never
-    a hull vertex, so dropping many at once is exact; once a round drops
-    nothing every alive chain is locally concave, hence the hull.  Cold
+    neighbours ``a < b < c`` and drops each alive interior ``b`` on or
+    below the chord ``a -> c``.  Such a node is never a hull vertex, so
+    dropping many at once is exact; once a round drops nothing in a column
+    its alive chain is locally concave, hence the hull, and later rounds
+    skip that column.  So the first round works on all columns and each
+    later one only on the columns that changed in the round before, on a
+    view of the arrays while that is every column (one column always is)
+    and on a gathered copy otherwise.  Columns never interact, so which
+    columns a round touches changes the work, never the result.  Cold
     starts need 9-12 rounds on solver iterates; a concave run ending in a
     spike drops one node per round, so the worst case is ``n - 2`` rounds
     of O(n m).  Between vertices the envelope is the chord
@@ -146,7 +152,7 @@ def _upper_hull_columns(x: np.ndarray, v: np.ndarray, alive: np.ndarray | None =
     flat = v.ravel()
     rows = np.arange(n)[:, None]
     cols = np.arange(m)
-    xs = x[:, None]
+    xs = x[1:-1, None]
     if alive is None:
         hinted = np.zeros(m, dtype=bool)
         alive = np.ones((n, m), dtype=bool)
@@ -154,28 +160,43 @@ def _upper_hull_columns(x: np.ndarray, v: np.ndarray, alive: np.ndarray | None =
         alive = alive.copy()
         alive[0] = alive[-1] = True  # the end nodes are always vertices
         hinted = ~alive.all(axis=0)
+    # the columns still changing: a view while all are, else their indices
+    act, settled = slice(None), False
     while True:
-        seen = np.maximum.accumulate(np.where(alive, rows, 0), axis=0)
-        ahead = np.minimum.accumulate(np.where(alive, rows, n - 1)[::-1], axis=0)[::-1]
-        a = np.concatenate([seen[:1], seen[:-1]])  # previous alive node
-        c = np.concatenate([ahead[1:], ahead[-1:]])  # next alive node
-        va, vc, xa = flat[a * m + cols], flat[c * m + cols], x[a]
-        # the monotone chain's pop test: b on or below the chord a -> c
-        below = (v - va) * (x[c] - xa) <= (vc - va) * (xs - xa)
-        drop = alive & below
-        drop[0] = drop[-1] = False
-        reset = False
-        if hinted.any():
-            # a dead node above its chord: the hint was wrong, restart cold
-            reset = hinted & ~(alive | below).all(axis=0)
-            hinted &= ~reset
-            drop[:, reset] = False
-            alive[:, reset] = True
-        if not (np.any(reset) or drop.any()):
+        al, idx = alive[:, act], cols[act]
+        # each interior node's previous and next alive node
+        a = np.maximum.accumulate(np.where(al[:-2], rows[:-2], 0), axis=0)
+        c = np.minimum.accumulate(np.where(al[:1:-1], rows[:1:-1], n - 1), axis=0)[::-1]
+        va, vc, xa, xc = flat[a * m + idx], flat[c * m + idx], x[a], x[c]
+        if settled:
             break
-        alive &= ~drop
-    w = (xs - xa) / (x[c] - xa)
-    return np.maximum(np.where(alive, v, (1.0 - w) * va + w * vc), v), alive
+        # the monotone chain's pop test: b on or below the chord a -> c
+        below = (v[1:-1, act] - va) * (xc - xa) <= (vc - va) * (xs - xa)
+        mid = al[1:-1]
+        drop = mid & below
+        reset = False
+        hint = hinted[act]
+        if hint.any():
+            # a dead node above its chord: the hint was wrong, restart cold
+            reset = hint & ~(mid | below).all(axis=0)
+            if reset.any():
+                hinted[act] = hint & ~reset
+                drop[:, reset] = False
+                mid[:, reset] = True
+        changed = drop.any(axis=0) | reset
+        alive[1:-1, act] = mid & ~drop
+        if changed.all():
+            continue
+        if changed.any():
+            act = idx[changed]
+        elif isinstance(act, slice):
+            break  # this round's neighbours already cover every column
+        else:
+            act, settled = slice(None), True  # neighbours of every column
+    w = (xs - xa) / (xc - xa)
+    env = v.copy()
+    env[1:-1] = np.maximum(np.where(alive[1:-1], v[1:-1], (1.0 - w) * va + w * vc), v[1:-1])
+    return env, alive
 
 
 def _concave_envelope(chart: np.ndarray, v: np.ndarray, alive: np.ndarray | None = None):
@@ -223,7 +244,7 @@ def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``chart`` has one row per node; ``v`` is a slice of node values or a
     2-d array whose columns are slices.  One chart coordinate uses the
-    pruning kernel on all columns at once, more use qhull per column.
+    pruning kernel on all columns in one call, more use qhull per column.
     """
     return _concave_envelope(chart, v)[0]
 
@@ -308,12 +329,11 @@ def write_value_csv(grid: ValueGrid, path) -> None:
     if grid.p_grid.dim > 2 or grid.q_grid.dim > 2:
         raise InputError("CSV export is defined for scalar charts (state sets of size <= 2)")
     path = Path(path)
-    p_chart = grid.p_grid.nodes[:, 0]
-    q_chart = grid.q_grid.nodes[:, 0]
+    qs = [f",{q:.17g}," for q in grid.q_grid.nodes[:, 0].tolist()]
     lines = ["p,q,value"]
-    for i, p in enumerate(p_chart):
-        for j, q in enumerate(q_chart):
-            lines.append(f"{p:.17g},{q:.17g},{grid.values[i, j]:.17g}")
+    for p, row in zip(grid.p_grid.nodes[:, 0].tolist(), grid.values.tolist()):
+        ps = f"{p:.17g}"
+        lines.append("\n".join([f"{ps}{q}{value:.17g}" for q, value in zip(qs, row)]))
     path.write_text("\n".join(lines) + "\n")
     sidecar = path.with_name(path.name + ".meta.json")
     sidecar.write_text(json.dumps(grid.metadata, indent=2, sort_keys=True, default=float) + "\n")

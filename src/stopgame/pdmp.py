@@ -533,7 +533,7 @@ class ConstantTimeStrategy(MixedStoppingStrategy):
     case = "constant_time"
 
     def __init__(self, time: float):
-        if time < 0:
+        if not time >= 0:  # NaN fails too; +inf means never
             raise InputError("stopping time must be nonnegative")
         self.time = float(time)
 
@@ -551,7 +551,9 @@ class InitialStateTimeStrategy(MixedStoppingStrategy):
 
     def __init__(self, times):
         self.times = np.asarray(times, dtype=float)
-        if np.any(self.times < 0):
+        if self.times.ndim != 1:
+            raise InputError("stopping times must be a list, one per initial state")
+        if not np.all(self.times >= 0):  # NaN fails too; +inf means never
             raise InputError("stopping times must be nonnegative")
 
     def stopping_times(self, paths, rng):

@@ -200,6 +200,14 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         "nan_r": edited(flow, r=float("nan")),
         "inf_r_e1": edited(split, r=float("inf")),
         "split_horizon": edited(split, horizon=-1.0),
+        "nan_time": {"strategy": {"case": "constant_time", "time": float("nan")},
+                     "value_claim": 1.0},
+        "nan_state_time": {"strategy": {"case": "state_times", "times": [float("nan"), 1.0]},
+                           "value_claim": 1.0},
+        "short_state_times": {"strategy": {"case": "state_times", "times": [1.0]},
+                              "value_claim": 1.0},
+        "scalar_state_times": {"strategy": {"case": "state_times", "times": 1.0},
+                               "value_claim": 1.0},
     }
     for i, horizon in enumerate((-1.0, 0.0, float("nan"), float("inf"))):
         bad_strategies[f"horizon{i}"] = edited(flow, horizon=horizon)

@@ -101,10 +101,10 @@ _KINDS = ("random", "integer", "collinear", "vee", "spike")
 
 
 @st.composite
-def _envelope_case(draw):
+def _envelope_case(draw, max_cols=8):
     kind = draw(st.sampled_from(_KINDS))
     n = draw(st.integers(1, 60))
-    m = draw(st.integers(1, 8))
+    m = draw(st.integers(1, max_cols))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if kind == "random":
@@ -165,6 +165,60 @@ def test_hinted_envelope_matches_cold(case, hint_kind, seed):
         cold, mask = _upper_hull_columns(x, vf)
         hinted, _ = _upper_hull_columns(x, vf, _hint(hint_kind, mask, seed))
         np.testing.assert_allclose(hinted, cold, rtol=0, atol=1e-12 * (1 + np.abs(vf).max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_envelope_case(max_cols=64), st.integers(0, 2**32 - 1))
+def test_batched_envelope_matches_column_by_column(case, seed):
+    # columns never interact: which columns a pruning round touches changes
+    # the work, never a column's envelope or vertex mask
+    kind, x, v = case
+    n, m = v.shape
+    rng = np.random.default_rng(seed)
+    cold_env, cold = _upper_hull_columns(x, v)
+    hint = np.column_stack([
+        (cold[:, j], rng.random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool))[rng.integers(4)]
+        for j in range(m)])
+    env, alive = _upper_hull_columns(x, v, hint)
+    for j in range(m):
+        one_env, one = _upper_hull_columns(x, v[:, [j]])
+        np.testing.assert_array_equal(cold_env[:, [j]], one_env)
+        np.testing.assert_array_equal(cold[:, [j]], one)
+        one_env, one = _upper_hull_columns(x, v[:, [j]], hint[:, [j]])
+        np.testing.assert_array_equal(env[:, [j]], one_env)
+        np.testing.assert_array_equal(alive[:, [j]], one)
+
+
+def test_batched_envelope_late_reset():
+    # Columns 0, 2 and 4 settle in the first round (concave under their
+    # own vertex masks, a line with only its ends hinted), so the later
+    # rounds run on a gathered copy of columns 1 and 3.  Column 1 is a
+    # concave run ending in a spike: one drop per round for n - 2 rounds.
+    # Column 3 is hinted with two dead nodes; the chords of its alive
+    # neighbours rise as nodes drop, and in the sixth round rounding puts a
+    # dead node above its chord, so the column resets while in the gathered
+    # set and prunes cold after the spike column has settled.
+    n = 10
+    x = np.arange(n, dtype=float)
+    i = np.arange(n)
+    spike = -(i - 3.0) ** 2
+    spike[-1] = 10.0 * n * n
+    concave = -(i - 6.0) ** 2
+    late = np.array([2, 3, 4, 8, 10, 12, 14, 16, 18, 20]) / 3.0
+    v = np.column_stack([concave, spike, 2.0 * i - 5.0, late, concave[::-1]])
+    _, cold = _upper_hull_columns(x, v)
+    hint = cold.copy()
+    hint[:, 1] = True
+    hint[:, 2] = False
+    hint[:, 3] = np.array([1, 1, 1, 1, 1, 0, 1, 1, 0, 1], dtype=bool)
+    env, alive = _upper_hull_columns(x, v, hint)
+    for j in range(v.shape[1]):
+        one_env, one = _upper_hull_columns(x, v[:, [j]], hint[:, [j]])
+        np.testing.assert_array_equal(env[:, [j]], one_env)
+        np.testing.assert_array_equal(alive[:, [j]], one)
+    np.testing.assert_allclose(env, monotone_chain_envelope(x, v), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(alive[:, [0, 4]], cold[:, [0, 4]])
+    assert alive[1:-1, 1:4].sum() == 0
 
 
 def test_hinted_envelope_nan_columns_terminate():
@@ -229,6 +283,27 @@ def test_value_csv_roundtrip(tmp_path, e1_spec):
     np.testing.assert_array_equal(values, grid.values)  # bit-exact
     np.testing.assert_array_equal(p_chart, grid.p_grid.nodes[:, 0])
     assert (tmp_path / "v.csv.meta.json").exists()
+
+
+def test_value_csv_exact_bytes(tmp_path):
+    # p-major rows, 17 significant digits, signed zeros kept
+    values = np.array([[0.1, -0.0], [0.0, 1.0 / 3.0], [-2.5e-300, 1e16 + 2.0],
+                       [-1.0, 2.0 / 3.0]])
+    path = tmp_path / "v.csv"
+    write_value_csv(ValueGrid(SimplexGrid(2, 3), SimplexGrid(2, 1), values), path)
+    assert path.read_bytes() == (
+        b"p,q,value\n"
+        b"0,0,0.10000000000000001\n"
+        b"0,1,-0\n"
+        b"0.33333333333333331,0,0\n"
+        b"0.33333333333333331,1,0.33333333333333331\n"
+        b"0.66666666666666663,0,-2.5e-300\n"
+        b"0.66666666666666663,1,10000000000000002\n"
+        b"1,0,-1\n"
+        b"1,1,0.66666666666666663\n")
+    write_value_csv(ValueGrid(SimplexGrid(1, 3), SimplexGrid(2, 2),
+                              np.array([[1.5, -0.0, 0.7]])), path)
+    assert path.read_bytes() == b"p,q,value\n1,0,1.5\n1,0.5,-0\n1,1,0.69999999999999996\n"
 
 
 def test_value_csv_rejects_garbage(tmp_path):
