@@ -29,6 +29,7 @@ from .conjugate import convex_conjugate_q, pair, ycoord
 GAP_SLACK = 0.05
 DUAL_GRID = "200x200"  # dual --game defaults
 DUAL_TOL = 1e-7
+YBOX = "-1,3"  # dual and example e1 --what dual
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +76,8 @@ def _build_parser() -> _Parser:
     source.add_argument("--game", help="or: solve this game and conjugate numerically")
     d.add_argument("--grid", help=f"--game only (default {DUAL_GRID})")
     d.add_argument("--tol", type=_positive_float, help=f"--game only (default {DUAL_TOL:g})")
-    d.add_argument("--ybox", default="-1,3")
+    d.add_argument("--ybox", help=f"y range lo,hi with lo < hi (default {YBOX}); "
+                                  "write --ybox=lo,hi when lo is negative")
     d.add_argument("--yres", type=_positive_int, default=200)
     d.add_argument("--pres", type=_positive_int, default=200)
     d.add_argument("--out", required=True)
@@ -90,7 +92,8 @@ def _build_parser() -> _Parser:
     e.add_argument("--h", help="e2 only: h(0),h(1) chart endpoints (default 0.5,2)")
     e.add_argument("--f", help="e2 only: f(0),f(1) chart endpoints (default 1,3)")
     e.add_argument("--res", type=_positive_int, default=200)
-    e.add_argument("--ybox", default="-1,3")
+    e.add_argument("--ybox", help="e1 --what dual only: y range as for dual "
+                                  f"(default {YBOX})")
     e.add_argument("--out", required=True)
 
     t = sub.add_parser("strategy", help="build an optimal-strategy descriptor")
@@ -138,9 +141,18 @@ def _parse_grid(text: str) -> tuple[int, int]:
 def _parse_pair_arg(text: str, name: str) -> tuple[float, float]:
     try:
         a, b = (float(x) for x in text.split(","))
-        return a, b
     except ValueError as exc:
         raise InputError(f"bad {name} value {text!r}, expected lo,hi") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InputError(f"bad {name} value {text!r}, expected finite numbers")
+    return a, b
+
+
+def _parse_ybox(text: str | None) -> tuple[float, float]:
+    lo, hi = _parse_pair_arg(YBOX if text is None else text, "--ybox")
+    if not lo < hi:
+        raise InputError(f"bad --ybox value {text!r}, expected lo < hi")
+    return lo, hi
 
 
 def _read_game(path: str) -> GameSpec:
@@ -198,7 +210,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_dual(args) -> int:
     out = _check_out(args.out)
-    ylo, yhi = _parse_pair_arg(args.ybox, "--ybox")
+    ylo, yhi = _parse_ybox(args.ybox)
     ps = np.linspace(0.0, 1.0, args.pres + 1)
     ys = np.linspace(ylo, yhi, args.yres + 1)
     if args.oracle == "e1":
@@ -227,6 +239,8 @@ def _cmd_example(args) -> int:
     out = _check_out(args.out)
     if args.which == "e1":
         _reject_flags(args, ("r", "a", "b", "h", "f"), "e1")
+        if args.what != "dual":
+            _reject_flags(args, ("ybox",), f"e1 --what {args.what}")
         grid = np.linspace(0.0, 1.0, args.res + 1)
         if args.what == "value":
             rows = [(float(p), float(q), ex.e1_value(float(p), float(q)))
@@ -240,13 +254,14 @@ def _cmd_example(args) -> int:
                     rows.append((float(p), float(q), lo, hi))
             out.write_text(_grid_csv_rows("p,q,lower,upper", rows))
         elif args.what == "dual":
-            ylo, yhi = _parse_pair_arg(args.ybox, "--ybox")
+            ylo, yhi = _parse_ybox(args.ybox)
             ys = np.linspace(ylo, yhi, args.res + 1)
             out.write_text(_grid_csv_rows("p,y,value,zone", _e1_dual_rows(grid, ys)))
         else:
             raise InputError("e1 supports --what value|pure|dual")
         print(f"example e1 {args.what} -> {out}")
         return 0
+    _reject_flags(args, ("ybox",), "e2")
     params = _e2_params(args)
     grid = np.linspace(0.0, 1.0, args.res + 1)
     if args.what == "value":

@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InputError
 from .grids import SimplexGrid, ValueGrid
-from .model import as_simplex, marginal_flow
+from .model import _expm, as_simplex, marginal_flow
 
 __all__ = [
     "concave_conjugate_p", "convex_conjugate_q", "subgradient_q",
@@ -195,9 +194,9 @@ def dual_flow(x, q, R, Q, r: float, t: float) -> DualFlowState:
     """
     x = np.asarray(x, dtype=float)
     R = np.asarray(R, dtype=float)
-    if t < 0:
-        raise InputError("dual flow time must be nonnegative")
-    x_t = expm(t * (r * np.eye(x.size) - R)) @ x
+    if not (math.isfinite(t) and t >= 0):
+        raise InputError("dual flow time must be finite and nonnegative")
+    x_t = _expm(t * (r * np.eye(x.size) - R)) @ x
     q_t = marginal_flow(q, Q, t)
     return DualFlowState(x_t, q_t, t)
 

@@ -14,6 +14,8 @@ Conventions used throughout the package:
   :func:`realized_payoffs` is the one place this rule lives.
 * Sample paths come as :class:`PathBlock` arrays, one path per row;
   there is no separate one-path type.
+* :func:`_expm` is the one matrix exponential; it imports scipy on first
+  use, so ``import stopgame`` needs only numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InputError
 
@@ -148,15 +149,25 @@ class GameSpec:
         return spec
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported on first use: scipy.linalg costs
+    ~0.4 s to load, and frozen chains never take an exponential."""
+    from scipy.linalg import expm
+
+    return expm(a)
+
+
 def marginal_flow(p, G, t: float) -> np.ndarray:
     """Law of the chain at time ``t``: ``expm(t * G.T) @ p``."""
     p = as_simplex(p)
     G = np.asarray(G, dtype=float)
     if not math.isfinite(t):
         raise InputError("flow time must be finite")
+    if t < 0.0:
+        raise InputError("flow time must be nonnegative")
     if t == 0.0 or not np.any(G):
         return p
-    return as_simplex(expm(t * G.T) @ p)
+    return as_simplex(_expm(t * G.T) @ p)
 
 
 @dataclass(frozen=True)

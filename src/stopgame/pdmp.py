@@ -551,13 +551,17 @@ class InitialStateTimeStrategy(MixedStoppingStrategy):
 
     def __init__(self, times):
         self.times = np.asarray(times, dtype=float)
-        if self.times.ndim != 1:
-            raise InputError("stopping times must be a list, one per initial state")
+        if self.times.ndim != 1 or self.times.size == 0:
+            raise InputError("stopping times must be a nonempty list, one per initial state")
         if not np.all(self.times >= 0):  # NaN fails too; +inf means never
             raise InputError("stopping times must be nonnegative")
 
     def stopping_times(self, paths, rng):
-        return self.times[paths.initial_states]
+        states = paths.initial_states
+        if np.any(states >= self.times.size):
+            raise InputError(f"strategy has {self.times.size} stopping times but a path "
+                             f"starts in state {int(states.max())}")
+        return self.times[states]
 
     def descriptor(self):
         return {"case": self.case, "times": self.times.tolist()}

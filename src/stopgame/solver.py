@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConvergenceError, InputError
 from .grids import (SimplexGrid, ValueGrid, _concave_envelope, _convex_envelope,
                     concave_envelope, convex_envelope, payoff_grids)
-from .model import GameSpec
+from .model import GameSpec, _expm
 
 __all__ = [
     "cav_p", "vex_q", "obstacle_step", "solve",
@@ -48,7 +47,7 @@ def _flow_stencil(grid: SimplexGrid, G: np.ndarray, delta: float):
         return idx, np.ones((grid.n_nodes, 1))
     # marginal_flow for every node at once: one propagator, the same
     # clamp of rounding negatives and renormalization
-    flowed = np.maximum(grid.nodes @ expm(delta * G.T).T, 0.0)
+    flowed = np.maximum(grid.nodes @ _expm(delta * G.T).T, 0.0)
     flowed /= flowed.sum(axis=1, keepdims=True)
     return grid.interp_weights(flowed[:, : grid.dim - 1])
 

@@ -54,6 +54,14 @@ def test_example_and_dual_outputs(game_files):
     lines = dual.read_text().strip().splitlines()
     assert lines[0] == "p,y,value,zone"
     assert len(lines) == 1 + 11 * 11
+    assert {float(line.split(",")[1]) for line in lines[1:]} >= {-1.0, 3.0}  # cli.YBOX
+
+    # a negative lo needs the "=" form: argparse reads "-2,2" as a flag
+    e1dual = game_files["dir"] / "e1dual.csv"
+    assert main(["example", "e1", "--what", "dual", "--res", "4", "--ybox=-2,2",
+                 "--out", str(e1dual)]) == 0
+    ys = [float(line.split(",")[1]) for line in e1dual.read_text().strip().splitlines()[1:]]
+    assert (min(ys), max(ys)) == (-2.0, 2.0)
 
 
 def test_strategy_simulate_verify_happy_path(game_files):
@@ -170,6 +178,18 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["dual", "--oracle", "e1", "--game", str(game_files["e1"]), "--pres", "2", "--yres", "2"],
         ["dual", "--oracle", "e1", "--grid", "5", "--pres", "2", "--yres", "2"],
         ["dual", "--oracle", "e1", "--tol", "1e-6", "--pres", "2", "--yres", "2"],
+        # --ybox: finite, lo < hi, and only where it is read
+        ["dual", "--oracle", "e1", "--ybox", "inf,2", "--pres", "2", "--yres", "2"],
+        ["dual", "--oracle", "e1", "--ybox", "3,-1", "--pres", "2", "--yres", "2"],
+        ["dual", "--oracle", "e1", "--ybox", "1,1", "--pres", "2", "--yres", "2"],
+        ["example", "e1", "--what", "dual", "--ybox", "nan,1", "--res", "2"],
+        ["example", "e1", "--what", "dual", "--ybox", "3,-1", "--res", "2"],
+        ["example", "e1", "--what", "pure", "--ybox", "x,y", "--res", "2"],
+        ["example", "e1", "--ybox=-1,3", "--res", "2"],
+        ["example", "e2", "--ybox", "garbage", "--res", "2"],
+        ["example", "e2", "--ybox=-1,3", "--res", "2"],
+        ["example", "e2", "--h", "inf,2", "--res", "2"],
+        ["strategy", "--family", "e2", "--p", "0.5", "--f", "1,nan"],
     ]
     # malformed strategy and game files: a missing key, a wrong type or
     # length, a horizon that is not positive and finite, a non-finite rate
@@ -205,6 +225,8 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         "nan_state_time": {"strategy": {"case": "state_times", "times": [float("nan"), 1.0]},
                            "value_claim": 1.0},
         "short_state_times": {"strategy": {"case": "state_times", "times": [1.0]},
+                              "value_claim": 1.0},
+        "empty_state_times": {"strategy": {"case": "state_times", "times": []},
                               "value_claim": 1.0},
         "scalar_state_times": {"strategy": {"case": "state_times", "times": 1.0},
                                "value_claim": 1.0},

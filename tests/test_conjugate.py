@@ -10,6 +10,7 @@ from stopgame.conjugate import (concave_conjugate_p, convex_conjugate_q,
                                 dual_pde_residual_upper, obstacle_conjugate_p,
                                 obstacle_conjugate_q, pair, subgradient_q,
                                 ycoord)
+from stopgame.errors import InputError
 from stopgame.grids import ValueGrid
 from stopgame.model import GameSpec
 
@@ -155,6 +156,11 @@ def test_dual_flow_frozen_chain():
     tiny = dual_flow(np.array([1.0, 0.5]), [0.6, 0.4], np.zeros((2, 2)),
                      np.zeros((2, 2)), r=1e-14, t=3.0)
     np.testing.assert_allclose(tiny.x, [1.0, 0.5], atol=1e-12)
+    # checked before the exponential, not after it by marginal_flow
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="dual flow time"):
+            dual_flow(np.array([1.0, 0.5]), [0.6, 0.4], -np.eye(2) + np.fliplr(np.eye(2)),
+                      np.zeros((2, 2)), r=1.0, t=bad)
 
 
 def test_dual_flow_against_ode_oracle():

@@ -1,10 +1,17 @@
-"""Export lists resolve, the package keeps a single path type, and options
-that only ever took one value stay constants."""
+"""Export lists resolve, the package keeps a single path type, options
+that only ever took one value stay constants, and importing the package
+loads no scipy."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +82,62 @@ def test_public_names_of_spec_and_characteristics():
         "snap", "quiescent", "params", "dim", "p_part", "in_E", "is_quiescent"}
     assert _public(PureResponseFamily) == {"times", "for_game", "exhaustive_for",
                                            "descriptor"}
+
+
+SRC = Path(stopgame.__file__).resolve().parents[1]
+
+
+def _import_time_imports(node):
+    """Import statements that run when the module loads (not inside a def)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _import_time_imports(child)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "stopgame").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    # scipy.linalg alone takes ~0.4 s to load; scipy is imported inside the
+    # functions that need it (model._expm, the qhull charts of grids)
+    found = []
+    for node in _import_time_imports(ast.parse(path.read_text())):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+COLD_START = textwrap.dedent("""
+    import sys
+    import numpy as np
+    import stopgame, stopgame.cli
+    from stopgame import examples as ex
+    from stopgame.model import as_simplex, marginal_flow
+    from stopgame.montecarlo import PureResponseFamily, exploit_gap
+    from stopgame.solver import solve
+
+    solve(ex.e1_game(1.0), 10, 10)
+    p = 1.0 / 3.0
+    e2 = ex.e2_game(ex.REFERENCE_E2)
+    spec = stopgame.GameSpec(R=e2.R, Q=e2.Q, r=e2.r, f=e2.f, h=e2.h, p0=[p, 1 - p], q0=[1.0])
+    exploit_gap(spec, ex.e2_optimal_mu(ex.REFERENCE_E2, p), ex.e2_value(ex.REFERENCE_E2, p),
+                PureResponseFamily.for_game(spec, n=20), 256, seed=0)
+    assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+
+    G = np.array([[-1.0, 1.0], [2.0, -2.0]])
+    got = marginal_flow([0.3, 0.7], G, 0.4)
+    assert "scipy.linalg" in sys.modules
+    import scipy.linalg
+    want = as_simplex(scipy.linalg.expm(0.4 * G.T) @ as_simplex([0.3, 0.7]))
+    assert np.array_equal(got, want), (got, want)
+""")
+
+
+def test_cold_start_loads_scipy_only_at_the_first_flow():
+    # a fresh interpreter: this process has scipy loaded by other tests
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr

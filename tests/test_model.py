@@ -77,6 +77,13 @@ def test_marginal_flow_closed_form():
     np.testing.assert_allclose(got, [0.625, 0.375], atol=1e-14)
 
 
+def test_marginal_flow_rejects_negative_time():
+    # a backward flow is no law; p = [1, 0] used to fail as a "negative probability"
+    for p in ([0.5, 0.5], [1.0, 0.0]):
+        with pytest.raises(InputError, match="nonnegative"):
+            marginal_flow(p, FLIP, -0.5)
+
+
 def test_marginal_flow_ergodic_limit():
     got = marginal_flow([1.0, 0.0], FLIP, 50.0)
     np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-12)

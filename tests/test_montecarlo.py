@@ -10,8 +10,8 @@ from stopgame.model import bilinear_payoff
 from stopgame.montecarlo import (PureResponseFamily, best_response_value,
                                  default_time_grid, estimate_payoff,
                                  exploit_gap)
-from stopgame.pdmp import (ConstantTimeStrategy, NeverStopStrategy,
-                           StopNowStrategy)
+from stopgame.pdmp import (ConstantTimeStrategy, InitialStateTimeStrategy,
+                           NeverStopStrategy, StopNowStrategy)
 
 
 def small_family(r=1.0):
@@ -116,6 +116,19 @@ def test_exploit_gap_detects_suboptimal_play(e2_spec, e2_params):
     expected = e2_params.h(1.0 / 3.0) - e2_params.f(1.0 / 3.0)
     assert gap.gap == pytest.approx(expected, abs=0.05)
     assert gap.gap < -3.0 * gap.std_error - 0.05
+
+
+def test_short_state_times_rule_is_an_input_error(e2_spec):
+    # one time for a two-state chain: paths that start in state 1 have none
+    spec = game_at(e2_spec, 1.0 / 3.0, None)
+    short = InitialStateTimeStrategy([1.0])
+    fam = PureResponseFamily.for_game(spec, n=20)
+    with pytest.raises(InputError, match="1 stopping times"):
+        exploit_gap(spec, short, 1.0, fam, n=200, seed=0)
+    with pytest.raises(InputError, match="1 stopping times"):
+        estimate_payoff(spec, short, ConstantTimeStrategy(1.0), n=200, seed=0)
+    with pytest.raises(InputError):
+        InitialStateTimeStrategy([])
 
 
 def test_never_stop_best_response_matches_quadrature(e2_spec, e2_params):
