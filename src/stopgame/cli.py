@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -27,12 +28,18 @@ from .solver import solve
 from .conjugate import convex_conjugate_q, pair, ycoord
 
 GAP_SLACK = 0.05
-DUAL_GRID = "200x200"  # dual --game defaults
+DUAL_GRID = "200"  # dual --game defaults
 DUAL_TOL = 1e-7
 YBOX = "-1,3"  # dual and example e1 --what dual
+_NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"  # unsigned, as float() reads it
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1,3 or -1.5,-0.5 is an argument, not a flag
+        self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(,[-+]?{_NUMBER})*$")
+
     def error(self, message):  # argparse would exit(2); inputs errors are exit 1
         raise InputError(message)
 
@@ -65,7 +72,8 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("solve", help="compute the value grid of a game")
     s.add_argument("--game", required=True)
-    s.add_argument("--grid", default="201x201", help="nodes per side, N or NxM")
+    s.add_argument("--grid", default="201", help="nodes per side, N or NxM; a one-state "
+                                                 "side has one node (N, Nx1 or 1xM)")
     s.add_argument("--tol", type=_positive_float, default=1e-7)
     s.add_argument("--max-iter", type=_positive_int, default=200_000)
     s.add_argument("--out", required=True)
@@ -76,8 +84,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--game", help="or: solve this game and conjugate numerically")
     d.add_argument("--grid", help=f"--game only (default {DUAL_GRID})")
     d.add_argument("--tol", type=_positive_float, help=f"--game only (default {DUAL_TOL:g})")
-    d.add_argument("--ybox", help=f"y range lo,hi with lo < hi (default {YBOX}); "
-                                  "write --ybox=lo,hi when lo is negative")
+    d.add_argument("--ybox", help=f"y range lo,hi with lo < hi (default {YBOX})")
     d.add_argument("--yres", type=_positive_int, default=200)
     d.add_argument("--pres", type=_positive_int, default=200)
     d.add_argument("--out", required=True)
@@ -124,17 +131,25 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    """Node counts per side ("201x201" or "401") -> grid resolutions."""
+def _parse_grid(text: str, spec: GameSpec) -> tuple[int, int]:
+    """Node counts per side ("201x201" or "401") -> grid resolutions.
+
+    A one-state side has one node: it takes ``N`` or a count of 1, and its
+    resolution is 1.
+    """
     parts = text.lower().split("x")
     try:
         counts = [int(x) for x in parts]
     except ValueError:
         counts = []
     if len(counts) == 1:
-        counts = counts * 2
+        counts = [1 if states == 1 else counts[0] for states in (spec.K, spec.L)]
     if len(counts) != 2 or min(counts) < 1:
         raise InputError(f"bad --grid value {text!r}, expected nodes N or NxM")
+    for side, states, count in (("p", spec.K, counts[0]), ("q", spec.L, counts[1])):
+        if states == 1 and count != 1:
+            raise InputError(f"bad --grid value {text!r}: the {side} side has one state, "
+                             "so one node (N or a count of 1)")
     return max(counts[0] - 1, 1), max(counts[1] - 1, 1)
 
 
@@ -200,7 +215,7 @@ def _e1_dual_rows(ps, ys) -> list:
 def _cmd_solve(args) -> int:
     spec = _read_game(args.game)
     out = _check_out(args.out)
-    n_p, n_q = _parse_grid(args.grid)
+    n_p, n_q = _parse_grid(args.grid, spec)
     grid = solve(spec, n_p, n_q, tol=args.tol, max_iter=args.max_iter)
     write_value_csv(grid, out)
     print(f"solved in {grid.metadata['iterations']} sweeps "
@@ -220,7 +235,7 @@ def _cmd_dual(args) -> int:
         spec = _read_game(args.game)
         if spec.L > 2:
             raise InputError("dual export needs a two-state (or singleton) q side")
-        n_p, n_q = _parse_grid(DUAL_GRID if args.grid is None else args.grid)
+        n_p, n_q = _parse_grid(DUAL_GRID if args.grid is None else args.grid, spec)
         grid = solve(spec, n_p, n_q, tol=DUAL_TOL if args.tol is None else args.tol)
         rows = []
         for p in ps:
@@ -331,12 +346,11 @@ def _cmd_verify(args) -> int:
     strat, claim = strategy_from_json(path_file.read_text())
     if claim is None:
         raise InputError("strategy file carries no value_claim to verify against")
-    if hasattr(strat, "initial_belief"):
-        belief = np.asarray(strat.initial_belief(), dtype=float)
-        if belief.size != spec.p0.size or np.abs(belief - spec.p0).max() > 1e-6:
-            raise InputError(
-                f"strategy was built for initial law {belief.tolist()} but the "
-                f"game starts at {spec.p0.tolist()}")
+    belief = strat.initial_belief()  # None: the rule carries no start law
+    if belief is not None and (belief.size != spec.p0.size
+                               or np.abs(belief - spec.p0).max() > 1e-6):
+        raise InputError(f"strategy was built for initial law {belief.tolist()} but the "
+                         f"game starts at {spec.p0.tolist()}")
     if isinstance(strat, InitialStateTimeStrategy) and strat.times.size != spec.K:
         raise InputError(f"strategy has {strat.times.size} stopping times but the "
                          f"game has {spec.K} own states")

@@ -7,6 +7,12 @@ Two transforms appear, one per player:
 * convex conjugate in the second argument,
   ``V_*(p, y) = sup_q <q, y> - V(p, q)`` for ``y`` in R^L.
 
+Player 2's problem is player 1's with the players swapped and the payoff
+negated, so the q-side objects are the p-side ones on mirrored values:
+:func:`convex_conjugate_q` negates an infimum over q, and
+:func:`dual_pde_residual_lower` is :func:`dual_pde_residual_upper` of the
+swapped game.
+
 For two-state sides everything reduces to the scalar chart: we write
 ``V_*(p, y)`` for ``V_*((p, 1-p), (y, 0))`` and use the shift identity
 ``V_*((p,1-p), (y1,y2)) = y2 + V_*((p,1-p), (y1-y2, 0))``.
@@ -201,30 +207,22 @@ def dual_flow(x, q, R, Q, r: float, t: float) -> DualFlowState:
     return DualFlowState(x_t, q_t, t)
 
 
-def _flow_quotient(vstar, a, b, da, db, r: float, eps: float) -> float:
-    """(directional derivative along (da, db)) - r * vstar, by a forward difference."""
-    scale = max(1.0, float(np.abs(da).max(initial=0.0)), float(np.abs(db).max(initial=0.0)))
-    step = eps / scale
-    base = vstar(a, b)
-    ahead = vstar(a + step * da, b + step * db)
-    return (ahead - base) / step - r * base
-
-
 def dual_pde_residual_upper(vstar, hstar, x, q, R, Q, r: float,
                             eps: float = 1e-7) -> tuple[float, float]:
     """Residual pair for the concave conjugate V*(x, q).
 
-    Returns ``(h*(x,q) - V*(x,q),  D V*(x,q; (rI-R)x, Q^T q) - r V*(x,q))``;
-    the minimum of the pair is <= 0 (up to tolerance) for the true value.
+    Returns ``(h*(x,q) - V*(x,q),  D V*(x,q; (rI-R)x, Q^T q) - r V*(x,q))``,
+    the derivative by a forward difference; the minimum of the pair is <= 0
+    (up to tolerance) for the true value.
     """
     x = np.asarray(x, dtype=float)
     q = as_simplex(q)
-    R = np.asarray(R, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    gap = hstar(x, q) - vstar(x, q)
-    dx = (r * np.eye(x.size) - R) @ x
-    dq = Q.T @ q
-    return float(gap), float(_flow_quotient(vstar, x, q, dx, dq, r, eps))
+    dx = (r * np.eye(x.size) - np.asarray(R, dtype=float)) @ x
+    dq = np.asarray(Q, dtype=float).T @ q
+    step = eps / max(1.0, float(np.abs(dx).max(initial=0.0)), float(np.abs(dq).max(initial=0.0)))
+    base = vstar(x, q)
+    ahead = vstar(x + step * dx, q + step * dq)
+    return float(hstar(x, q) - base), float((ahead - base) / step - r * base)
 
 
 def dual_pde_residual_lower(vstar, fstar, p, y, R, Q, r: float,
@@ -232,13 +230,11 @@ def dual_pde_residual_lower(vstar, fstar, p, y, R, Q, r: float,
     """Residual pair for the convex conjugate V_*(p, y).
 
     Returns ``(V_*(p,y) - f_*(p,y),  r V_*(p,y) - D V_*(p,y; R^T p, (rI-Q)y))``;
-    again the minimum must be <= 0 for the true value.
+    again the minimum must be <= 0 for the true value.  Player 2's problem
+    is player 1's with the players swapped and the payoff negated, so
+    ``V_*(p, y) = -W*(-y, p)`` with ``W*`` the concave conjugate of the swapped
+    game: this is :func:`dual_pde_residual_upper` of ``(x, p) -> -vstar(p, -x)``
+    and ``-fstar(p, -x)`` at ``x = -y``, with the chains passed as ``(Q, R)``.
     """
-    p = as_simplex(p)
-    y = np.asarray(y, dtype=float)
-    R = np.asarray(R, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    gap = vstar(p, y) - fstar(p, y)
-    dp = R.T @ p
-    dy = (r * np.eye(y.size) - Q) @ y
-    return float(gap), float(-_flow_quotient(vstar, p, y, dp, dy, r, eps))
+    return dual_pde_residual_upper(lambda x, q: -vstar(q, -x), lambda x, q: -fstar(q, -x),
+                                   -np.asarray(y, dtype=float), p, Q, R, r, eps)

@@ -4,7 +4,8 @@ A ``SimplexGrid`` holds every barycentric node with coordinates that are
 multiples of ``1/N``.  A ``ValueGrid`` pairs one grid per player with a
 value array and supports the operations the solver is built from:
 multilinear interpolation on the chart, and per-slice concave/convex
-envelopes.
+envelopes.  There is one envelope kernel: the convex envelope is the
+concave one mirrored, ``-concave_envelope(chart, -v)``.
 
 The validated path is two-state sides (1-d charts).  There the envelope
 of every slice is computed at once by round-wise pruning: each round
@@ -249,19 +250,9 @@ def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _concave_envelope(chart, v)[0]
 
 
-def _convex_envelope(chart: np.ndarray, v: np.ndarray, alive: np.ndarray | None = None):
-    """:func:`convex_envelope` with a vertex-mask hint; returns ``(envelope, alive)``.
-
-    The mirror image of :func:`_concave_envelope`: ``alive`` masks the
-    vertices of the concave envelope of ``-v``.
-    """
-    env, alive = _concave_envelope(chart, -np.asarray(v, dtype=float), alive)
-    return -env, alive
-
-
 def convex_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Lower convex envelope; the mirror image of :func:`concave_envelope`."""
-    return _convex_envelope(chart, v)[0]
+    """Lower convex envelope: the mirror image ``-concave_envelope(chart, -v)``."""
+    return -concave_envelope(chart, -np.asarray(v, dtype=float))
 
 
 @dataclass

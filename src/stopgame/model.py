@@ -11,7 +11,9 @@ Conventions used throughout the package:
   ``p_t = expm(t * G.T) @ p``.
 * Player 1 (the maximizer) stops at ``mu`` and collects ``h``; player 2
   (the minimizer) stops at ``nu`` and pays ``f``; ties go to player 1.
-  :func:`realized_payoffs` is the one place this rule lives.
+  It is encoded twice: :func:`realized_payoffs` scores a pair of
+  stopping times, and ``montecarlo._response_chunk`` scores every
+  candidate time of the opponent at once (``finite >= mu`` pays ``h``).
 * Sample paths come as :class:`PathBlock` arrays, one path per row;
   there is no separate one-path type.
 * :func:`_expm` is the one matrix exponential; it imports scipy on first

@@ -197,11 +197,11 @@ def belief_consistency(strategy: MixedStoppingStrategy, R, t: float, n: int,
     at ``t`` are binned by state and z-scored against the deterministic
     belief flow.
     """
-    if not hasattr(strategy, "initial_belief"):
-        raise InputError("strategy does not expose an initial belief")
+    p0 = strategy.initial_belief()
+    if p0 is None:
+        raise InputError(f"{type(strategy).__name__} carries no initial belief")
     if not (t >= 0.0 and math.isfinite(t)):
         raise InputError(f"check time must be finite and nonnegative, got {t!r}")
-    p0 = strategy.initial_belief()
     predicted = np.asarray(strategy.belief(t), dtype=float)
     K = p0.size
     counts = survivor_counts(strategy, np.asarray(R, dtype=float), p0, t, max(2.0 * t, 1.0),
@@ -253,7 +253,7 @@ def best_response_value(spec: GameSpec, strat1: MixedStoppingStrategy,
         weight = counts[j] / n
         value += weight * means[best]
         exp_sq += weight * (sumsq[j, best] / counts[j])
-        coarse |= math.isfinite(t_best) and t_best == finite_top
+        coarse |= bool(math.isfinite(t_best) and t_best == finite_top)
     var = max(exp_sq - value * value, 0.0)
     return BestResponse(float(value), float(math.sqrt(var / n)), argmin, n, seed,
                         coarse, family.descriptor(),
@@ -266,6 +266,8 @@ class GapReport:
 
     ``stop_counts`` tallies the strategy's stopping times over the
     replications: at time zero, later (``flow``), and never.
+    ``coarse_flag`` is set when a best response sat at the family's largest
+    finite time, so a longer time grid might have found a lower one.
     """
 
     value_claim: float
@@ -278,6 +280,7 @@ class GapReport:
     family: dict
     exhaustive: bool
     stop_counts: dict
+    coarse_flag: bool
 
     def to_payload(self) -> dict:
         def num(x):
@@ -288,7 +291,7 @@ class GapReport:
                 "n": self.n, "seed": self.seed,
                 "argmin": {str(k): num(v) for k, v in self.argmin.items()},
                 "family": self.family, "exhaustive": self.exhaustive,
-                "stop_counts": dict(self.stop_counts)}
+                "stop_counts": dict(self.stop_counts), "coarse_flag": self.coarse_flag}
 
 
 def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: float,
@@ -305,8 +308,8 @@ def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: floa
     if value_claim == -math.inf:
         return GapReport(value_claim, math.nan, math.inf, 0.0, 0, seed, {},
                          family.descriptor(), family.exhaustive_for(spec),
-                         dict.fromkeys(STOP_KINDS, 0))
+                         dict.fromkeys(STOP_KINDS, 0), False)
     br = best_response_value(spec, strat1, family, n, seed)
     return GapReport(value_claim, br.value, br.value - value_claim, br.std_error,
                      n, seed, br.argmin, br.family, family.exhaustive_for(spec),
-                     br.stop_counts)
+                     br.stop_counts, br.coarse_flag)

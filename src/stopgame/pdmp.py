@@ -485,6 +485,10 @@ class MixedStoppingStrategy:
     def stopping_times(self, paths: PathBlock, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def initial_belief(self) -> np.ndarray | None:
+        """The law of the own chain at time 0, or ``None`` for a rule that carries none."""
+        return None
+
     def belief(self, t: float) -> np.ndarray:
         """Conditional law of the own chain given no stop by ``t``."""
         raise NotImplementedError(f"{type(self).__name__} does not track a belief")
@@ -494,9 +498,13 @@ class MixedStoppingStrategy:
 
 
 class NeverStopStrategy(MixedStoppingStrategy):
+    """Never stop; with a chain ``(R, p0)`` attached the rule also tracks its belief."""
+
     case = "never"
 
     def __init__(self, R=None, p0=None):
+        if (R is None) != (p0 is None):
+            raise InputError("a never-stop rule takes the chain's R and p0 together or neither")
         self.R = None if R is None else np.asarray(R, dtype=float)
         self.p0 = None if p0 is None else as_simplex(p0)
 
@@ -504,13 +512,11 @@ class NeverStopStrategy(MixedStoppingStrategy):
         return np.full(paths.n, math.inf)
 
     def belief(self, t):
-        if self.R is None or self.p0 is None:
-            raise NotImplementedError("no chain attached")
+        if self.R is None:
+            return super().belief(t)
         return marginal_flow(self.p0, self.R, t)
 
     def initial_belief(self):
-        if self.p0 is None:
-            raise NotImplementedError("no chain attached")
         return self.p0
 
     def descriptor(self):

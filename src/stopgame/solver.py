@@ -9,6 +9,11 @@ flow clipped into the obstacle band ``[h, f]``, and the two envelope
 projections enforce the saddle shape.  The residual checker then tests
 the variational characterization pointwise: at extreme nodes of a slice
 the obstacle/transport inequalities must hold with the right sign.
+
+The q side is the p side on mirrored values: ``vex_q`` of ``V`` is minus
+the p-style concave envelope of ``-V.T`` (transposed back), and the
+checker's extreme-node flags and flow derivatives run the p-side helpers
+on ``V.T``.  Negation and transposition are exact in floating point.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .grids import (SimplexGrid, ValueGrid, _concave_envelope, _convex_envelope,
-                    concave_envelope, convex_envelope, payoff_grids)
+from .grids import (SimplexGrid, ValueGrid, _concave_envelope, concave_envelope,
+                    convex_envelope, payoff_grids)
 from .model import GameSpec, _expm
 
 __all__ = [
@@ -117,8 +122,9 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
     for it in range(1, max_iter + 1):
         new = _obstacle_apply(V, H, F, disc, ip, wp, iq, wq)
         new, alive_p = _concave_envelope(p_grid.chart, new, alive_p)
-        new, alive_q = _convex_envelope(q_grid.chart, new.T, alive_q)
-        new = new.T
+        # vex over q mirrored: -cav of -V^T (alive_q masks that cav's vertices)
+        new, alive_q = _concave_envelope(q_grid.chart, -new.T, alive_q)
+        new = -new.T
         change = float(np.abs(new - V).max())
         V = new
         if change < tol:
@@ -184,25 +190,24 @@ def _neighbor_pairs(grid: SimplexGrid):
     return pairs
 
 
-def _extreme_flags(values: np.ndarray, pairs, eps: float, axis: int) -> np.ndarray:
-    """A node is extreme in its slice when no straddling chord matches its value.
+def _extreme_flags(values: np.ndarray, pairs, eps: float) -> np.ndarray:
+    """A row node is extreme in its column slice unless a straddling chord matches its value.
 
     Slices of a saddle grid are concave/convex, so the tightest chord
     through a node is the one between its immediate neighbors; testing it
     is equivalent to testing all grid chords.  Vertex nodes (Dirac
-    masses) are always extreme.
+    masses) are always extreme.  The q side is ``_extreme_flags(V.T, ...).T``.
     """
-    v = values if axis == 0 else values.T
-    flags = np.ones(v.shape, dtype=bool)
+    flags = np.ones(values.shape, dtype=bool)
     for i, plist in enumerate(pairs):
         if not plist:
             continue  # vertex node: always extreme
-        matched = np.zeros(v.shape[1], dtype=bool)
+        matched = np.zeros(values.shape[1], dtype=bool)
         for (jlo, jhi) in plist:
-            chord = 0.5 * (v[jlo, :] + v[jhi, :])
-            matched |= np.abs(chord - v[i, :]) <= eps
+            chord = 0.5 * (values[jlo, :] + values[jhi, :])
+            matched |= np.abs(chord - values[i, :]) <= eps
         flags[i, :] = ~matched
-    return flags if axis == 0 else flags.T
+    return flags
 
 
 @dataclass
@@ -227,29 +232,24 @@ class ResidualReport:
         return float(self.super_violation.max(initial=0.0))
 
 
-def _flow_derivative(grid: ValueGrid, side: str) -> np.ndarray:
-    """D1 V(.; R^T p) or D2 V(.; Q^T q) at every node by one-sided differences."""
-    spec = grid.spec
-    if side == "p":
-        g = grid.p_grid
-        dirs = grid.p_grid.nodes @ spec.R  # row i: R^T p_i
-    else:
-        g = grid.q_grid
-        dirs = grid.q_grid.nodes @ spec.Q
+def _flow_derivative(g: SimplexGrid, G: np.ndarray, values: np.ndarray,
+                     cell: float) -> np.ndarray:
+    """D V(.; G^T x_i) at each row ``i`` of ``values`` (node ``x_i`` of ``g``), one-sided.
+
+    ``D1 V(.; R^T p)`` is ``(p_grid, R, V)`` and ``D2 V(.; Q^T q)`` is ``(q_grid, Q, V.T).T``.
+    """
+    dirs = g.nodes @ G  # row i: G^T x_i
     mags = np.abs(dirs).max(axis=1, initial=0.0)
-    out = np.zeros_like(grid.values)
     if not np.any(mags > 1e-14):
-        return out
-    cell = min(grid.p_grid.step, grid.q_grid.step)
+        return np.zeros_like(values)
     eps = np.where(mags > 1e-14, cell / np.maximum(mags, 1e-300), 0.0)
     moved = np.maximum(g.nodes + eps[:, None] * dirs, 0.0)
     idx, w = g.interp_weights(moved[:, : g.dim - 1])
-    vals = grid.values if side == "p" else grid.values.T
-    ahead = np.zeros_like(vals)
+    ahead = np.zeros_like(values)
     for a in range(idx.shape[1]):
-        ahead += w[:, a, None] * vals[idx[:, a], :]
-    quot = np.where(eps[:, None] > 0, (ahead - vals) / np.where(eps[:, None] > 0, eps[:, None], 1.0), 0.0)
-    return quot if side == "p" else quot.T
+        ahead += w[:, a, None] * values[idx[:, a], :]
+    moving = eps[:, None] > 0
+    return np.where(moving, (ahead - values) / np.where(moving, eps[:, None], 1.0), 0.0)
 
 
 def residual_check(grid: ValueGrid) -> ResidualReport:
@@ -269,9 +269,11 @@ def residual_check(grid: ValueGrid) -> ResidualReport:
     scale = float(np.abs(V).max(initial=0.0)) or 1.0
     N = max(grid.p_grid.resolution, grid.q_grid.resolution)
     eps_extreme = 10.0 / N**2 * scale
-    p_ext = _extreme_flags(V, _neighbor_pairs(grid.p_grid), eps_extreme, axis=0)
-    q_ext = _extreme_flags(V, _neighbor_pairs(grid.q_grid), eps_extreme, axis=1)
-    pde = spec.r * V - _flow_derivative(grid, "p") - _flow_derivative(grid, "q")
+    p_ext = _extreme_flags(V, _neighbor_pairs(grid.p_grid), eps_extreme)
+    q_ext = _extreme_flags(V.T, _neighbor_pairs(grid.q_grid), eps_extreme).T
+    cell = min(grid.p_grid.step, grid.q_grid.step)
+    pde = (spec.r * V - _flow_derivative(grid.p_grid, spec.R, V, cell)
+           - _flow_derivative(grid.q_grid, spec.Q, V.T, cell).T)
     if not np.all(np.isfinite(pde)):
         raise InputError("non-finite residual encountered")
     expr = np.maximum(np.minimum(pde, V - H), V - F)

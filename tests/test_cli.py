@@ -7,7 +7,7 @@ import stopgame.examples as ex
 from conftest import game_at
 from stopgame.cli import main
 from stopgame.grids import read_value_csv
-from stopgame.model import ChainSampler, philox_rng
+from stopgame.model import ChainSampler, GameSpec, philox_rng
 from stopgame.montecarlo import _blocks
 from stopgame.serialize import (strategy_from_descriptor, strategy_from_json,
                                 strategy_to_json)
@@ -56,12 +56,17 @@ def test_example_and_dual_outputs(game_files):
     assert len(lines) == 1 + 11 * 11
     assert {float(line.split(",")[1]) for line in lines[1:]} >= {-1.0, 3.0}  # cli.YBOX
 
-    # a negative lo needs the "=" form: argparse reads "-2,2" as a flag
+    # a negative lo, in the "=" form and in the spaced form
     e1dual = game_files["dir"] / "e1dual.csv"
-    assert main(["example", "e1", "--what", "dual", "--res", "4", "--ybox=-2,2",
+    for ybox, lo, hi in ((["--ybox=-2,2"], -2.0, 2.0), (["--ybox", "-2,2"], -2.0, 2.0),
+                         (["--ybox", "-1.5,-0.5"], -1.5, -0.5)):
+        assert main(["example", "e1", "--what", "dual", "--res", "4", *ybox,
+                     "--out", str(e1dual)]) == 0
+        ys = [float(line.split(",")[1]) for line in e1dual.read_text().strip().splitlines()[1:]]
+        assert (min(ys), max(ys)) == (lo, hi)
+    assert main(["dual", "--oracle", "e1", "--ybox", "-1,3", "--pres", "10", "--yres", "10",
                  "--out", str(e1dual)]) == 0
-    ys = [float(line.split(",")[1]) for line in e1dual.read_text().strip().splitlines()[1:]]
-    assert (min(ys), max(ys)) == (-2.0, 2.0)
+    assert e1dual.read_bytes() == dual.read_bytes()  # the default box, spelled out
 
 
 def test_strategy_simulate_verify_happy_path(game_files):
@@ -115,6 +120,44 @@ def test_verify_flags_wrong_strategy(game_files):
     code = main(["verify", "optimality", "--game", str(game_files["e2"]),
                  "--strategy", str(sfile), "--n", "4000", "--seed", "1"])
     assert code == 2
+
+
+def test_verify_never_stop_rule_without_chain(game_files):
+    # no chain, so no start law to check: both players never stop, the best
+    # response pays 0 and the claim of 0.5 is exploited by exactly 0.5
+    sfile = game_files["dir"] / "never.json"
+    sfile.write_text(json.dumps({"strategy": {"case": "never"}, "value_claim": 0.5}))
+    out = game_files["dir"] / "never_rep.json"
+    assert main(["verify", "optimality", "--game", str(game_files["e2"]),
+                 "--strategy", str(sfile), "--n", "500", "--out", str(out)]) == 2
+    data = json.loads(out.read_text())
+    assert data["best_response"] == 0.0 and data["gap"] == -0.5
+    assert data["std_error"] == 0.0 and data["stop_counts"]["never"] == 500
+
+
+def test_grid_on_one_state_side(game_files, e2_spec):
+    # e2's q side has one state: N and Nx1 give one q node, recorded as N_q = 1
+    d = game_files["dir"]
+    for grid in ("5", "5x1"):
+        out = d / f"e2_{grid}.csv"
+        assert main(["solve", "--game", str(game_files["e2"]), "--grid", grid,
+                     "--out", str(out)]) == 0
+        assert read_value_csv(out)[2].shape == (5, 1)
+        meta = json.loads((d / f"e2_{grid}.csv.meta.json").read_text())
+        assert (meta["N_p"], meta["N_q"]) == (4, 1)
+    assert (d / "e2_5.csv").read_bytes() == (d / "e2_5x1.csv").read_bytes()
+    # a one-state p side takes N or 1xM
+    mirrored = d / "k1.json"
+    mirrored.write_text(GameSpec(R=np.zeros((1, 1)), Q=e2_spec.R, r=e2_spec.r,
+                                 f=-e2_spec.h.T, h=-e2_spec.f.T, p0=[1.0],
+                                 q0=[0.5, 0.5]).to_json())
+    for grid in ("5", "1x5"):
+        assert main(["solve", "--game", str(mirrored), "--grid", grid,
+                     "--out", str(d / "k1.csv")]) == 0
+        meta = json.loads((d / "k1.csv.meta.json").read_text())
+        assert (meta["N_p"], meta["N_q"]) == (1, 4)
+    assert main(["solve", "--game", str(mirrored), "--grid", "5x5",
+                 "--out", str(d / "k1.csv")]) == 1
 
 
 def test_verify_rejects_mismatched_initial_law(game_files):
@@ -188,6 +231,12 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["example", "e1", "--ybox=-1,3", "--res", "2"],
         ["example", "e2", "--ybox", "garbage", "--res", "2"],
         ["example", "e2", "--ybox=-1,3", "--res", "2"],
+        ["example", "e2", "--ybox", "-1,3", "--res", "2"],
+        ["dual", "--oracle", "e1", "--ybox"],  # then --out: a flag, not a value
+        # --grid: a one-state side has one node
+        ["solve", "--game", str(game_files["e2"]), "--grid", "4x4"],
+        ["solve", "--game", str(game_files["e2"]), "--grid", "1x4"],
+        ["dual", "--game", str(game_files["e2"]), "--grid", "5x5", "--pres", "2", "--yres", "2"],
         ["example", "e2", "--h", "inf,2", "--res", "2"],
         ["strategy", "--family", "e2", "--p", "0.5", "--f", "1,nan"],
     ]
@@ -230,6 +279,9 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
                               "value_claim": 1.0},
         "scalar_state_times": {"strategy": {"case": "state_times", "times": 1.0},
                                "value_claim": 1.0},
+        "never_p0_only": {"strategy": {"case": "never", "p0": [0.5, 0.5]}, "value_claim": 0.5},
+        "never_R_only": {"strategy": {"case": "never", "R": [[0.0, 0.0], [0.0, 0.0]]},
+                         "value_claim": 0.5},
     }
     for i, horizon in enumerate((-1.0, 0.0, float("nan"), float("inf"))):
         bad_strategies[f"horizon{i}"] = edited(flow, horizon=horizon)

@@ -201,6 +201,34 @@ def test_dual_residual_lower_everywhere():
     assert worst <= 1e-3
 
 
+def _lower_reference(vstar, fstar, p, y, R, Q, r, eps=1e-7):
+    """The convex-conjugate residual pair written out, not mirrored."""
+    gap = vstar(p, y) - fstar(p, y)
+    dp = R.T @ p
+    dy = (r * np.eye(y.size) - Q) @ y
+    scale = max(1.0, float(np.abs(dp).max(initial=0.0)), float(np.abs(dy).max(initial=0.0)))
+    step = eps / scale
+    base = vstar(p, y)
+    ahead = vstar(p + step * dp, y + step * dy)
+    return float(gap), float(-((ahead - base) / step - r * base))
+
+
+def test_dual_residual_lower_mirror_is_bit_exact_with_moving_chains():
+    # R != Q and a second dual coordinate: passing the chains unswapped, or
+    # the wrong sign of y, would change the derivative term
+    R = np.array([[-1.0, 1.0], [0.6, -0.6]])
+    Q = np.array([[-0.8, 0.8], [1.2, -1.2]])
+    got, want = [], []
+    for p in np.linspace(0.0, 1.0, 9):
+        for y in np.linspace(-1.0, 3.0, 9):
+            pv, yv = pair(p), np.array([y, 0.25 * y - 0.5])
+            got.append(dual_pde_residual_lower(vstar_lower, fstar_lower, pv, yv, R, Q, r=0.8))
+            want.append(_lower_reference(vstar_lower, fstar_lower, pv, yv, R, Q, r=0.8))
+    got, want = np.array(got), np.array(want)
+    assert got.tobytes() == want.tobytes()  # sign bits included
+    assert np.count_nonzero(got[:, 1]) > 0.9 * got.shape[0]
+
+
 def test_dual_residual_first_term_on_absorbing_set():
     # on S = {(1, y >= 2)} the conjugate of h is attained: h_* - V_* = 0
     for y in [2.0, 2.5, 3.5]:

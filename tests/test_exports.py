@@ -1,6 +1,6 @@
 """Export lists resolve, the package keeps a single path type, options
-that only ever took one value stay constants, and importing the package
-loads no scipy."""
+that only ever took one value stay constants, no function switches
+between the p and q sides, and importing the package loads no scipy."""
 
 import ast
 import dataclasses
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import stopgame
-from stopgame import conjugate, examples, model, montecarlo, pdmp, solver
+from stopgame import conjugate, examples, grids, model, montecarlo, pdmp, solver
 from stopgame.model import GameSpec, PathBlock
 from stopgame.montecarlo import PureResponseFamily
 from stopgame.pdmp import Orbit, PdmpCharacteristics, ZPath
@@ -72,6 +72,21 @@ SIGNATURES = {
 @pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__qualname__)
 def test_one_value_options_stay_constants(fn):
     assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
+@pytest.mark.parametrize("module", [grids, solver, conjugate], ids=lambda m: m.__name__)
+def test_q_side_is_the_p_side_mirrored(module):
+    # the q side runs the p-side code on transposed or negated values, so no
+    # function switches between the sides, and there is no second envelope
+    functions = [obj for obj in vars(module).values()
+                 if inspect.isfunction(obj) and obj.__module__ == module.__name__]
+    for cls in vars(module).values():
+        if inspect.isclass(cls) and cls.__module__ == module.__name__:
+            functions += [obj for obj in vars(cls).values() if inspect.isfunction(obj)]
+    assert functions
+    assert [fn.__qualname__ for fn in functions
+            if {"side", "axis"} & set(inspect.signature(fn).parameters)] == []
+    assert not hasattr(grids, "_convex_envelope")
 
 
 def test_public_names_of_spec_and_characteristics():

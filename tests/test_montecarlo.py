@@ -201,10 +201,14 @@ def test_batched_responses_match_per_path_law(point, e1_spec, e2_spec, e2_params
     assert np.all(np.abs(m1 - m2) <= 4.0 * np.sqrt(var1 + var2) + 1e-12)
 
 
-def test_coarse_family_flag():
+def test_coarse_family_flag(tmp_path):
     # responder's optimum sits beyond the truncated grid: argmin lands on the
-    # largest finite time and the coarseness flag fires
+    # largest finite time and the coarseness flag fires, in the best
+    # response, the gap report and the verify JSON
+    import json
+
     import stopgame.model as model
+    from stopgame.cli import main
 
     R = np.array([[-1.0, 1.0], [1.0, -1.0]])
     spec = model.GameSpec(R=R, Q=np.zeros((1, 1)), r=0.01,
@@ -215,6 +219,21 @@ def test_coarse_family_flag():
     br = best_response_value(spec, NeverStopStrategy(), fam, n=2000, seed=10)
     assert br.coarse_flag
     assert br.argmin[0] == pytest.approx(0.6)
+    gap = exploit_gap(spec, NeverStopStrategy(), -2.0, fam, n=2000, seed=10)
+    assert gap.coarse_flag and gap.to_payload()["coarse_flag"] is True
+    assert gap.best_response == br.value
+    assert not exploit_gap(spec, NeverStopStrategy(), -math.inf, fam, 10).coarse_flag
+
+    game, strat, out = tmp_path / "g.json", tmp_path / "s.json", tmp_path / "r.json"
+    game.write_text(spec.to_json())
+    strat.write_text(json.dumps({"strategy": {"case": "never"}, "value_claim": -2.0}))
+    verify = ["verify", "optimality", "--game", str(game), "--strategy", str(strat),
+              "--n", "2000", "--seed", "10", "--out", str(out)]
+    # --times 1: one finite time, 1e-3/r = 0.1, short of the optimum
+    assert main(verify + ["--times", "1"]) == 0
+    assert json.loads(out.read_text())["coarse_flag"] is True
+    assert main(verify) == 0  # the default grid reaches the discount horizon
+    assert json.loads(out.read_text())["coarse_flag"] is False
 
 
 def test_exhaustive_flag(e1_spec, e2_spec):

@@ -11,7 +11,7 @@ from conftest import flat, z1, z2
 from stopgame.errors import InputError, IntegrityError
 from stopgame.model import ChainSampler, PathBlock, philox_rng
 from stopgame.montecarlo import _blocks, belief_consistency, survivor_counts
-from stopgame.pdmp import (FlowIntensityStrategy, NeverStopStrategy,
+from stopgame.pdmp import (ConstantTimeStrategy, FlowIntensityStrategy, NeverStopStrategy,
                            SplitThenFlowStrategy, StopNowStrategy, build_mu,
                            integrate_flow, sc_check, simulate_Z)
 
@@ -359,6 +359,19 @@ def test_belief_consistency_never_stop(e2_params):
     np.testing.assert_allclose(rep.predicted,
                                marginal_flow([0.2, 0.8], e2_params.R, 0.7),
                                atol=1e-12)
+
+
+def test_belief_consistency_needs_a_start_law(e2_params):
+    # a rule without a chain has no belief to check: an input error, not a crash
+    for strat in (NeverStopStrategy(), ConstantTimeStrategy(1.0)):
+        assert strat.initial_belief() is None
+        with pytest.raises(InputError):
+            belief_consistency(strat, e2_params.R, 1.0, 200)
+    # the chain comes whole or not at all
+    with pytest.raises(InputError):
+        NeverStopStrategy(R=e2_params.R)
+    with pytest.raises(InputError):
+        NeverStopStrategy(p0=[0.2, 0.8])
 
 
 def test_belief_consistency_inconclusive_flag(e1_char):

@@ -127,21 +127,23 @@ def test_solve_stops_on_first_non_finite_sweep(e1_spec, monkeypatch):
     import stopgame.solver as solver
     from stopgame.errors import ConvergenceError
 
-    # a blow-up inside the sweep must end the solve at once, not after max_iter
-    sweeps = []
+    # a blow-up inside the sweep must end the solve at once, not after max_iter;
+    # each sweep calls the envelope twice (p side, then the mirrored q side),
+    # so the third call is sweep 2's p side and the solve ends after call 4
+    calls = []
     real = solver._concave_envelope
 
     def poisoned(chart, v, alive):
-        sweeps.append(1)
+        calls.append(1)
         out, alive = real(chart, v, alive)
-        if len(sweeps) == 2:
+        if len(calls) == 3:
             out[0, 0] = math.nan
         return out, alive
 
     monkeypatch.setattr(solver, "_concave_envelope", poisoned)
     with pytest.raises(ConvergenceError) as err:
         solve(e1_spec, 10, 10, tol=1e-300, max_iter=1000)
-    assert len(sweeps) == 2 and not math.isfinite(err.value.residual)
+    assert len(calls) == 4 and not math.isfinite(err.value.residual)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
@@ -297,6 +299,67 @@ def test_residual_bump_on_solved_grid(e1_solved):
     report = residual_check(e1_solved.with_values(bumped))
     assert report.sub_violation[i, j] >= 0.05
     assert report.worst_sub_violation > base.worst_sub_violation + 0.04
+
+
+def _residual_reference(grid):
+    """residual_check with the p and q sides written out, not mirrored."""
+    from stopgame.solver import _neighbor_pairs
+
+    spec, V = grid.spec, grid.values
+    H, F = payoff_grids(spec, grid.p_grid, grid.q_grid)
+    N = max(grid.p_grid.resolution, grid.q_grid.resolution)
+    eps_extreme = 10.0 / N**2 * (float(np.abs(V).max(initial=0.0)) or 1.0)
+    p_ext = np.ones(V.shape, dtype=bool)
+    for i, plist in enumerate(_neighbor_pairs(grid.p_grid)):
+        for (jlo, jhi) in plist:
+            p_ext[i, :] &= ~(np.abs(0.5 * (V[jlo, :] + V[jhi, :]) - V[i, :]) <= eps_extreme)
+    q_ext = np.ones(V.shape, dtype=bool)
+    for j, qlist in enumerate(_neighbor_pairs(grid.q_grid)):
+        for (jlo, jhi) in qlist:
+            q_ext[:, j] &= ~(np.abs(0.5 * (V[:, jlo] + V[:, jhi]) - V[:, j]) <= eps_extreme)
+    cell = min(grid.p_grid.step, grid.q_grid.step)
+    pde = spec.r * V
+    for g, G, vals in ((grid.p_grid, spec.R, V), (grid.q_grid, spec.Q, V.T)):
+        dirs = g.nodes @ G
+        mags = np.abs(dirs).max(axis=1, initial=0.0)
+        if not np.any(mags > 1e-14):
+            continue
+        eps = np.where(mags > 1e-14, cell / np.maximum(mags, 1e-300), 0.0)
+        idx, w = g.interp_weights(np.maximum(g.nodes + eps[:, None] * dirs, 0.0)[:, : g.dim - 1])
+        ahead = np.zeros_like(vals)
+        for a in range(idx.shape[1]):
+            ahead += w[:, a, None] * vals[idx[:, a], :]
+        quot = np.where(eps[:, None] > 0,
+                        (ahead - vals) / np.where(eps[:, None] > 0, eps[:, None], 1.0), 0.0)
+        pde = pde - (quot if vals is V else quot.T)
+    expr = np.maximum(np.minimum(pde, V - H), V - F)
+    return {"p_extreme": p_ext, "q_extreme": q_ext, "gap_low": V - H, "gap_high": F - V,
+            "pde_residual": pde, "eps_extreme": eps_extreme,
+            "sub_violation": np.where(p_ext, np.maximum(expr, 0.0), 0.0),
+            "super_violation": np.where(q_ext, np.maximum(-expr, 0.0), 0.0)}
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_residual_check_mirror_is_bit_exact(K):
+    # moving chains on both sides with N_p != N_q (13x9 nodes), and a 3-state
+    # p side against a 2-state q side: the q side runs the p-side helpers on
+    # V.T, and must equal the written-out q formulas bit for bit
+    if K == 2:
+        spec, N_p, N_q = _moving_game(), 12, 8
+    else:
+        spec = GameSpec(R=[[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 1.0, -2.0]],
+                        Q=[[-0.8, 0.8], [1.2, -1.2]], r=0.7,
+                        f=[[2.0, 1.0], [0.5, 1.5], [0.1, 2.5]],
+                        h=[[1.0, -1.0], [-1.0, 0.0], [-1.0, -0.5]],
+                        p0=[1 / 3, 1 / 3, 1 / 3], q0=[0.5, 0.5])
+        N_p, N_q = 6, 6
+    grid = solve(spec, N_p, N_q, tol=1e-8)
+    report, want = residual_check(grid), _residual_reference(grid)
+    for name, value in want.items():
+        got = getattr(report, name)
+        assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), name
+    assert report.q_extreme.sum() < report.q_extreme.size  # some q chords matched
+    assert np.any(report.pde_residual != spec.r * grid.values)
 
 
 def test_solve_three_state_frozen_chain():
