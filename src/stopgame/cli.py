@@ -20,10 +20,10 @@ from .errors import InputError, IntegrityError, StopGameError
 from .grids import write_value_csv
 from .model import GameSpec, philox_rng
 from .montecarlo import PureResponseFamily, exploit_gap
-from .pdmp import InitialStateTimeStrategy, simulate_Z
+from .pdmp import (FlowIntensityStrategy, InitialStateTimeStrategy, SplitThenFlowStrategy,
+                   simulate_Z)
 from . import examples as ex
-from .serialize import (characteristics_from_params, strategy_from_json,
-                        strategy_to_json)
+from .serialize import strategy_from_json, strategy_to_json
 from .solver import solve
 from .conjugate import convex_conjugate_q, pair, ycoord
 
@@ -69,11 +69,20 @@ def _build_parser() -> _Parser:
                 description="solve, dualize, simulate and verify two-player "
                             "stopping games with privately observed chains")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the e2 game's parameters, for example and strategy
+    e2 = argparse.ArgumentParser(add_help=False)
+    e2.add_argument("--r", type=float, help="discount rate (default 0.1 for e2, 1 for an "
+                                            "e1 strategy)")
+    e2.add_argument("--a", type=float, help="e2 only (default 1)")
+    e2.add_argument("--b", type=float, help="e2 only (default 1)")
+    e2.add_argument("--h", help="e2 only: h(0),h(1) chart endpoints (default 0.5,2)")
+    e2.add_argument("--f", help="e2 only: f(0),f(1) chart endpoints (default 1,3)")
 
     s = sub.add_parser("solve", help="compute the value grid of a game")
     s.add_argument("--game", required=True)
-    s.add_argument("--grid", default="201", help="nodes per side, N or NxM; a one-state "
-                                                 "side has one node (N, Nx1 or 1xM)")
+    s.add_argument("--grid", default="201", help="nodes per side, N or NxM: at least 2 on a "
+                                                 "side with two or more states, and one node "
+                                                 "(N, Nx1 or 1xM) on a one-state side")
     s.add_argument("--tol", type=_positive_float, default=1e-7)
     s.add_argument("--max-iter", type=_positive_int, default=200_000)
     s.add_argument("--out", required=True)
@@ -89,27 +98,17 @@ def _build_parser() -> _Parser:
     d.add_argument("--pres", type=_positive_int, default=200)
     d.add_argument("--out", required=True)
 
-    e = sub.add_parser("example", help="emit closed-form benchmark curves")
+    e = sub.add_parser("example", parents=[e2], help="emit closed-form benchmark curves")
     e.add_argument("which", choices=["e1", "e2"])
     e.add_argument("--what", default="value",
                    choices=["value", "dual", "pure", "blind"])
-    e.add_argument("--r", type=float, help="e2 only (default 0.1)")
-    e.add_argument("--a", type=float, help="e2 only (default 1)")
-    e.add_argument("--b", type=float, help="e2 only (default 1)")
-    e.add_argument("--h", help="e2 only: h(0),h(1) chart endpoints (default 0.5,2)")
-    e.add_argument("--f", help="e2 only: f(0),f(1) chart endpoints (default 1,3)")
     e.add_argument("--res", type=_positive_int, default=200)
     e.add_argument("--ybox", help="e1 --what dual only: y range as for dual "
                                   f"(default {YBOX})")
     e.add_argument("--out", required=True)
 
-    t = sub.add_parser("strategy", help="build an optimal-strategy descriptor")
+    t = sub.add_parser("strategy", parents=[e2], help="build an optimal-strategy descriptor")
     t.add_argument("--family", required=True, choices=["e1", "e2"])
-    t.add_argument("--r", type=float, help="default 1 for e1, 0.1 for e2")
-    t.add_argument("--a", type=float, help="e2 only (default 1)")
-    t.add_argument("--b", type=float, help="e2 only (default 1)")
-    t.add_argument("--h", help="e2 only (default 0.5,2)")
-    t.add_argument("--f", help="e2 only (default 1,3)")
     t.add_argument("--p", type=float, required=True)
     t.add_argument("--q", type=float, default=0.5)
     t.add_argument("--out", required=True)
@@ -134,8 +133,9 @@ def _build_parser() -> _Parser:
 def _parse_grid(text: str, spec: GameSpec) -> tuple[int, int]:
     """Node counts per side ("201x201" or "401") -> grid resolutions.
 
-    A one-state side has one node: it takes ``N`` or a count of 1, and its
-    resolution is 1.
+    A side with two or more states takes at least 2 nodes.  A one-state
+    side has one node: it takes ``N`` or a count of 1, and its resolution
+    is 1.
     """
     parts = text.lower().split("x")
     try:
@@ -144,12 +144,15 @@ def _parse_grid(text: str, spec: GameSpec) -> tuple[int, int]:
         counts = []
     if len(counts) == 1:
         counts = [1 if states == 1 else counts[0] for states in (spec.K, spec.L)]
-    if len(counts) != 2 or min(counts) < 1:
+    if len(counts) != 2:
         raise InputError(f"bad --grid value {text!r}, expected nodes N or NxM")
     for side, states, count in (("p", spec.K, counts[0]), ("q", spec.L, counts[1])):
         if states == 1 and count != 1:
             raise InputError(f"bad --grid value {text!r}: the {side} side has one state, "
                              "so one node (N or a count of 1)")
+        if states > 1 and count < 2:
+            raise InputError(f"bad --grid value {text!r}: the {side} side has {states} "
+                             "states, so at least 2 nodes")
     return max(counts[0] - 1, 1), max(counts[1] - 1, 1)
 
 
@@ -175,6 +178,14 @@ def _read_game(path: str) -> GameSpec:
     if not p.is_file():
         raise InputError(f"game file not found: {path}")
     return GameSpec.from_json(p.read_text())
+
+
+def _read_strategy(path: str):
+    """``(strategy, value_claim_or_None)`` from a strategy file."""
+    p = Path(path)
+    if not p.is_file():
+        raise InputError(f"strategy file not found: {path}")
+    return strategy_from_json(p.read_text())
 
 
 def _check_out(path: str) -> Path:
@@ -316,16 +327,13 @@ def _cmd_strategy(args) -> int:
 
 def _cmd_simulate(args) -> int:
     out = _check_out(args.out)
-    path_file = Path(args.strategy)
-    if not path_file.is_file():
-        raise InputError(f"strategy file not found: {args.strategy}")
-    strat, _ = strategy_from_json(path_file.read_text())
-    desc = strat.descriptor()
-    if "characteristics" not in desc:
-        raise InputError(f"{desc['case']!r} strategies carry no auxiliary process")
-    char = characteristics_from_params(desc["characteristics"])
-    z0 = np.asarray(desc.get("z_flow", desc.get("z")), dtype=float)
-    zpath = simulate_Z(char, z0, args.horizon, philox_rng(args.seed))
+    strat, _ = _read_strategy(args.strategy)
+    # a split rule's process starts from its flow start
+    flow = strat.flow if isinstance(strat, SplitThenFlowStrategy) else strat
+    if not isinstance(flow, FlowIntensityStrategy):
+        raise InputError(f"{strat.case!r} strategies carry no auxiliary process")
+    char = flow.char
+    zpath = simulate_Z(char, flow.z0, args.horizon, philox_rng(args.seed))
     rows = []
     for t, z in zip(zpath.ts, zpath.zs):
         rows.append((float(t), *map(float, z), 0))
@@ -340,10 +348,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _read_game(args.game)
-    path_file = Path(args.strategy)
-    if not path_file.is_file():
-        raise InputError(f"strategy file not found: {args.strategy}")
-    strat, claim = strategy_from_json(path_file.read_text())
+    strat, claim = _read_strategy(args.strategy)
     if claim is None:
         raise InputError("strategy file carries no value_claim to verify against")
     belief = strat.initial_belief()  # None: the rule carries no start law

@@ -10,7 +10,8 @@ Two transforms appear, one per player:
 Player 2's problem is player 1's with the players swapped and the payoff
 negated, so the q-side objects are the p-side ones on mirrored values:
 :func:`convex_conjugate_q` negates an infimum over q, and
-:func:`dual_pde_residual_lower` is :func:`dual_pde_residual_upper` of the
+:func:`obstacle_conjugate_q` and :func:`dual_pde_residual_lower` are
+:func:`obstacle_conjugate_p` and :func:`dual_pde_residual_upper` of the
 swapped game.
 
 For two-state sides everything reduces to the scalar chart: we write
@@ -126,9 +127,9 @@ def obstacle_conjugate_p(M, x, q) -> float:
 
 
 def obstacle_conjugate_q(M, p, y) -> float:
-    """Convex conjugate in q of a bilinear payoff: max_l y_l - (M^T p)_l."""
-    M = np.asarray(M, dtype=float)
-    return float(np.max(np.asarray(y, dtype=float) - M.T @ as_simplex(p)))
+    """Convex conjugate in q of a bilinear payoff, max_l y_l - (M^T p)_l: minus the
+    p-side conjugate of the swapped game, ``-obstacle_conjugate_p(-M^T, -y, p)``."""
+    return -obstacle_conjugate_p(-np.asarray(M, dtype=float).T, -np.asarray(y, dtype=float), p)
 
 
 def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:

@@ -473,7 +473,7 @@ def e2_characteristics(params: Example2Params) -> PdmpCharacteristics:
     return PdmpCharacteristics(
         dim_p=2, dim_y=0, r=params.r, A=A, alpha=alpha, lam=lam,
         phi=lambda z: target.copy(), in_EH=in_EH, in_S=in_S,
-        split=split, snap=snap, quiescent=lambda z: False,
+        split=split, snap=snap,
         params={"kind": "example2", "a": params.a, "b": params.b, "r": params.r,
                 "h": [params.h0, params.h1], "f": [params.f0, params.f1]})
 

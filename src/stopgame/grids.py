@@ -273,10 +273,8 @@ class ValueGrid:
                 f"({self.p_grid.n_nodes}, {self.q_grid.n_nodes})"
             )
 
-    def with_values(self, values: np.ndarray, **meta) -> "ValueGrid":
-        md = dict(self.metadata)
-        md.update(meta)
-        return ValueGrid(self.p_grid, self.q_grid, values, self.spec, md)
+    def with_values(self, values: np.ndarray) -> "ValueGrid":
+        return ValueGrid(self.p_grid, self.q_grid, values, self.spec, dict(self.metadata))
 
     @classmethod
     def from_function(cls, spec: GameSpec, fn, N_p: int, N_q: int) -> "ValueGrid":
@@ -288,21 +286,15 @@ class ValueGrid:
                 vals[i, j] = fn(p, q)
         return cls(pg, qg, vals, spec)
 
-    def interpolate(self, p_points: np.ndarray, q_points: np.ndarray) -> np.ndarray:
-        """Values at paired points given by full simplex coordinates."""
-        p_pts = np.atleast_2d(np.asarray(p_points, dtype=float))
-        q_pts = np.atleast_2d(np.asarray(q_points, dtype=float))
-        ip, wp = self.p_grid.interp_weights(p_pts[:, : self.p_grid.dim - 1])
-        iq, wq = self.q_grid.interp_weights(q_pts[:, : self.q_grid.dim - 1])
-        out = np.zeros(p_pts.shape[0])
+    def value_at(self, p, q) -> float:
+        """The interpolated value at ``(p, q)``, both in full simplex coordinates."""
+        ip, wp = self.p_grid.interp_weights(np.asarray(p, dtype=float)[: self.p_grid.dim - 1])
+        iq, wq = self.q_grid.interp_weights(np.asarray(q, dtype=float)[: self.q_grid.dim - 1])
+        out = 0.0
         for a in range(ip.shape[1]):
             for b in range(iq.shape[1]):
-                out += wp[:, a] * wq[:, b] * self.values[ip[:, a], iq[:, b]]
-        return out
-
-    def value_at(self, p, q) -> float:
-        return float(self.interpolate(np.asarray(p, dtype=float)[None, :],
-                                      np.asarray(q, dtype=float)[None, :])[0])
+                out += wp[0, a] * wq[0, b] * self.values[ip[0, a], iq[0, b]]
+        return float(out)
 
 
 def payoff_grids(spec: GameSpec, p_grid: SimplexGrid, q_grid: SimplexGrid):

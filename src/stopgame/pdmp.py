@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, IntegrityError
-from .model import PathBlock, as_simplex, marginal_flow
+from .model import PathBlock, as_generator, as_simplex, marginal_flow
 
 __all__ = [
     "PdmpCharacteristics", "Orbit", "integrate_flow", "ZPath", "simulate_Z",
@@ -50,7 +50,9 @@ _MAX_FLOW_STEPS = 2_000_000
 # sc_check follows each E_H sample's orbit this far, at this step, for sc2
 _SC_FLOW_HORIZON = 0.2
 _SC_FLOW_DT = 2e-3
-# largest gap from affinity of V_* along a split that a split rule accepts
+# largest distance of a split's average from its start point, and gap from
+# affinity of V_* along it, that a split rule accepts
+_SPLIT_RECON_TOL = 1e-9
 _SPLIT_AFFINE_TOL = 1e-6
 # inter-jump segments a flow rule draws thresholds for at a time, per path
 _SEGMENT_COLUMNS = 32
@@ -96,10 +98,6 @@ class PdmpCharacteristics:
         if self.A.shape != (dim, dim):
             raise InputError(f"drift matrix must be {dim}x{dim}")
 
-    @property
-    def dim(self) -> int:
-        return self.dim_p + self.dim_y
-
     def p_part(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float)[: self.dim_p]
 
@@ -143,12 +141,15 @@ def _lerp(ts: np.ndarray, values: np.ndarray, t: float):
     return (1 - w) * values[i] + w * values[i + 1]
 
 
-def _rk4(alpha, z, h):
+def _step(char: PdmpCharacteristics, z: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of the drift from ``z``, snapped by ``char.snap`` when there is one."""
+    alpha = char.alpha
     k1 = alpha(z)
     k2 = alpha(z + 0.5 * h * k1)
     k3 = alpha(z + 0.5 * h * k2)
     k4 = alpha(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return z if char.snap is None else char.snap(z)
 
 
 def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
@@ -161,7 +162,8 @@ def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
     an :class:`IntegrityError` is raised.  Sampling stops at a stationary
     point (exact for an autonomous field) and at the first quiescent
     state, where the intensity is zero from then on; more than
-    ``_MAX_FLOW_STEPS`` steps is an :class:`IntegrityError`.
+    ``_MAX_FLOW_STEPS`` steps is an :class:`IntegrityError`.  A start in
+    ``S`` is a one-sample orbit; one outside ``E`` is an :class:`InputError`.
     """
     z = np.asarray(z0, dtype=float).copy()
     if char.in_S(z):
@@ -185,17 +187,12 @@ def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
             stationary = True
             break
         h = min(dt / max(1.0, speed), horizon - t)
-        z_new = _rk4(char.alpha, z, h)
-        if char.snap is not None:
-            z_new = char.snap(z_new)
+        z_new = _step(char, z, h)
         if not char.in_EH(z_new):
             lo, hi = 0.0, h
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                cand = _rk4(char.alpha, z, mid)
-                if char.snap is not None:
-                    cand = char.snap(cand)
-                if char.in_EH(cand):
+                if char.in_EH(_step(char, z, mid)):
                     lo = mid
                 else:
                     hi = mid
@@ -204,9 +201,7 @@ def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
                     "flow exits E_H: the drift pushes outward at the boundary "
                     f"(|alpha| = {speed:.3e} at t = {t:.6f})")
             h = lo
-            z_new = _rk4(char.alpha, z, h)
-            if char.snap is not None:
-                z_new = char.snap(z_new)
+            z_new = _step(char, z, h)
         t += h
         z = z_new
         ts.append(t)
@@ -239,20 +234,14 @@ class _Hazard:
     @classmethod
     def conditional(cls, char: PdmpCharacteristics, orbit: Orbit) -> "_Hazard":
         """Stopping hazard per own-chain state: ``lam(z) * phi_p(z)[k] / p[k]``, 0/0 = 0."""
-        K = char.dim_p
-        rho = np.zeros((orbit.ts.size, K))
-        for i, li in enumerate(orbit.lams):
-            if li <= 0.0:
-                continue
-            p = char.p_part(orbit.zs[i])
-            phi_p = char.p_part(char.phi(orbit.zs[i]))
-            for k in range(K):
-                if p[k] > _ZERO_P:
-                    rho[i, k] = li * phi_p[k] / p[k]
-                elif phi_p[k] > 1e-9:
-                    raise IntegrityError(
-                        "jump target puts mass on a state the belief excludes "
-                        "(support shrinkage violated along the orbit)")
+        rho = np.zeros((orbit.ts.size, char.dim_p))
+        on = orbit.lams > 0.0
+        p = orbit.zs[on, : char.dim_p]
+        target = np.array([char.p_part(char.phi(z)) for z in orbit.zs[on]]).reshape(p.shape)
+        if np.any(target[p <= _ZERO_P] > 1e-9):
+            raise IntegrityError("jump target puts mass on a state the belief excludes "
+                                 "(support shrinkage violated along the orbit)")
+        rho[on] = _conditional_share(orbit.lams[on, None], target, p)
         return cls(orbit, rho)
 
     def inverse(self, k: np.ndarray, t0: np.ndarray, excess: np.ndarray) -> np.ndarray:
@@ -282,6 +271,11 @@ class _Hazard:
         return np.where(i > last, np.maximum(ts[-1] + tail, t0), t)
 
 
+def _conditional_share(mass, target: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Stop chance (or rate) given own state ``k``, ``mass * target[k] / p[k]``, 0/0 = 0."""
+    return np.divide(mass * target, p, out=np.zeros(np.shape(p)), where=p > _ZERO_P)
+
+
 @dataclass
 class ZPath:
     """One sampled PDMP path: deterministic segment, at most one jump, absorption."""
@@ -308,13 +302,9 @@ def simulate_Z(char: PdmpCharacteristics, z0, horizon: float,
     """Sample the auxiliary process: flow, one jump, absorption in S.
 
     The jump comes where the cumulative intensity along the orbit reaches
-    one ``Exp(1)`` draw.
+    one ``Exp(1)`` draw.  The start rules are :func:`integrate_flow`'s;
+    pass exterior points through a split.
     """
-    z0 = np.asarray(z0, dtype=float)
-    if char.in_S(z0):
-        return ZPath(np.array([0.0]), z0[None, :], math.inf, None)
-    if not char.in_EH(z0):
-        raise InputError("simulate_Z starts in E (pass exterior points through a split)")
     orbit = integrate_flow(char, z0, horizon)
     jump_time = float(_Hazard(orbit, orbit.lams[:, None]).inverse(
         np.zeros(1, dtype=np.intp), np.zeros(1), np.array([rng.exponential()]))[0])
@@ -357,6 +347,16 @@ class StructureReport:
             lines.append(f"  {name}: {'ok' if ok else 'FAIL'}{extra}")
         lines.extend(f"  ! {msg}" for msg in self.failures[:8])
         return "\n".join(lines)
+
+
+def _split_defects(char: PdmpCharacteristics, z, z_flow, z_stop, m: float,
+                   vstar=None) -> tuple[bool, float, float]:
+    """Whether the pieces lie in ``E_H x S`` with ``m`` in [0, 1], the distance of their
+    average from ``z``, and the gap of ``V_*`` from affinity (0 without ``vstar``)."""
+    pieces = bool(char.in_EH(z_flow) and char.in_S(z_stop) and 0.0 <= m <= 1.0)
+    recon = float(np.abs((1 - m) * z_flow + m * z_stop - z).max())
+    gap = 0.0 if vstar is None else abs(vstar(z) - (1 - m) * vstar(z_flow) - m * vstar(z_stop))
+    return pieces, recon, gap
 
 
 def _directional(vstar, z, d, eps=1e-7):
@@ -441,13 +441,11 @@ def sc_check(char: PdmpCharacteristics, vstar, samples, tol: float = 1e-6) -> St
         z_flow, z_stop, m = char.split(z)
         z_flow = np.asarray(z_flow, dtype=float)
         z_stop = np.asarray(z_stop, dtype=float)
-        record("sc5_split", 0.0 if (char.in_EH(z_flow) and char.in_S(z_stop)
-                                    and 0.0 <= m <= 1.0) else 1.0,
-               0.5, f"split of {z} leaves its pieces outside E_H x S")
-        recon = float(np.abs((1 - m) * z_flow + m * z_stop - z).max())
-        record("sc5_split", recon, 1e-9, f"split of {z} does not average back")
-        mix = abs(vstar(z) - (1 - m) * vstar(z_flow) - m * vstar(z_stop))
-        record("sc5_split", mix, tol, f"V_* not affine along the split of {z}")
+        pieces, recon, gap = _split_defects(char, z, z_flow, z_stop, m, vstar)
+        record("sc5_split", 0.0 if pieces else 1.0, 0.5,
+               f"split of {z} leaves its pieces outside E_H x S")
+        record("sc5_split", recon, _SPLIT_RECON_TOL, f"split of {z} does not average back")
+        record("sc5_split", gap, tol, f"V_* not affine along the split of {z}")
 
     return StructureReport(ok, worst, failures, counts, tol)
 
@@ -505,8 +503,10 @@ class NeverStopStrategy(MixedStoppingStrategy):
     def __init__(self, R=None, p0=None):
         if (R is None) != (p0 is None):
             raise InputError("a never-stop rule takes the chain's R and p0 together or neither")
-        self.R = None if R is None else np.asarray(R, dtype=float)
+        self.R = None if R is None else as_generator(R)
         self.p0 = None if p0 is None else as_simplex(p0)
+        if R is not None and self.R.shape != (self.p0.size,) * 2:
+            raise InputError(f"a never-stop rule's R must be KxK with K = {self.p0.size}")
 
     def stopping_times(self, paths, rng):
         return np.full(paths.n, math.inf)
@@ -654,16 +654,13 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
         z = np.asarray(z, dtype=float)
         z_flow = np.asarray(z_flow, dtype=float)
         z_stop = np.asarray(z_stop, dtype=float)
-        if not (0.0 <= m <= 1.0):
-            raise InputError("split mass must lie in [0, 1]")
-        if float(np.abs((1 - m) * z_flow + m * z_stop - z).max()) > 1e-9:
+        pieces, recon, gap = _split_defects(char, z, z_flow, z_stop, m, vstar)
+        if not pieces:
+            raise InputError("split pieces must lie in E_H and S, with mass m in [0, 1]")
+        if not recon <= _SPLIT_RECON_TOL:  # NaN fails too
             raise InputError("split does not average back to the start point")
-        if not char.in_EH(z_flow) or not char.in_S(z_stop):
-            raise InputError("split pieces must lie in E_H and S")
-        if vstar is not None:
-            gap = abs(vstar(z) - (1 - m) * vstar(z_flow) - m * vstar(z_stop))
-            if gap > _SPLIT_AFFINE_TOL:
-                raise InputError(f"V_* is not affine along the split (gap {gap:.3e})")
+        if gap > _SPLIT_AFFINE_TOL:
+            raise InputError(f"V_* is not affine along the split (gap {gap:.3e})")
         self.char = char
         self.z = z
         self.m = float(m)
@@ -671,9 +668,8 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
         self.flow = FlowIntensityStrategy(char, z_flow, horizon)
         self.note = SPLIT_NOTE
         # time-zero stop probability given the own initial state k
-        p, stop = char.p_part(z), char.p_part(z_stop)
-        self.stop_prob = np.array([0.0 if p[k] <= _ZERO_P else min(1.0, self.m * stop[k] / p[k])
-                                   for k in range(char.dim_p)])
+        self.stop_prob = np.minimum(1.0, _conditional_share(self.m, char.p_part(z_stop),
+                                                            char.p_part(z)))
 
     def initial_belief(self) -> np.ndarray:
         return self.char.p_part(self.z)

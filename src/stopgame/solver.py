@@ -170,11 +170,6 @@ def directional_derivative(grid: ValueGrid, node, dir_p, dir_q) -> float:
 
 def _neighbor_pairs(grid: SimplexGrid):
     """For each node, index pairs of equidistant straddling neighbors."""
-    if grid.dim == 1:
-        return [[] for _ in range(grid.n_nodes)]
-    if grid.dim == 2:
-        n = grid.n_nodes
-        return [[(i - 1, i + 1)] if 0 < i < n - 1 else [] for i in range(n)]
     counts = np.rint(grid.nodes * grid.resolution).astype(int)
     lookup = {tuple(c): i for i, c in enumerate(counts)}
     dim = grid.dim

@@ -237,6 +237,11 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["solve", "--game", str(game_files["e2"]), "--grid", "4x4"],
         ["solve", "--game", str(game_files["e2"]), "--grid", "1x4"],
         ["dual", "--game", str(game_files["e2"]), "--grid", "5x5", "--pres", "2", "--yres", "2"],
+        # --grid: a side with two or more states has at least 2 nodes
+        ["solve", "--game", str(game_files["e1"]), "--grid", "1"],
+        ["solve", "--game", str(game_files["e1"]), "--grid", "1x5"],
+        ["solve", "--game", str(game_files["e1"]), "--grid", "5x1"],
+        ["dual", "--game", str(game_files["e1"]), "--grid", "1", "--pres", "2", "--yres", "2"],
         ["example", "e2", "--h", "inf,2", "--res", "2"],
         ["strategy", "--family", "e2", "--p", "0.5", "--f", "1,nan"],
     ]
@@ -282,6 +287,11 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         "never_p0_only": {"strategy": {"case": "never", "p0": [0.5, 0.5]}, "value_claim": 0.5},
         "never_R_only": {"strategy": {"case": "never", "R": [[0.0, 0.0], [0.0, 0.0]]},
                          "value_claim": 0.5},
+        "never_R_too_small": {"strategy": {"case": "never", "R": [[0.0]], "p0": [0.5, 0.5]},
+                              "value_claim": 0.5},
+        "never_R_not_generator": {"strategy": {"case": "never", "R": [[1.0, -1.0], [0.0, 0.0]],
+                                               "p0": [0.5, 0.5]}, "value_claim": 0.5},
+        "nan_split_z": edited(split, z=[float("nan")] * 4),
     }
     for i, horizon in enumerate((-1.0, 0.0, float("nan"), float("inf"))):
         bad_strategies[f"horizon{i}"] = edited(flow, horizon=horizon)
@@ -303,6 +313,41 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "Traceback" not in err, argv
         assert not out.exists(), argv
+
+
+def test_simulate_split_rule_starts_at_its_flow_start(game_files, capsys):
+    # the first row is the rule's z_flow, and the path is the one the
+    # descriptor's own characteristics give from there
+    from stopgame.cli import _grid_csv_rows
+    from stopgame.model import philox_rng
+    from stopgame.pdmp import simulate_Z
+    from stopgame.serialize import characteristics_from_params
+
+    d = game_files["dir"]
+    for name, flags in (("e1", ["--p", "0.75", "--q", "0.75"]), ("e2", ["--p", "0.6"])):
+        sfile, trace = d / f"split_{name}.json", d / f"split_{name}.csv"
+        assert main(["strategy", "--family", name, *flags, "--out", str(sfile)]) == 0
+        desc = json.loads(sfile.read_text())["strategy"]
+        assert desc["case"] == "split"
+        assert main(["simulate", "--strategy", str(sfile), "--horizon", "5", "--seed", "3",
+                     "--out", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        assert [float(x) for x in lines[1].split(",")] == [0.0, *desc["z_flow"], 0.0]
+        zpath = simulate_Z(characteristics_from_params(desc["characteristics"]),
+                           desc["z_flow"], 5.0, philox_rng(3))
+        rows = [(float(t), *map(float, z), 0) for t, z in zip(zpath.ts, zpath.zs)]
+        if zpath.jumped:
+            rows.append((float(zpath.jump_time), *map(float, zpath.post_jump), 1))
+        assert trace.read_text() == _grid_csv_rows(lines[0], rows)
+    # rules without a flow carry no auxiliary process
+    for desc in ({"case": "stop_now"}, {"case": "constant_time", "time": 1.0}):
+        sfile = d / f"{desc['case']}.json"
+        sfile.write_text(json.dumps({"strategy": desc}))
+        capsys.readouterr()
+        assert main(["simulate", "--strategy", str(sfile), "--out", str(d / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "carry no auxiliary process" in err
+        assert not (d / "x.csv").exists()
 
 
 def test_strategy_descriptor_roundtrip(e2_params):

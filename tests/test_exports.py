@@ -1,6 +1,7 @@
 """Export lists resolve, the package keeps a single path type, options
 that only ever took one value stay constants, no function switches
-between the p and q sides, and importing the package loads no scipy."""
+between the p and q sides, the CLI reads strategies through the loaded
+rule, and importing the package loads no scipy."""
 
 import ast
 import dataclasses
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import stopgame
-from stopgame import conjugate, examples, grids, model, montecarlo, pdmp, solver
+from stopgame import cli, conjugate, examples, grids, model, montecarlo, pdmp, solver
+from stopgame.grids import ValueGrid
 from stopgame.model import GameSpec, PathBlock
 from stopgame.montecarlo import PureResponseFamily
 from stopgame.pdmp import Orbit, PdmpCharacteristics, ZPath
@@ -61,6 +63,7 @@ SIGNATURES = {
     pdmp.SplitThenFlowStrategy: ["char", "z", "z_flow", "z_stop", "m", "horizon", "vstar"],
     pdmp.build_mu: ["char", "z", "vstar"],
     solver.residual_check: ["grid"],
+    ValueGrid.with_values: ["self", "values"],
     montecarlo.belief_consistency: ["strategy", "R", "t", "n", "seed"],
     model.as_simplex: ["weights"],
     conjugate._golden_min: ["f", "a", "b"],
@@ -94,9 +97,18 @@ def test_public_names_of_spec_and_characteristics():
                                  "to_json", "from_json"}
     assert _public(PdmpCharacteristics) == {
         "dim_p", "dim_y", "r", "A", "alpha", "lam", "phi", "in_EH", "in_S", "split",
-        "snap", "quiescent", "params", "dim", "p_part", "in_E", "is_quiescent"}
+        "snap", "quiescent", "params", "p_part", "in_E", "is_quiescent"}
     assert _public(PureResponseFamily) == {"times", "for_game", "exhaustive_for",
                                            "descriptor"}
+    # value_at is the one interpolation entry point
+    assert _public(ValueGrid) == {"p_grid", "q_grid", "values", "spec", "metadata",
+                                  "with_values", "from_function", "value_at"}
+
+
+def test_cli_simulates_the_loaded_rule():
+    # simulate samples from the loaded rule's own flow, not from
+    # characteristics rebuilt out of descriptor keys
+    assert "characteristics_from_params" not in vars(cli)
 
 
 SRC = Path(stopgame.__file__).resolve().parents[1]
