@@ -16,8 +16,9 @@ Conventions used throughout the package:
   candidate time of the opponent at once (``finite >= mu`` pays ``h``).
 * Sample paths come as :class:`PathBlock` arrays, one path per row;
   there is no separate one-path type.
-* :func:`_expm` is the one matrix exponential; it imports scipy on first
-  use, so ``import stopgame`` needs only numpy.
+* :func:`_expm` is the one matrix exponential, scaling and squaring of a
+  Taylor polynomial in numpy: the package needs scipy only for the qhull
+  triangulations of 3-state charts.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .errors import InputError
 SIMPLEX_CLAMP = 1e-12
 SIMPLEX_SUM_TOL = 1e-9
 GENERATOR_ROW_TOL = 1e-12
+# remainder of the Taylor polynomial at a 1-norm of at most 1:
+# sum_{k > 18} 1/k! < 1/19! * 20/19 = 8.6e-18, below the unit roundoff 2^-53
+_TAYLOR_DEGREE = 18
 
 
 def as_simplex(weights) -> np.ndarray:
@@ -152,17 +156,43 @@ class GameSpec:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm``, imported on first use: scipy.linalg costs
-    ~0.4 s to load, and frozen chains never take an exponential."""
-    from scipy.linalg import expm
+    """Matrix exponential by scaling and squaring of a Taylor polynomial.
 
-    return expm(a)
+    Moler & Van Loan, "Nineteen dubious ways to compute the exponential of
+    a matrix, twenty-five years later", SIAM Review 45 (2003).  With the
+    shift ``c = max(0, -min a_ii)``, ``e^a = e^-c e^(a + cI)``; ``a + cI``
+    is scaled by ``2^-s`` to a 1-norm at most 1, its exponential is the
+    Taylor polynomial of the degree that the a-priori remainder bound asks
+    for at norm 1, by Horner's rule, and the result is multiplied by
+    ``e^(-c/2^s)`` and squared ``s`` times.
+
+    The package exponentiates ``tG`` and ``tG^T`` of a generator, and
+    ``t(rI - R)``.  For the first two ``a`` is Metzler, so ``a + cI`` is
+    entrywise nonnegative: every term and every product is a sum of
+    nonnegative numbers, nothing cancels, and no entry comes out negative.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[0])
+    c = max(0.0, -float(a.diagonal().min()))
+    b = a + c * eye
+    norm = float(np.abs(b).sum(axis=0).max())
+    s = max(0, math.frexp(norm)[1])  # 2^-s norm < 1; ldexp, unlike 2.0**s, cannot overflow
+    b = np.ldexp(b, -s)
+    e = eye + b / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        e = eye + (b @ e) / k
+    e *= math.exp(-math.ldexp(c, -s))
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def marginal_flow(p, G, t: float) -> np.ndarray:
     """Law of the chain at time ``t``: ``expm(t * G.T) @ p``."""
     p = as_simplex(p)
-    G = np.asarray(G, dtype=float)
+    G = as_generator(G)
+    if G.shape != (p.size, p.size):
+        raise InputError(f"generator must be {p.size}x{p.size} for a {p.size}-state law")
     if not math.isfinite(t):
         raise InputError("flow time must be finite")
     if t < 0.0:

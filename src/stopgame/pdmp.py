@@ -141,10 +141,10 @@ def _lerp(ts: np.ndarray, values: np.ndarray, t: float):
     return (1 - w) * values[i] + w * values[i + 1]
 
 
-def _step(char: PdmpCharacteristics, z: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of the drift from ``z``, snapped by ``char.snap`` when there is one."""
+def _step(char: PdmpCharacteristics, z: np.ndarray, k1: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of the drift from ``z``, whose drift there is ``k1``,
+    snapped by ``char.snap`` when there is one."""
     alpha = char.alpha
-    k1 = alpha(z)
     k2 = alpha(z + 0.5 * h * k1)
     k3 = alpha(z + 0.5 * h * k2)
     k4 = alpha(z + h * k3)
@@ -187,12 +187,12 @@ def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
             stationary = True
             break
         h = min(dt / max(1.0, speed), horizon - t)
-        z_new = _step(char, z, h)
+        z_new = _step(char, z, a, h)
         if not char.in_EH(z_new):
             lo, hi = 0.0, h
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if char.in_EH(_step(char, z, mid)):
+                if char.in_EH(_step(char, z, a, mid)):
                     lo = mid
                 else:
                     hi = mid
@@ -201,7 +201,7 @@ def integrate_flow(char: PdmpCharacteristics, z0, horizon: float,
                     "flow exits E_H: the drift pushes outward at the boundary "
                     f"(|alpha| = {speed:.3e} at t = {t:.6f})")
             h = lo
-            z_new = _step(char, z, h)
+            z_new = _step(char, z, a, h)
         t += h
         z = z_new
         ts.append(t)

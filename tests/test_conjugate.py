@@ -163,6 +163,28 @@ def test_dual_flow_frozen_chain():
                       np.zeros((2, 2)), r=1.0, t=bad)
 
 
+def test_dual_flow_rejects_bad_inputs():
+    # the generators, their shapes and r are checked as GameSpec checks
+    # them, before any exponential
+    x, q, Z, FLIP = [1.0, 0.0], [0.5, 0.5], np.zeros((2, 2)), [[-1.0, 1.0], [1.0, -1.0]]
+    for R, Q, r, match in (([[math.nan, 0.0], [0.0, 0.0]], Z, 0.5, "finite"),
+                           ([[1.0, 2.0], [0.0, 0.0]], Z, 0.5, "sum to 0"),
+                           (Z, [[1.0, 2.0], [0.0, 0.0]], 0.5, "sum to 0"),
+                           (Z, 0.0, 0.5, "square"),
+                           (np.zeros((3, 3)), Z, 0.5, "dimensions"),
+                           (FLIP, np.zeros((3, 3)), 0.5, "dimensions"),
+                           (FLIP, Z, math.inf, "discount rate"),
+                           (FLIP, Z, math.nan, "discount rate"),
+                           (FLIP, Z, 0.0, "discount rate"),
+                           (FLIP, Z, -1.0, "discount rate")):
+        with pytest.raises(InputError, match=match):
+            dual_flow(x, q, R, Q, r, 1.0)
+    with pytest.raises(InputError, match="slope"):
+        dual_flow([math.nan, 0.0], q, FLIP, Z, 0.5, 1.0)
+    with pytest.raises(InputError):
+        dual_flow(x, [0.7, 0.7], FLIP, Z, 0.5, 1.0)
+
+
 def test_dual_flow_against_ode_oracle():
     R = np.array([[-1.0, 1.0], [1.0, -1.0]])
     r = 1.0
