@@ -7,17 +7,19 @@ multilinear interpolation on the chart, and per-slice concave/convex
 envelopes.  There is one envelope kernel: the convex envelope is the
 concave one mirrored, ``-concave_envelope(chart, -v)``.
 
-The validated path is two-state sides (1-d charts).  There the envelope
-of every slice is computed at once by round-wise pruning: each round
-drops every node on or below the chord of its alive neighbours, in the
-columns that changed in the round before (the first round takes all
-columns), until no column changes.  From all nodes, solver
-iterates need 9-12 rounds; started from the previous sweep's vertex
-sets, as ``solve`` does, about 2 on e2 401x1, 4 on the moving-chain game
-at 41x41 and 8 on e1 101x101.  The worst case, a concave run ending in a
-spike, needs one round per node.  Higher dimensions use Delaunay
-barycentric interpolation and qhull envelopes; both are exact for
-piecewise-affine data but cost grows quickly with dimension.
+The validated path is two-state sides (1-d charts), whose nodes are
+equally spaced.  There one kernel prunes every slice at once with an
+exact pop test on values rounded to a dyadic integer grid, so the vertex
+set is the same in any pruning order, hinted or cold, and a dropped node
+lies at most one quantum above its chord (``2^-(52 - bitlen(N))`` of the
+power of two above the slice's max ``|v|``, 1.1e-13 of it at N = 400).
+A hinted dead node above the chord of its hinted neighbours is revived
+in round one; later rounds only drop nodes.  From all nodes solver
+iterates need 2-17 rounds (medians 5-11); from the previous sweep's
+vertex sets, as ``solve`` starts, about 1.4 on e2 401x1, 1.7 on the
+moving-chain game at 41x41 and 5 on e1 101x101.  Higher dimensions use
+Delaunay barycentric interpolation and qhull envelopes; both are exact
+for piecewise-affine data but cost grows quickly with dimension.
 """
 
 from __future__ import annotations
@@ -118,74 +120,60 @@ class SimplexGrid:
         return idx.astype(np.int64), w
 
 
-def _upper_hull_columns(x: np.ndarray, v: np.ndarray, alive: np.ndarray | None = None):
-    """Least concave majorant of every column of ``v`` over the increasing chart ``x``.
+def _upper_hull_columns(v: np.ndarray, alive: np.ndarray | None = None):
+    """Least concave majorant of every column of ``v`` over equally spaced nodes.
+
+    The nodes are rows ``0 .. n-1``.  Each column is put on a dyadic
+    integer grid, ``q = rint(v * 2^(52 - bitlen(n-1) - e))`` with
+    ``2^(e-1) <= max|v| < 2^e``, so ``|q| <= 2^(52 - bitlen(n-1))`` and
+    every product of the pop test ``(q_b - q_a)(c - a) <= (q_c - q_a)(b - a)``
+    is an integer below 2^53: the test is exact, and the vertex set is the
+    unique one of the quantized points.  A node is dropped at most one
+    quantum, ``2^(e - 52 + bitlen(n-1))``, above its chord.
 
     Round-wise pruning: each round finds, per column, every node's alive
-    neighbours ``a < b < c`` and drops each alive interior ``b`` on or
-    below the chord ``a -> c``.  Such a node is never a hull vertex, so
-    dropping many at once is exact; once a round drops nothing in a column
-    its alive chain is locally concave, hence the hull, and later rounds
-    skip that column.  So the first round works on all columns and each
-    later one only on the columns that changed in the round before, on a
-    view of the arrays while that is every column (one column always is)
-    and on a gathered copy otherwise.  Columns never interact, so which
-    columns a round touches changes the work, never the result.  Cold
-    starts need 9-12 rounds on solver iterates; a concave run ending in a
-    spike drops one node per round, so the worst case is ``n - 2`` rounds
-    of O(n m).  Between vertices the envelope is the chord
-    ``(1 - w) v_a + w v_c``.
-
-    ``alive`` is an optional vertex-mask hint, such as the mask this
-    function returned for a nearby ``v``.  A hinted column keeps its dead
-    nodes dead while each lies on or below the chord of its alive
-    neighbours; once one does not, the column restarts from all nodes and
-    prunes cold, so the loop ends and the result is the hull.  The hint
-    cuts the rounds (10.2 to 1.7 per call on e2 401x1).  In exact
-    arithmetic the hull's vertex set is unique; in floating point, which
-    points of a near-collinear run survive can depend on the pruning
-    order, so a hinted envelope may differ from the cold one in the last
-    bits.  Returns ``(envelope, alive)``, the mask of the hull vertices.
+    neighbours ``a < b < c`` and tests each interior ``b`` against the
+    chord ``a -> c``.  ``alive`` is an optional vertex-mask hint, such as
+    the mask returned for a nearby ``v``; without one every node starts
+    alive.  Round one sets each interior node alive if and only if it lies
+    above the chord of its hinted neighbours, which keeps every hull vertex
+    (a vertex lies above any chord across it); later rounds only drop nodes
+    on or below their chord, which are never vertices.  Once a round
+    changes nothing in a column its alive chain is strictly concave, hence
+    the hull, so each round after the first works on the columns that
+    changed in the round before: on a view while that is every column and
+    on a gathered copy otherwise.  A concave run ending in a spike drops
+    one node per round, so the worst case is ``n - 2`` rounds of O(n m).
+    Between vertices the envelope is the chord ``(1 - w) v_a + w v_c`` of
+    the original values, ``w = (b - a)/(c - a)``.  Returns ``(envelope,
+    alive)``, the mask of the hull vertices.
     """
     n, m = v.shape
-    if n < 3:
+    if n < 3 or m == 0:
         return v.copy(), np.ones((n, m), dtype=bool)
-    flat = v.ravel()
-    rows = np.arange(n)[:, None]
-    cols = np.arange(m)
-    xs = x[1:-1, None]
-    if alive is None:
-        hinted = np.zeros(m, dtype=bool)
-        alive = np.ones((n, m), dtype=bool)
-    else:
-        alive = alive.copy()
-        alive[0] = alive[-1] = True  # the end nodes are always vertices
-        hinted = ~alive.all(axis=0)
+    shift = 52 - (n - 1).bit_length() - np.frexp(np.abs(v).max(axis=0))[1]
+    q = np.rint(np.ldexp(v, shift))
+    flat, qflat = v.ravel(), q.ravel()
+    rows, cols = np.arange(n)[:, None], np.arange(m)
+    alive = np.ones((n, m), dtype=bool) if alive is None else alive.copy()
+    alive[0] = alive[-1] = True  # the end nodes are always vertices
     # the columns still changing: a view while all are, else their indices
-    act, settled = slice(None), False
+    act, revive, settled = slice(None), True, False
     while True:
         al, idx = alive[:, act], cols[act]
         # each interior node's previous and next alive node
         a = np.maximum.accumulate(np.where(al[:-2], rows[:-2], 0), axis=0)
         c = np.minimum.accumulate(np.where(al[:1:-1], rows[:1:-1], n - 1), axis=0)[::-1]
-        va, vc, xa, xc = flat[a * m + idx], flat[c * m + idx], x[a], x[c]
         if settled:
             break
-        # the monotone chain's pop test: b on or below the chord a -> c
-        below = (v[1:-1, act] - va) * (xc - xa) <= (vc - va) * (xs - xa)
+        # the exact pop test: b stays only while strictly above the chord a -> c
+        qa = qflat[a * m + idx]
+        above = (q[1:-1, act] - qa) * (c - a) > (qflat[c * m + idx] - qa) * (rows[1:-1] - a)
         mid = al[1:-1]
-        drop = mid & below
-        reset = False
-        hint = hinted[act]
-        if hint.any():
-            # a dead node above its chord: the hint was wrong, restart cold
-            reset = hint & ~(mid | below).all(axis=0)
-            if reset.any():
-                hinted[act] = hint & ~reset
-                drop[:, reset] = False
-                mid[:, reset] = True
-        changed = drop.any(axis=0) | reset
-        alive[1:-1, act] = mid & ~drop
+        keep = above if revive else mid & above
+        changed = (keep != mid).any(axis=0)
+        alive[1:-1, act] = keep
+        revive = False
         if changed.all():
             continue
         if changed.any():
@@ -194,9 +182,10 @@ def _upper_hull_columns(x: np.ndarray, v: np.ndarray, alive: np.ndarray | None =
             break  # this round's neighbours already cover every column
         else:
             act, settled = slice(None), True  # neighbours of every column
-    w = (xs - xa) / (xc - xa)
+    w = (rows[1:-1] - a) / (c - a)
+    chord = (1.0 - w) * flat[a * m + cols] + w * flat[c * m + cols]
     env = v.copy()
-    env[1:-1] = np.maximum(np.where(alive[1:-1], v[1:-1], (1.0 - w) * va + w * vc), v[1:-1])
+    env[1:-1] = np.maximum(np.where(alive[1:-1], v[1:-1], chord), v[1:-1])
     return env, alive
 
 
@@ -211,8 +200,7 @@ def _concave_envelope(chart: np.ndarray, v: np.ndarray, alive: np.ndarray | None
     if chart.shape[1] == 0:
         return v.copy(), np.ones(v.shape, dtype=bool)
     if chart.shape[1] == 1:
-        cols = np.ascontiguousarray(v.reshape(v.shape[0], -1))
-        env, alive = _upper_hull_columns(np.asarray(chart[:, 0], dtype=float), cols, alive)
+        env, alive = _upper_hull_columns(np.ascontiguousarray(v.reshape(v.shape[0], -1)), alive)
         return env.reshape(v.shape), alive
     if v.ndim == 2:
         return np.column_stack([_qhull_envelope(chart, col) for col in v.T]), None
@@ -245,8 +233,16 @@ def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     ``chart`` has one row per node; ``v`` is a slice of node values or a
     2-d array whose columns are slices.  One chart coordinate uses the
-    pruning kernel on all columns in one call, more use qhull per column.
+    pruning kernel on all columns in one call, and its nodes must be
+    strictly increasing and equally spaced (to a relative 1e-9); more use
+    qhull per column.
     """
+    if chart.shape[1] == 1:
+        h = np.diff(chart[:, 0])
+        if np.shape(v)[:1] != chart.shape[:1] or not (
+                h.size == 0 or (h.min() > 0 and h.max() - h.min() <= 1e-9 * h.min())):
+            raise InputError("a one-coordinate chart needs one strictly increasing, "
+                             "equally spaced node per row of v")
     return _concave_envelope(chart, v)[0]
 
 

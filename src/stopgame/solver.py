@@ -57,13 +57,19 @@ def _flow_stencil(grid: SimplexGrid, G: np.ndarray, delta: float):
     return grid.interp_weights(flowed[:, : grid.dim - 1])
 
 
-def _obstacle_apply(values, H, F, disc, ip, wp, iq, wq):
+def _obstacle_terms(p_grid: SimplexGrid, q_grid: SimplexGrid, spec: GameSpec, delta: float):
+    """One ``(rows, cols, weight)`` triple per pair of p- and q-stencil points."""
+    ip, wp = _flow_stencil(p_grid, spec.R, delta)
+    iq, wq = _flow_stencil(q_grid, spec.Q, delta)
+    return [(ip[:, a, None], iq[None, :, b], wp[:, a, None] * wq[None, :, b])
+            for a in range(ip.shape[1]) for b in range(iq.shape[1])]
+
+
+def _obstacle_apply(values, H, F, disc, terms):
     flow_vals = np.zeros_like(values)
-    for a in range(ip.shape[1]):
-        rows = values[ip[:, a], :]
-        for b in range(iq.shape[1]):
-            flow_vals += (wp[:, a, None] * wq[None, :, b]) * rows[:, iq[:, b]]
-    return np.clip(disc * flow_vals, H, F)
+    for rows, cols, weight in terms:
+        flow_vals += weight * values[rows, cols]
+    return np.minimum(np.maximum(disc * flow_vals, H), F)
 
 
 def default_time_step(spec: GameSpec, N_p: int, N_q: int) -> float:
@@ -89,9 +95,8 @@ def obstacle_step(grid: ValueGrid, delta: float) -> ValueGrid:
         raise InputError("time step must be positive")
     spec = grid.spec
     H, F = payoff_grids(spec, grid.p_grid, grid.q_grid)
-    ip, wp = _flow_stencil(grid.p_grid, spec.R, delta)
-    iq, wq = _flow_stencil(grid.q_grid, spec.Q, delta)
-    new = _obstacle_apply(grid.values, H, F, math.exp(-spec.r * delta), ip, wp, iq, wq)
+    new = _obstacle_apply(grid.values, H, F, math.exp(-spec.r * delta),
+                          _obstacle_terms(grid.p_grid, grid.q_grid, spec, delta))
     return grid.with_values(new)
 
 
@@ -101,10 +106,10 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
 
     Each side's hull vertex masks are carried from one sweep to the next as
     the envelope kernel's hint: the same hulls as :func:`cav_p` and
-    :func:`vex_q` give, in fewer pruning rounds (equal up to the last bits
-    on near-collinear runs).  ``metadata`` records the final sweep's vertex
-    counts per side (``hull_vertices``; ``None`` for charts of two or more
-    coordinates) and the nodes pinned to each obstacle (``pinned``).
+    :func:`vex_q` give, bit for bit, in fewer pruning rounds.  ``metadata``
+    records the final sweep's vertex counts per side (``hull_vertices``;
+    ``None`` for charts of two or more coordinates) and the nodes pinned to
+    each obstacle (``pinned``).
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError("tolerance must be positive and finite")
@@ -113,14 +118,13 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
     H, F = payoff_grids(spec, p_grid, q_grid)
     delta = default_time_step(spec, N_p, N_q)
     disc = math.exp(-spec.r * delta)
-    ip, wp = _flow_stencil(p_grid, spec.R, delta)
-    iq, wq = _flow_stencil(q_grid, spec.Q, delta)
+    terms = _obstacle_terms(p_grid, q_grid, spec, delta)
 
     V = 0.5 * (H + F)
     change = math.inf
     alive_p = alive_q = None
     for it in range(1, max_iter + 1):
-        new = _obstacle_apply(V, H, F, disc, ip, wp, iq, wq)
+        new = _obstacle_apply(V, H, F, disc, terms)
         new, alive_p = _concave_envelope(p_grid.chart, new, alive_p)
         # vex over q mirrored: -cav of -V^T (alive_q masks that cav's vertices)
         new, alive_q = _concave_envelope(q_grid.chart, -new.T, alive_q)

@@ -63,6 +63,7 @@ SIGNATURES = {
     pdmp.SplitThenFlowStrategy: ["char", "z", "z_flow", "z_stop", "m", "horizon", "vstar"],
     pdmp.build_mu: ["char", "z", "vstar"],
     solver.residual_check: ["grid"],
+    grids._upper_hull_columns: ["v", "alive"],
     ValueGrid.with_values: ["self", "values"],
     montecarlo.belief_consistency: ["strategy", "R", "t", "n", "seed"],
     model.as_simplex: ["weights"],

@@ -95,6 +95,7 @@ def test_envelope_columns_match_slices():
         np.testing.assert_array_equal(cols[:, j], _upper(x, v[:, j]))
     np.testing.assert_array_equal(_lower(x, v), -_upper(x, -v))
     np.testing.assert_array_equal(concave_envelope(np.zeros((17, 0)), v), v)
+    assert _upper(x, v[:, :0]).shape == (17, 0)  # no columns: returns, does not loop
 
 
 _KINDS = ("random", "integer", "collinear", "vee", "spike")
@@ -108,9 +109,9 @@ def _envelope_case(draw, max_cols=8):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if kind == "random":
-        x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        x = np.linspace(0.0, 1.0, n)
         return kind, x, rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(n, m))
-    x = np.cumsum(rng.integers(1, 5, n)).astype(float)  # exact arithmetic below
+    x = np.arange(n, dtype=float)  # exact arithmetic below
     if kind == "integer":
         v = rng.integers(-4, 5, (n, m))
     elif kind == "collinear":
@@ -154,17 +155,18 @@ def _hint(kind, cold_mask, seed):
 def test_hinted_envelope_matches_cold(case, hint_kind, seed):
     # a vertex-mask hint changes the pruning path, never the hull
     kind, x, v = case
-    cold, mask = _upper_hull_columns(x, v)
-    hinted, alive = _upper_hull_columns(x, v, _hint(hint_kind, mask, seed))
+    cold, mask = _upper_hull_columns(v)
+    hinted, alive = _upper_hull_columns(v, _hint(hint_kind, mask, seed))
     np.testing.assert_array_equal(hinted, cold)
     np.testing.assert_array_equal(alive, mask)
     if kind == "collinear":
-        # the same runs in inexact floats: near-ties may fall either way
-        # depending on the pruning order, so only rounding may differ
+        # the same runs in inexact floats: the pop test is exact on the
+        # quantized values, so near-ties fall the same way in any order
         vf = v / 3.0
-        cold, mask = _upper_hull_columns(x, vf)
-        hinted, _ = _upper_hull_columns(x, vf, _hint(hint_kind, mask, seed))
-        np.testing.assert_allclose(hinted, cold, rtol=0, atol=1e-12 * (1 + np.abs(vf).max()))
+        cold, mask = _upper_hull_columns(vf)
+        hinted, alive = _upper_hull_columns(vf, _hint(hint_kind, mask, seed))
+        np.testing.assert_array_equal(hinted, cold)
+        np.testing.assert_array_equal(alive, mask)
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,61 +177,130 @@ def test_batched_envelope_matches_column_by_column(case, seed):
     kind, x, v = case
     n, m = v.shape
     rng = np.random.default_rng(seed)
-    cold_env, cold = _upper_hull_columns(x, v)
+    cold_env, cold = _upper_hull_columns(v)
     hint = np.column_stack([
         (cold[:, j], rng.random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool))[rng.integers(4)]
         for j in range(m)])
-    env, alive = _upper_hull_columns(x, v, hint)
+    env, alive = _upper_hull_columns(v, hint)
     for j in range(m):
-        one_env, one = _upper_hull_columns(x, v[:, [j]])
+        one_env, one = _upper_hull_columns(v[:, [j]])
         np.testing.assert_array_equal(cold_env[:, [j]], one_env)
         np.testing.assert_array_equal(cold[:, [j]], one)
-        one_env, one = _upper_hull_columns(x, v[:, [j]], hint[:, [j]])
+        one_env, one = _upper_hull_columns(v[:, [j]], hint[:, [j]])
         np.testing.assert_array_equal(env[:, [j]], one_env)
         np.testing.assert_array_equal(alive[:, [j]], one)
 
 
-def test_batched_envelope_late_reset():
+def test_batched_envelope_revives_hinted_dead_node():
     # Columns 0, 2 and 4 settle in the first round (concave under their
     # own vertex masks, a line with only its ends hinted), so the later
     # rounds run on a gathered copy of columns 1 and 3.  Column 1 is a
     # concave run ending in a spike: one drop per round for n - 2 rounds.
-    # Column 3 is hinted with two dead nodes; the chords of its alive
-    # neighbours rise as nodes drop, and in the sixth round rounding puts a
-    # dead node above its chord, so the column resets while in the gathered
-    # set and prunes cold after the spike column has settled.
+    # Column 3 is hinted with its peak, node 5, dead: node 5 lies above the
+    # chord of its hinted neighbours, so round one revives it, and the
+    # second round, on the gathered copy, drops nodes 4 and 6, which lie
+    # above the chords across a dead node 5 but below those to it.
     n = 10
     x = np.arange(n, dtype=float)
     i = np.arange(n)
     spike = -(i - 3.0) ** 2
     spike[-1] = 10.0 * n * n
     concave = -(i - 6.0) ** 2
-    late = np.array([2, 3, 4, 8, 10, 12, 14, 16, 18, 20]) / 3.0
-    v = np.column_stack([concave, spike, 2.0 * i - 5.0, late, concave[::-1]])
-    _, cold = _upper_hull_columns(x, v)
+    peak = np.array([0.0, 5.0, 9.0, 12.0, 13.0, 15.0, 13.0, 12.0, 9.0, 5.0])
+    v = np.column_stack([concave, spike, 2.0 * i - 5.0, peak, concave[::-1]])
+    cold_env, cold = _upper_hull_columns(v)
     hint = cold.copy()
     hint[:, 1] = True
     hint[:, 2] = False
-    hint[:, 3] = np.array([1, 1, 1, 1, 1, 0, 1, 1, 0, 1], dtype=bool)
-    env, alive = _upper_hull_columns(x, v, hint)
+    hint[:, 3] = True
+    hint[5, 3] = False
+    env, alive = _upper_hull_columns(v, hint)
+    np.testing.assert_array_equal(env, cold_env)
+    np.testing.assert_array_equal(alive, cold)
+    np.testing.assert_array_equal(env, monotone_chain_envelope(x, v))
     for j in range(v.shape[1]):
-        one_env, one = _upper_hull_columns(x, v[:, [j]], hint[:, [j]])
+        one_env, one = _upper_hull_columns(v[:, [j]], hint[:, [j]])
         np.testing.assert_array_equal(env[:, [j]], one_env)
         np.testing.assert_array_equal(alive[:, [j]], one)
-    np.testing.assert_allclose(env, monotone_chain_envelope(x, v), rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(alive[:, [0, 4]], cold[:, [0, 4]])
-    assert alive[1:-1, 1:4].sum() == 0
+    assert alive[5, 3] and not alive[[4, 6], 3].any()
+    assert alive[1:-1, 1:3].sum() == 0
+
+
+def _exact_vertex_mask(v):
+    """The monotone chain in Python integers on the kernel's quantized values."""
+    n, m = v.shape
+    shift = 52 - (n - 1).bit_length() - np.frexp(np.abs(v).max(axis=0))[1]
+    q = np.rint(np.ldexp(v, shift))
+    mask = np.zeros((n, m), dtype=bool)
+    for j in range(m):
+        col = [int(t) for t in q[:, j]]
+        hull = []
+        for i, qi in enumerate(col):
+            while len(hull) >= 2 and ((col[hull[-1]] - col[hull[-2]]) * (i - hull[-2])
+                                      <= (qi - col[hull[-2]]) * (hull[-1] - hull[-2])):
+                hull.pop()
+            hull.append(i)
+        mask[hull, j] = True
+    return mask
+
+
+@st.composite
+def _quantized_case(draw):
+    n = draw(st.one_of(st.integers(1, 40), st.integers(41, 2049), st.just(2049)))
+    m = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    kind = draw(st.sampled_from(("random", "near-collinear", "mixed")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.linspace(0.0, 1.0, n)[:, None]
+    if kind == "random":
+        v = rng.normal(size=(n, m))
+    elif kind == "near-collinear":  # lines with noise near the quantum
+        v = rng.normal(size=m) * x + rng.normal(size=m)
+        v += rng.normal(size=(n, m)) * 10.0 ** rng.integers(-17, -11, m)
+    else:  # magnitudes spread over 20 decades: most round to a few quanta
+        v = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-20, 1, (n, m))
+    hint = rng.random((n, m)) < draw(st.sampled_from((0.0, 0.5, 1.0)))
+    return v * scale, hint
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quantized_case())
+def test_envelope_vertex_mask_is_exact(case):
+    # the float pop test is exact: cold and hinted masks equal the monotone
+    # chain run in Python integers on the same quantized values
+    v, hint = case
+    exact = _exact_vertex_mask(v)
+    env, alive = _upper_hull_columns(v)
+    np.testing.assert_array_equal(alive, exact)
+    hinted_env, hinted = _upper_hull_columns(v, hint)
+    np.testing.assert_array_equal(hinted_env, env)
+    np.testing.assert_array_equal(hinted, alive)
+    assert np.all(env >= v)
+
+
+def test_envelope_rejects_bad_chart():
+    v = np.array([0.0, 1.0, 0.0, 0.0])
+    for chart in ([0.0, 0.5, 0.2, 1.0], [0.0, 0.5, 1.0], [0.0, 0.1, 0.2, 1.0],
+                  [1.0, 2 / 3, 1 / 3, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, math.nan, 2 / 3, 1.0]):
+        for envelope in (concave_envelope, convex_envelope):
+            with pytest.raises(InputError):
+                envelope(np.array(chart)[:, None], v)
+    with pytest.raises(InputError):
+        concave_envelope(np.linspace(0.0, 1.0, 5)[:, None], np.zeros((4, 3)))
+    # a spacing that is equal to within a relative 1e-9 passes
+    chart = np.linspace(0.0, 1.0, 4)[:, None] * (1.0 + np.array([0.0, 1e-11, -1e-11, 0.0]))[:, None]
+    np.testing.assert_array_equal(_upper(chart[:, 0], v), [0.0, 1.0, 0.5, 0.0])
 
 
 def test_hinted_envelope_nan_columns_terminate():
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, 41)
     v = rng.normal(size=(41, 5))
-    cold, mask = _upper_hull_columns(x, v)
+    cold, mask = _upper_hull_columns(v)
     dead, alive = np.flatnonzero(~mask[1:-1, 1]) + 1, np.flatnonzero(mask[1:-1, 3]) + 1
     assert dead.size and alive.size
     v[dead[0], 1] = v[alive[0], 3] = math.nan
-    hinted, _ = _upper_hull_columns(x, v, mask)
+    hinted, _ = _upper_hull_columns(v, mask)
     keep = [0, 2, 4]
     np.testing.assert_array_equal(hinted[:, keep], cold[:, keep])
     assert np.isnan(hinted[:, 1]).any() and np.isnan(hinted[:, 3]).any()

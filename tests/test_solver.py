@@ -159,15 +159,17 @@ def _moving_game():
                     p0=[0.5, 0.5], q0=[0.5, 0.5])
 
 
+_GAMES = {"e1": lambda: ex.e1_game(1.0), "e2": lambda: ex.e2_game(ex.REFERENCE_E2),
+          "moving": _moving_game}
+
+
 @pytest.mark.parametrize("game,N_p,N_q,tol", [
     ("e1", 20, 20, 1e-7), ("e2", 40, 1, 1e-9), ("moving", 13, 13, 1e-8)])
 def test_solve_matches_public_sweep_loop(game, N_p, N_q, tol):
     # solve carries hull vertex masks between sweeps; the public, stateless
-    # functions start every envelope cold.  Both reach the same hull on
-    # every slice, but which points of a near-collinear run survive the
-    # pruning can depend on its order, so values may differ in the last bits.
-    spec = {"e1": ex.e1_game(1.0), "e2": ex.e2_game(ex.REFERENCE_E2),
-            "moving": _moving_game()}[game]
+    # functions start every envelope cold.  The envelope kernel's pop test
+    # is exact, so both reach the same vertex set on every slice, bit for bit.
+    spec = _GAMES[game]()
     grid = solve(spec, N_p, N_q, tol=tol)
     H, F = payoff_grids(spec, grid.p_grid, grid.q_grid)
     delta = default_time_step(spec, N_p, N_q)
@@ -180,7 +182,27 @@ def test_solve_matches_public_sweep_loop(game, N_p, N_q, tol):
             break
     ref = np.clip(V.values, H, F)
     assert grid.metadata["iterations"] == it
-    np.testing.assert_allclose(grid.values, ref, rtol=0, atol=1e-12 * (1 + np.abs(ref).max()))
+    np.testing.assert_array_equal(grid.values, ref)
+
+
+@pytest.mark.parametrize("game,N_p,N_q", [("e1", 100, 100), ("e2", 400, 1), ("moving", 40, 40)])
+def test_solve_residual_equals_public_sweeps(game, N_p, N_q):
+    # the solve games of the benchmark at its sizes: after 10 sweeps from
+    # (h+f)/2, the residual solve reports is the public loop's last change
+    from stopgame.errors import ConvergenceError
+
+    spec = _GAMES[game]()
+    with pytest.raises(ConvergenceError) as err:
+        solve(spec, N_p, N_q, tol=1e-300, max_iter=10)
+    p_grid, q_grid = SimplexGrid(spec.K, N_p), SimplexGrid(spec.L, N_q)
+    H, F = payoff_grids(spec, p_grid, q_grid)
+    delta = default_time_step(spec, N_p, N_q)
+    V = ValueGrid(p_grid, q_grid, 0.5 * (H + F), spec)
+    for _ in range(10):
+        new = vex_q(cav_p(obstacle_step(V, delta)))
+        change = float(np.abs(new.values - V.values).max())
+        V = new
+    assert err.value.residual == change
 
 
 def test_solve_records_vertices_and_pins(tmp_path):
