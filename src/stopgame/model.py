@@ -13,7 +13,9 @@ Conventions used throughout the package:
   (the minimizer) stops at ``nu`` and pays ``f``; ties go to player 1.
   It is encoded twice: :func:`realized_payoffs` scores a pair of
   stopping times, and ``montecarlo._response_chunk`` scores every
-  candidate time of the opponent at once (``finite >= mu`` pays ``h``).
+  candidate time of the opponent at once from occupancy counts (the
+  candidates from ``searchsorted(finite, mu, "left")`` on, those with
+  ``finite >= mu``, pay ``h``).
 * Sample paths come as :class:`PathBlock` arrays, one path per row;
   there is no separate one-path type.
 * :func:`_expm` is the one matrix exponential, scaling and squaring of a
@@ -164,7 +166,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     is scaled by ``2^-s`` to a 1-norm at most 1, its exponential is the
     Taylor polynomial of the degree that the a-priori remainder bound asks
     for at norm 1, by Horner's rule, and the result is multiplied by
-    ``e^(-c/2^s)`` and squared ``s`` times.
+    ``e^(-c/2^s)`` and squared ``s`` times, or until a squaring changes no
+    entry beyond the rounding drift of the squarings before it.
 
     The package exponentiates ``tG`` and ``tG^T`` of a generator, and
     ``t(rI - R)``.  For the first two ``a`` is Metzler, so ``a + cI`` is
@@ -182,8 +185,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for k in range(_TAYLOR_DEGREE - 1, 0, -1):
         e = eye + (b @ e) / k
     e *= math.exp(-math.ldexp(c, -s))
+    # the rounding drift doubles with each squaring; one that moves no entry
+    # beyond it has reached the limit of the powers (the stationary
+    # projector of a generator), and more would only double the drift
+    drift = 2.0 * a.shape[0] * np.finfo(float).eps
     for _ in range(s):
-        e = e @ e
+        square = e @ e
+        settled = np.all(np.abs(square - e) <= drift * np.abs(e))
+        e = square
+        if settled:
+            break
+        drift *= 2.0
     return e
 
 
@@ -237,21 +249,6 @@ class PathBlock:
         """State of row ``i`` at time ``t[i]`` (meaningless where ``t[i]`` is inf)."""
         idx = (self.times[:, 1:] <= np.asarray(t, dtype=float)[:, None]).sum(axis=1)
         return self.states[np.arange(self.n), idx]
-
-    def states_on_grid(self, grid: np.ndarray) -> np.ndarray:
-        """``(n, grid.size)`` states at shared increasing times inside the horizon.
-
-        Every jump is binned at the first grid time it precedes; a running
-        count of the bins is the number of jumps made by each grid time.
-        """
-        n, g = self.n, grid.size
-        bins = np.searchsorted(grid, self.times[:, 1:], side="left")
-        bins += np.arange(0, n * (g + 1), g + 1)[:, None]
-        made = np.bincount(bins.ravel(), minlength=n * (g + 1)).reshape(n, g + 1)
-        np.cumsum(made, axis=1, out=made)
-        # jumps made by each grid time, as flat indices into the states
-        made += np.arange(0, n * self.states.shape[1], self.states.shape[1])[:, None]
-        return self.states.ravel()[made[:, :g]]
 
 
 class ChainSampler:

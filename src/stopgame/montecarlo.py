@@ -10,6 +10,13 @@ paths (where there is an opponent), then the stopping times.  All blocks
 run in the calling process, one after the other, so every estimate
 depends only on ``seed`` and ``n``.  This module is the only one that
 knows the block layout.
+
+Best responses score every candidate time of the opponent without a
+(replication x candidate) matrix: a row's response changes only at its
+own jumps before it stops, so each block adds integer occupancy counts
+(how many rows of each opponent group hold each pair of states at each
+candidate) and a histogram of the stopping payoffs over the candidates;
+the sums per candidate come out of both after the last block.
 """
 
 from __future__ import annotations
@@ -120,8 +127,17 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
                     n: int, seed: int):
     """Sums/sumsq/count per (opponent initial state, candidate time), stop counts.
 
-    Each block builds its (replication x candidate) response matrix; the
-    last candidate column is the never-stop response.
+    The last candidate column is the never-stop response.  With ``cut``
+    the number of candidates strictly before a row's stop ``mu``, the row
+    pays ``disc[c] * f`` at the pair of states it holds at each candidate
+    ``c < cut``, and its discounted ``h`` (0 if it never stops) at the
+    later candidates and the never column.  Nothing is scored per (row,
+    candidate): the ``h`` part is a histogram of the rows' cuts, and the
+    ``f`` part counts, per group and pair of states, the rows holding that
+    pair at each candidate.  A row holds one pair over a run of candidates
+    between two of its jumps, so each run adds +1 at its first candidate
+    and -1 past its last one, and a cumulative sum over the candidates
+    turns these differences into the occupancy counts.
     """
     finite = family.times[:-1]
     g = finite.size
@@ -129,11 +145,13 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     sx = ChainSampler(spec.R, spec.p0)
     sy = ChainSampler(spec.Q, spec.q0)
     L = spec.L
-    sums = np.zeros((L, g + 1))
-    sumsq = np.zeros((L, g + 1))
+    pairs = spec.K * L
+    # occupancy differences per (group, pair k*L + l, candidate), with one
+    # slot past the last candidate, and the h histogram per (group, cut)
+    occupancy = np.zeros(L * pairs * (g + 1), dtype=np.int64)
+    h_sums = np.zeros((2, L * (g + 1)))
     counts = np.zeros(L)
     stops = np.zeros(len(STOP_KINDS), dtype=np.int64)
-    disc = np.exp(-spec.r * finite)
     for rng, m in _blocks(n, seed):
         X = sx.sample_block(horizon, rng, m)
         Y = sy.sample_block(horizon, rng, m)
@@ -144,21 +162,58 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
         h_payoff = np.zeros(m)
         h_payoff[stopped] = np.exp(-spec.r * mu[stopped]) * spec.h[
             X.states_at(mu)[stopped], Y.states_at(mu)[stopped]]
-        # response[i, c]: payoff when the opponent stops at candidate c,
-        # unless the strategy stopped strictly before it
-        response = np.empty((m, g + 1))
-        response[:, :g] = spec.f[X.states_on_grid(finite), Y.states_on_grid(finite)]
-        response[:, :g] *= disc
-        response[:, g] = h_payoff
-        np.copyto(response[:, :g], h_payoff[:, None], where=finite >= mu[:, None])
-        groups = [(Y.initial_states == j)[:, None] for j in range(L)]
-        for j, mine in enumerate(groups):
-            counts[j] += mine.sum()
-            sums[j] += response.sum(axis=0, where=mine)
-        np.square(response, out=response)
-        for j, mine in enumerate(groups):
-            sumsq[j] += response.sum(axis=0, where=mine)
+        group = Y.initial_states.astype(np.intp)
+        counts += np.bincount(group, minlength=L)
+        # candidates c < cut pay f, the others (finite >= mu) pay h
+        cut = finite.searchsorted(mu, side="left")
+        h_bins = group * (g + 1) + cut
+        h_sums += [np.bincount(h_bins, h_payoff, L * (g + 1)),
+                   np.bincount(h_bins, h_payoff * h_payoff, L * (g + 1))]
+        edges, held = _pair_runs(X, Y, mu, finite, L)
+        np.minimum(edges, cut[:, None], out=edges)
+        base = (group[:, None] * pairs + held) * (g + 1)
+        occupancy += np.bincount((base + edges[:, :-1]).ravel(), minlength=occupancy.size)
+        occupancy -= np.bincount((base + edges[:, 1:]).ravel(), minlength=occupancy.size)
+    held_by = occupancy.reshape(L, pairs, g + 1).cumsum(axis=2)[:, :, :g]
+    disc = np.exp(-spec.r * finite)
+    f = spec.f.ravel()
+    h_sums = h_sums.reshape(2, L, g + 1).cumsum(axis=2)
+    sums, sumsq = h_sums
+    sums[:, :g] += disc * np.einsum("p,jpc->jc", f, held_by)
+    sumsq[:, :g] += disc * disc * np.einsum("p,jpc->jc", f * f, held_by)
     return sums, sumsq, counts, stops
+
+
+def _pair_runs(X, Y, mu: np.ndarray, finite: np.ndarray, L: int):
+    """Each row's runs of one pair of states over the candidate times.
+
+    Returns ``edges`` (rows x runs + 1): a run's first candidate and the
+    first one past it, where ``edges[:, 0]`` is 0 and the last edge is
+    ``finite.size``, and ``held`` (rows x runs): the pair ``k * L + l``
+    held over the run.  Only the jumps before ``mu`` start runs; a jump is
+    made by every candidate at or after its time.
+    """
+    jumps = []
+    for paths in (X, Y):
+        t = paths.times[:, 1:]
+        before = t < mu[:, None]
+        t = t[:, :int(before.sum(axis=1).max(initial=0))]
+        jumps.append(np.where(before[:, :t.shape[1]], t, math.inf))
+    m, w = jumps[0].shape
+    t = np.concatenate(jumps, axis=1)
+    order = t.argsort(axis=1, kind="stable")
+    t = np.take_along_axis(t, order, axis=1)
+    of_y = order >= w
+    # jumps of each chain made by the start of each run
+    made_y = np.zeros((m, t.shape[1] + 1), dtype=np.intp)
+    np.cumsum(of_y, axis=1, out=made_y[:, 1:])
+    made_x = np.arange(t.shape[1] + 1) - made_y
+    rows = np.arange(m)[:, None]
+    held = X.states[rows, made_x].astype(np.intp) * L + Y.states[rows, made_y]
+    edges = np.zeros((m, t.shape[1] + 2), dtype=np.intp)
+    edges[:, 1:-1] = finite.searchsorted(t, side="left")
+    edges[:, -1] = finite.size
+    return edges, held
 
 
 def survivor_counts(strategy: MixedStoppingStrategy, R, p0: np.ndarray, t: float,

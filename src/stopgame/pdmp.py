@@ -305,18 +305,32 @@ def simulate_Z(char: PdmpCharacteristics, z0, horizon: float,
     one ``Exp(1)`` draw.  The start rules are :func:`integrate_flow`'s;
     pass exterior points through a split.
     """
+    return _z_paths(char, z0, horizon, rng, 1)[0]
+
+
+def _z_paths(char: PdmpCharacteristics, z0, horizon: float,
+             rng: np.random.Generator, n: int) -> list[ZPath]:
+    """``n`` independent paths of :func:`simulate_Z`'s process.
+
+    The orbit is integrated once and the ``n`` ``Exp(1)`` draws come from
+    ``rng`` in one call; the paths hold views of the orbit's arrays.
+    """
     orbit = integrate_flow(char, z0, horizon)
-    jump_time = float(_Hazard(orbit, orbit.lams[:, None]).inverse(
-        np.zeros(1, dtype=np.intp), np.zeros(1), np.array([rng.exponential()]))[0])
-    if jump_time >= horizon:
-        jump_time = math.inf
-    post = None
-    if math.isfinite(jump_time):
-        post = char.phi(orbit.state_at(jump_time))
-        if not char.in_S(post):
-            raise IntegrityError("jump landed outside the absorbing set S")
-    keep = orbit.ts <= min(jump_time, horizon)
-    return ZPath(orbit.ts[keep], orbit.zs[keep], jump_time, post)
+    draws = rng.exponential(size=n)
+    jump_times = _Hazard(orbit, orbit.lams[:, None]).inverse(
+        np.zeros(n, dtype=np.intp), np.zeros(n), draws)
+    paths = []
+    for jump_time in jump_times.tolist():
+        if jump_time >= horizon:
+            jump_time = math.inf
+        post = None
+        if math.isfinite(jump_time):
+            post = char.phi(orbit.state_at(jump_time))
+            if not char.in_S(post):
+                raise IntegrityError("jump landed outside the absorbing set S")
+        keep = int(orbit.ts.searchsorted(min(jump_time, horizon), side="right"))
+        paths.append(ZPath(orbit.ts[:keep], orbit.zs[:keep], jump_time, post))
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Per-path Monte Carlo code the batched implementation replaced.
+"""Monte Carlo code the package replaced, kept as test oracles.
 
 These are the one-path-at-a-time chain sampler, the segment and split
-stopping rules and the per-replication response rows, kept verbatim as
-test oracles: on a shared stream the batched code must return bit for
-bit the paths and stopping times of the first three, and match the last
-one in law.  Paths are :class:`OnePath` records, independent of the
-package's :class:`~stopgame.model.PathBlock`.
+stopping rules, the per-replication response rows and the block-wise
+(replication x candidate) response matrix.  On a shared stream the
+batched code must return bit for bit the paths and stopping times of the
+first three and match the per-replication rows in law; on the same
+blocks it must count exactly what the response matrix counts and sum to
+its sums up to rounding.  Paths are :class:`OnePath` records,
+independent of the package's :class:`~stopgame.model.PathBlock`.
 """
 
 import math
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stopgame.model import ChainSampler, PathBlock, philox_rng
+from stopgame.montecarlo import STOP_KINDS, _blocks, _capped
 from stopgame.pdmp import (_ZERO_P, FlowIntensityStrategy,
                            SplitThenFlowStrategy, never_horizon)
 
@@ -190,3 +193,63 @@ def response_sums(spec, strat1, family, n: int, seed: int):
         sumsq[Y.initial_state] += row * row
         counts[Y.initial_state] += 1.0
     return sums, sumsq, counts
+
+
+def states_on_grid(paths: PathBlock, grid: np.ndarray) -> np.ndarray:
+    """``(n, grid.size)`` states at shared increasing times inside the horizon.
+
+    Every jump is binned at the first grid time it precedes; a running
+    count of the bins is the number of jumps made by each grid time.
+    """
+    n, g = paths.n, grid.size
+    bins = np.searchsorted(grid, paths.times[:, 1:], side="left")
+    bins += np.arange(0, n * (g + 1), g + 1)[:, None]
+    made = np.bincount(bins.ravel(), minlength=n * (g + 1)).reshape(n, g + 1)
+    np.cumsum(made, axis=1, out=made)
+    # jumps made by each grid time, as flat indices into the states
+    made += np.arange(0, n * paths.states.shape[1], paths.states.shape[1])[:, None]
+    return paths.states.ravel()[made[:, :g]]
+
+
+def matrix_response_sums(spec, strat1, family, n: int, seed: int):
+    """``montecarlo._response_chunk`` through a (replication x candidate) matrix.
+
+    Same blocks, streams and return values; each block scores every
+    candidate of every row, the last column being the never-stop response.
+    """
+    finite = family.times[:-1]
+    g = finite.size
+    horizon = max(float(finite[-1]), never_horizon(spec.r), 1.0)
+    sx = ChainSampler(spec.R, spec.p0)
+    sy = ChainSampler(spec.Q, spec.q0)
+    L = spec.L
+    sums = np.zeros((L, g + 1))
+    sumsq = np.zeros((L, g + 1))
+    counts = np.zeros(L)
+    stops = np.zeros(len(STOP_KINDS), dtype=np.int64)
+    disc = np.exp(-spec.r * finite)
+    for rng, m in _blocks(n, seed):
+        X = sx.sample_block(horizon, rng, m)
+        Y = sy.sample_block(horizon, rng, m)
+        mu = _capped(strat1.stopping_times(X, rng), horizon)
+        stopped = np.isfinite(mu)
+        zero, n_stopped = int((mu == 0.0).sum()), int(stopped.sum())
+        stops += [zero, n_stopped - zero, m - n_stopped]
+        h_payoff = np.zeros(m)
+        h_payoff[stopped] = np.exp(-spec.r * mu[stopped]) * spec.h[
+            X.states_at(mu)[stopped], Y.states_at(mu)[stopped]]
+        # response[i, c]: payoff when the opponent stops at candidate c,
+        # unless the strategy stopped strictly before it
+        response = np.empty((m, g + 1))
+        response[:, :g] = spec.f[states_on_grid(X, finite), states_on_grid(Y, finite)]
+        response[:, :g] *= disc
+        response[:, g] = h_payoff
+        np.copyto(response[:, :g], h_payoff[:, None], where=finite >= mu[:, None])
+        groups = [(Y.initial_states == j)[:, None] for j in range(L)]
+        for j, mine in enumerate(groups):
+            counts[j] += mine.sum()
+            sums[j] += response.sum(axis=0, where=mine)
+        np.square(response, out=response)
+        for j, mine in enumerate(groups):
+            sumsq[j] += response.sum(axis=0, where=mine)
+    return sums, sumsq, counts, stops

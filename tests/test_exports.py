@@ -48,7 +48,7 @@ def test_model_keeps_one_path_type():
                        "marginal_flow", "bilinear_payoff", "realized_payoffs", "philox_rng"}
     assert defined <= set(stopgame.__all__)
     assert _public(PathBlock) == {"times", "states", "horizon", "n", "n_jumps", "initial_states",
-                                  "take", "states_at", "states_on_grid"}
+                                  "take", "states_at"}
     assert _public(Orbit) == {"ts", "zs", "lams", "stationary", "quiescent",
                               "t_end", "state_at"}
     assert _public(ZPath) == {"ts", "zs", "jump_time", "post_jump", "jumped", "state_at"}

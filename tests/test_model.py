@@ -167,6 +167,26 @@ def test_expm_of_non_finite_or_huge_input_returns():
     np.testing.assert_array_equal(_expm(np.zeros((3, 3))), np.eye(3))
 
 
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_expm_stops_squaring_at_the_stationary_law(K):
+    # past the mixing time every squaring would double the column-sum
+    # drift (1e-9 at t = 1e7, 1e-2 at 1e14); the squarings end once the
+    # powers settle, so the law stays stochastic at any time
+    rng = np.random.default_rng(100 + K)
+    for _ in range(5):
+        G = rng.exponential(1.0, size=(K, K))
+        np.fill_diagonal(G, 0.0)
+        G -= np.diag(G.sum(axis=1))
+        G /= np.abs(G).sum(axis=0).max()
+        p = rng.dirichlet(np.ones(K))
+        # the stationary law: pi^T G = 0, sum(pi) = 1
+        pi = np.linalg.lstsq(np.vstack([G.T, np.ones(K)]), np.eye(K + 1)[K], rcond=None)[0]
+        for t in (1e7, 1e8, 1e14):
+            assert np.abs(_expm(t * G.T).sum(axis=0) - 1.0).max() <= 1e-12
+            np.testing.assert_allclose(marginal_flow(p, G, t), pi, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(marginal_flow([1.0, 0.0], FLIP, 1e7), [0.5, 0.5])
+
+
 def test_simulate_chain_zero_generator():
     paths = ChainSampler(np.zeros((2, 2)), [0.5, 0.5]).sample_block(10.0, philox_rng(0), 1)
     assert paths.n_jumps == 0 and paths.times.shape == (1, 1)

@@ -177,8 +177,8 @@ def test_exploit_gap_runs_in_one_process(e2_spec, e2_params):
 
 @pytest.mark.parametrize("point", ["e2_kink", "e1_split"])
 def test_batched_responses_match_per_path_law(point, e1_spec, e2_spec, e2_params):
-    # the (replication x candidate) response matrix of the block code has
-    # the per-candidate means of the per-replication rows it replaced
+    # the block code has the per-candidate means of the per-replication
+    # rows it replaced
     from per_path_reference import response_sums
     from stopgame.montecarlo import _response_chunk
 
@@ -199,6 +199,95 @@ def test_batched_responses_match_per_path_law(point, e1_spec, e2_spec, e2_params
     var1 = np.maximum(q1 / c1[:, None] - m1 ** 2, 0.0) / c1[:, None]
     var2 = np.maximum(q2 / c2[:, None] - m2 ** 2, 0.0) / c2[:, None]
     assert np.all(np.abs(m1 - m2) <= 4.0 * np.sqrt(var1 + var2) + 1e-12)
+
+
+def _oracle_cases(e1_spec, e2_spec, e2_params):
+    """``(spec, rule, family)`` for the occupancy-count oracle test."""
+    import stopgame.model as model
+
+    kink = game_at(e2_spec, 1.0 / 3.0, None)
+    split = game_at(e1_spec, 0.75, 0.75)
+    # both chains move: the own chain is e2's, so its kink rule applies
+    both = model.GameSpec(R=e2_spec.R, Q=[[-0.7, 0.7], [1.3, -1.3]], r=0.5,
+                          f=[[2.0, 0.5], [1.0, 3.0]], h=[[-1.0, 0.0], [0.5, 1.5]],
+                          p0=[0.4, 0.6], q0=[0.3, 0.7])
+    three = model.GameSpec(R=[[-1.0, 0.6, 0.4], [0.5, -0.8, 0.3], [1.0, 1.0, -2.0]],
+                           Q=[[-0.5, 0.5], [0.9, -0.9]], r=0.4,
+                           f=[[1.0, 2.0], [0.0, 1.5], [3.0, -0.5]],
+                           h=[[0.5, 1.0], [-1.0, 1.0], [2.0, -2.0]],
+                           p0=[0.2, 0.5, 0.3], q0=[0.6, 0.4])
+    # the constant and per-state times sit on the grid: ties pay h
+    on_grid = PureResponseFamily(np.unique(np.concatenate(
+        [small_family().times, [0.5, 1.0, 2.0]])))
+    return [
+        (kink, ex.e2_optimal_mu(e2_params, 1.0 / 3.0), PureResponseFamily.for_game(kink)),
+        (split, ex.e1_optimal_mu(0.75, 0.75), PureResponseFamily.for_game(split)),
+        (both, ex.e2_optimal_mu(e2_params, 0.4), PureResponseFamily.for_game(both)),
+        (both, NeverStopStrategy(), small_family()),
+        (both, ConstantTimeStrategy(1.0), on_grid),
+        (both, StopNowStrategy(), small_family()),
+        (three, InitialStateTimeStrategy([0.5, 2.0, 1.0]), on_grid),
+        (three, NeverStopStrategy(), PureResponseFamily.for_game(three, n=60)),
+    ]
+
+
+def test_occupancy_counts_match_response_matrix(e1_spec, e2_spec, e2_params):
+    # the same blocks scored through the (replication x candidate) matrix:
+    # counts are equal, sums equal up to how the float sums are grouped
+    from per_path_reference import matrix_response_sums
+    from stopgame.montecarlo import _response_chunk
+
+    n = 3000  # a partial last block
+    for i, (spec, strat, fam) in enumerate(_oracle_cases(e1_spec, e2_spec, e2_params)):
+        sums, sumsq, counts, stops = _response_chunk(spec, strat, fam, n, seed=50 + i)
+        ref = matrix_response_sums(spec, strat, fam, n, seed=50 + i)
+        np.testing.assert_array_equal(counts, ref[2])
+        np.testing.assert_array_equal(stops, ref[3])
+        np.testing.assert_allclose(sums, ref[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sumsq, ref[1], rtol=1e-12, atol=0.0)
+
+
+def test_pair_runs_read_the_states_on_the_grid():
+    # a jump on a candidate time is made by that candidate, one past the
+    # last candidate by none, as the response matrix read the states
+    from per_path_reference import states_on_grid
+    from stopgame.model import PathBlock
+    from stopgame.montecarlo import _pair_runs
+
+    finite = np.array([0.0, 0.5, 1.0, 2.0])
+    X = PathBlock(np.array([[0.0, 0.5, 1.5, math.inf], [0.0, 1.0, 2.0, 3.0]]),
+                  np.array([[0, 1, 0, 0], [1, 0, 1, 0]]), 5.0)
+    Y = PathBlock(np.array([[0.0, 1.0], [0.0, math.inf]]), np.array([[1, 0], [0, 0]]), 5.0)
+    edges, held = _pair_runs(X, Y, np.full(2, math.inf), finite, 2)
+    on_grid = np.full((2, finite.size), -1)
+    for i in range(2):
+        for run, pair in enumerate(held[i]):
+            on_grid[i, edges[i, run]:edges[i, run + 1]] = pair
+    np.testing.assert_array_equal(on_grid, 2 * states_on_grid(X, finite)
+                                  + states_on_grid(Y, finite))
+
+
+def test_certify_numbers_are_pinned():
+    # the two certificates of the benchmark's certify-mc workload: the
+    # samples, stop counts and argmins are pinned exactly, the gaps to
+    # rounding
+    e2 = ex.REFERENCE_E2
+    e2_game = game_at(ex.e2_game(e2), 1.0 / 3.0, None)
+    e1_game = game_at(ex.e1_game(1.0), 0.75, 0.75)
+    certs = [
+        (e2_game, ex.e2_optimal_mu(e2, 1.0 / 3.0), ex.e2_value(e2, 1.0 / 3.0), 1,
+         -0.006005591450451986, {"zero": 0, "flow": 20000, "never": 0},
+         {0: 0.1301823889311746}),
+        (e1_game, ex.e1_optimal_mu(0.75, 0.75), ex.e1_value(0.75, 0.75), 2,
+         -0.005419266665057043, {"zero": 13417, "flow": 1672, "never": 4911},
+         {0: math.inf, 1: 0.5273263844992949}),
+    ]
+    for spec, strat, claim, seed, gap, stop_counts, argmin in certs:
+        rep = exploit_gap(spec, strat, claim, PureResponseFamily.for_game(spec),
+                          n=20_000, seed=seed)
+        assert rep.stop_counts == stop_counts
+        assert rep.argmin == argmin
+        assert abs(rep.gap - gap) <= 1e-12
 
 
 def test_coarse_family_flag(tmp_path):

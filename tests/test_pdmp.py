@@ -13,7 +13,7 @@ from stopgame.model import ChainSampler, PathBlock, philox_rng
 from stopgame.montecarlo import _blocks, belief_consistency, survivor_counts
 from stopgame.pdmp import (ConstantTimeStrategy, FlowIntensityStrategy, NeverStopStrategy,
                            SplitThenFlowStrategy, StopNowStrategy, build_mu,
-                           integrate_flow, sc_check, simulate_Z)
+                           _z_paths, integrate_flow, sc_check, simulate_Z)
 
 
 def e1_sample_points(n_each=40, seed=0):
@@ -106,8 +106,7 @@ def test_simulate_Z_exponential_jump_law(e2_char, e2_params):
     n = 100_000
     times = np.empty(n)
     jumped = 0
-    for i in range(n):
-        path = simulate_Z(e2_char, z2(p0), 60.0, philox_rng(2, i))
+    for path in _z_paths(e2_char, z2(p0), 60.0, philox_rng(2), n):
         if path.jumped:
             times[jumped] = path.jump_time
             jumped += 1
@@ -118,9 +117,21 @@ def test_simulate_Z_exponential_jump_law(e2_char, e2_params):
     assert abs(times.mean() - 1.0 / rate) <= 3.0 * se
 
 
+def test_simulate_Z_many_paths_share_one_orbit(e2_char, e2_params):
+    # n paths: one orbit, the n draws in one call; the first is the one
+    # path drawn alone from the same stream
+    p0 = ex.e2_p0(e2_params)
+    one = simulate_Z(e2_char, z2(p0), 60.0, philox_rng(5))
+    paths = _z_paths(e2_char, z2(p0), 60.0, philox_rng(5), 3)
+    assert len(paths) == 3 and paths[0].jump_time == one.jump_time
+    np.testing.assert_array_equal(paths[0].zs, one.zs)
+    longest = max(paths, key=lambda path: path.ts.size)
+    for path in paths:
+        np.testing.assert_array_equal(path.ts, longest.ts[:path.ts.size])
+
+
 def test_simulate_Z_single_jump_lands_in_S(e1_char):
-    for i in range(200):
-        path = simulate_Z(e1_char, z1(0.3, 0.55), 10.0, philox_rng(3, i))
+    for path in _z_paths(e1_char, z1(0.3, 0.55), 10.0, philox_rng(3), 200):
         if path.jumped:
             assert e1_char.in_S(path.post_jump)
         for w in path.zs[:: max(1, path.zs.shape[0] // 8)]:
