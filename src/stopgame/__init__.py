@@ -13,7 +13,7 @@ certifies strategies by Monte Carlo best responses.
 """
 
 from .errors import ConvergenceError, InputError, IntegrityError, StopGameError
-from .model import (ChainSampler, GameSpec, PathBlock, as_generator, as_simplex,
+from .model import (ChainSampler, GameSpec, PathBlock, as_chain, as_generator, as_simplex,
                     bilinear_payoff, marginal_flow, philox_rng, realized_payoffs)
 from .grids import SimplexGrid, ValueGrid, read_value_csv, write_value_csv
 from .solver import (ResidualReport, cav_p, directional_derivative,
@@ -36,7 +36,7 @@ from .montecarlo import (BeliefReport, BestResponse, GapReport, PayoffEstimate,
 
 __all__ = [
     "ConvergenceError", "InputError", "IntegrityError", "StopGameError",
-    "ChainSampler", "GameSpec", "PathBlock", "as_generator", "as_simplex",
+    "ChainSampler", "GameSpec", "PathBlock", "as_chain", "as_generator", "as_simplex",
     "bilinear_payoff", "marginal_flow", "philox_rng", "realized_payoffs",
     "SimplexGrid", "ValueGrid", "read_value_csv", "write_value_csv",
     "ResidualReport", "cav_p", "directional_derivative", "obstacle_step",

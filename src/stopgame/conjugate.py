@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError
 from .grids import SimplexGrid, ValueGrid
-from .model import _expm, as_generator, as_simplex, marginal_flow
+from .model import _expm, as_chain, as_generator, as_simplex, marginal_flow
 
 __all__ = [
     "concave_conjugate_p", "convex_conjugate_q", "subgradient_q",
@@ -202,9 +202,9 @@ def dual_flow(x, q, R, Q, r: float, t: float) -> DualFlowState:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise InputError("dual slope must be a finite 1-d vector")
-    R, Q, q = as_generator(R), as_generator(Q), as_simplex(q)
-    if R.shape != (x.size, x.size) or Q.shape != (q.size, q.size):
-        raise InputError("generators must match the dimensions of x and q")
+    R, (Q, q) = as_generator(R), as_chain(Q, q)
+    if R.shape != (x.size, x.size):
+        raise InputError(f"R must be {x.size}x{x.size} to match the dimensions of x")
     if not (r > 0 and math.isfinite(r)):
         raise InputError("discount rate must be positive and finite")
     if not (math.isfinite(t) and t >= 0):

@@ -9,18 +9,17 @@ Conventions used throughout the package:
 * Generators are row-generator matrices ``G`` (rows sum to zero,
   off-diagonal rates nonnegative); the law of the chain evolves as
   ``p_t = expm(t * G.T) @ p``.
+  Everything that takes a chain ``(G, p)`` checks it by :func:`as_chain`.
 * Player 1 (the maximizer) stops at ``mu`` and collects ``h``; player 2
   (the minimizer) stops at ``nu`` and pays ``f``; ties go to player 1.
-  It is encoded twice: :func:`realized_payoffs` scores a pair of
-  stopping times, and ``montecarlo._response_chunk`` scores every
-  candidate time of the opponent at once from occupancy counts (the
-  candidates from ``searchsorted(finite, mu, "left")`` on, those with
-  ``finite >= mu``, pay ``h``).
+  :func:`realized_payoffs` scores this; ``montecarlo._response_chunk``
+  adds only the candidate cut (candidates from ``searchsorted(finite,
+  mu, "left")`` on, those with ``finite >= mu``, pay ``h``).
 * Sample paths come as :class:`PathBlock` arrays, one path per row;
   there is no separate one-path type.
-* :func:`_expm` is the one matrix exponential, scaling and squaring of a
-  Taylor polynomial in numpy: the package needs scipy only for the qhull
-  triangulations of 3-state charts.
+* :func:`_propagate` moves every law (``marginal_flow``, the solver's
+  stencils); it and :func:`_expm` share one numpy scaling and squaring:
+  the package needs scipy only for the qhull triangulations of 3-state charts.
 """
 
 from __future__ import annotations
@@ -78,6 +77,14 @@ def as_generator(entries) -> np.ndarray:
     return g
 
 
+def as_chain(G, p) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a generator ``G`` and a law ``p`` on the same states."""
+    G, p = as_generator(G), as_simplex(p)
+    if G.shape != (p.size, p.size):
+        raise InputError(f"generator must be {p.size}x{p.size} to match the law's dimensions")
+    return G, p
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A full problem instance.
@@ -96,11 +103,11 @@ class GameSpec:
     q0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "R", as_generator(self.R))
-        object.__setattr__(self, "Q", as_generator(self.Q))
+        R, p0 = as_chain(self.R, self.p0)
+        Q, q0 = as_chain(self.Q, self.q0)
         f = np.asarray(self.f, dtype=float)
         h = np.asarray(self.h, dtype=float)
-        K, L = self.R.shape[0], self.Q.shape[0]
+        K, L = p0.size, q0.size
         if f.shape != (K, L) or h.shape != (K, L):
             raise InputError(f"payoff matrices must have shape ({K}, {L})")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(h))):
@@ -109,12 +116,8 @@ class GameSpec:
             raise InputError("payoffs must satisfy f >= h entrywise")
         if not (self.r > 0 and math.isfinite(self.r)):
             raise InputError("discount rate must be positive and finite")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "p0", as_simplex(self.p0))
-        object.__setattr__(self, "q0", as_simplex(self.q0))
-        if self.p0.size != K or self.q0.size != L:
-            raise InputError("initial laws must match the generator dimensions")
+        for name, value in (("R", R), ("Q", Q), ("f", f), ("h", h), ("p0", p0), ("q0", q0)):
+            object.__setattr__(self, name, value)
 
     @property
     def K(self) -> int:
@@ -157,22 +160,17 @@ class GameSpec:
         return spec
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring of a Taylor polynomial.
+def _scaled_exp(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(e^(a / 2^s), s)``: a matrix exponential before its ``s`` squarings.
 
     Moler & Van Loan, "Nineteen dubious ways to compute the exponential of
     a matrix, twenty-five years later", SIAM Review 45 (2003).  With the
     shift ``c = max(0, -min a_ii)``, ``e^a = e^-c e^(a + cI)``; ``a + cI``
-    is scaled by ``2^-s`` to a 1-norm at most 1, its exponential is the
+    is scaled by ``2^-s`` to a 1-norm below 1, and its exponential is the
     Taylor polynomial of the degree that the a-priori remainder bound asks
-    for at norm 1, by Horner's rule, and the result is multiplied by
-    ``e^(-c/2^s)`` and squared ``s`` times, or until a squaring changes no
-    entry beyond the rounding drift of the squarings before it.
-
-    The package exponentiates ``tG`` and ``tG^T`` of a generator, and
-    ``t(rI - R)``.  For the first two ``a`` is Metzler, so ``a + cI`` is
-    entrywise nonnegative: every term and every product is a sum of
-    nonnegative numbers, nothing cancels, and no entry comes out negative.
+    for at norm 1, by Horner's rule, times ``e^(-c/2^s)``.  For ``tG^T``
+    of a generator ``a + cI`` is entrywise nonnegative: nothing cancels,
+    and no entry comes out negative.
     """
     a = np.asarray(a, dtype=float)
     eye = np.eye(a.shape[0])
@@ -185,33 +183,42 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for k in range(_TAYLOR_DEGREE - 1, 0, -1):
         e = eye + (b @ e) / k
     e *= math.exp(-math.ldexp(c, -s))
-    # the rounding drift doubles with each squaring; one that moves no entry
-    # beyond it has reached the limit of the powers (the stationary
-    # projector of a generator), and more would only double the drift
-    drift = 2.0 * a.shape[0] * np.finfo(float).eps
+    return e, s
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``e^a`` for an ``a`` that is no generator, the dual slope flow ``t(rI - R)``."""
+    e, s = _scaled_exp(a)
     for _ in range(s):
-        square = e @ e
-        settled = np.all(np.abs(square - e) <= drift * np.abs(e))
-        e = square
-        if settled:
-            break
-        drift *= 2.0
+        e = e @ e
     return e
+
+
+def _propagate(laws: np.ndarray, G: np.ndarray, t: float) -> np.ndarray:
+    """Each row of ``laws`` moved by the chain ``G`` for a time ``t``: ``laws @ e^(tG)``.
+
+    ``e^(tG^T)`` has unit column sums exactly, so each squaring rescales
+    them to 1 and their rounding drift cannot double with each squaring.
+    Rounding negatives are clamped to 0 and each law renormalized.
+    """
+    e, s = _scaled_exp(t * G.T)
+    for _ in range(s):
+        e = e @ e
+        e /= e.sum(axis=0)
+    flowed = np.maximum(laws @ e.T, 0.0)
+    return flowed / flowed.sum(axis=1, keepdims=True)
 
 
 def marginal_flow(p, G, t: float) -> np.ndarray:
     """Law of the chain at time ``t``: ``expm(t * G.T) @ p``."""
-    p = as_simplex(p)
-    G = as_generator(G)
-    if G.shape != (p.size, p.size):
-        raise InputError(f"generator must be {p.size}x{p.size} for a {p.size}-state law")
+    G, p = as_chain(G, p)
     if not math.isfinite(t):
         raise InputError("flow time must be finite")
     if t < 0.0:
         raise InputError("flow time must be nonnegative")
     if t == 0.0 or not np.any(G):
         return p
-    return as_simplex(_expm(t * G.T) @ p)
+    return _propagate(p[None, :], G, t)[0]
 
 
 @dataclass(frozen=True)
@@ -264,8 +271,7 @@ class ChainSampler:
     """
 
     def __init__(self, G, p):
-        self.G = as_generator(G)
-        self.p = as_simplex(p)
+        self.G, self.p = as_chain(G, p)
         self.K = self.p.size
         self.rates = -np.diag(self.G)
         self.mean_hold = np.full(self.K, np.inf)  # +inf in absorbing states
@@ -410,7 +416,7 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     Counter-based, so replication streams are reproducible across
     platforms and independent of how work is scheduled.
     """
-    if seed < 0 or stream < 0:
-        raise InputError("seed and stream must be nonnegative")
+    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise InputError("seed and stream must be nonnegative and below 2**64")
     key = (int(seed) << 64) + int(stream)
     return np.random.Generator(np.random.Philox(key=key))

@@ -72,10 +72,11 @@ class PureResponseFamily:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.size < 2 or np.any(np.diff(t) <= 0):
-            raise InputError("time grid must be strictly increasing")
-        if t[0] != 0.0 or not math.isinf(t[-1]):
+        if t.ndim != 1 or t.size < 2 or t[0] != 0.0 or t[-1] != math.inf:
             raise InputError("time grid must start at 0 and end at +inf")
+        # a NaN difference is not <= 0, so the times before +inf are checked finite first
+        if not np.all(np.isfinite(t[:-1])) or np.any(np.diff(t[:-1]) <= 0):
+            raise InputError("time grid must be finite and strictly increasing before +inf")
         object.__setattr__(self, "times", t)
 
     @classmethod
@@ -93,8 +94,9 @@ class PureResponseFamily:
 
 def _blocks(n: int, seed: int):
     """``(stream, rows)`` for each block of the ``n`` replications."""
-    for b in range(0, n, BLOCK):
-        yield philox_rng(seed, b // BLOCK), min(BLOCK, n - b)
+    if n < 1:
+        raise InputError("need at least one replication")
+    return ((philox_rng(seed, b // BLOCK), min(BLOCK, n - b)) for b in range(0, n, BLOCK))
 
 
 def _capped(t: np.ndarray, horizon: float) -> np.ndarray:
@@ -105,8 +107,6 @@ def _capped(t: np.ndarray, horizon: float) -> np.ndarray:
 def estimate_payoff(spec: GameSpec, strat1: MixedStoppingStrategy,
                     strat2: MixedStoppingStrategy, n: int, seed: int = 0) -> PayoffEstimate:
     """Mean realized payoff over ``n`` independent plays of the strategy pair."""
-    if n < 1:
-        raise InputError("need at least one replication")
     horizon = never_horizon(spec.r)
     sx = ChainSampler(spec.R, spec.p0)
     sy = ChainSampler(spec.Q, spec.q0)
@@ -159,9 +159,7 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
         stopped = np.isfinite(mu)
         zero, n_stopped = int((mu == 0.0).sum()), int(stopped.sum())
         stops += [zero, n_stopped - zero, m - n_stopped]  # in STOP_KINDS order
-        h_payoff = np.zeros(m)
-        h_payoff[stopped] = np.exp(-spec.r * mu[stopped]) * spec.h[
-            X.states_at(mu)[stopped], Y.states_at(mu)[stopped]]
+        h_payoff = realized_payoffs(spec, X, Y, mu, np.full(m, math.inf))
         group = Y.initial_states.astype(np.intp)
         counts += np.bincount(group, minlength=L)
         # candidates c < cut pay f, the others (finite >= mu) pay h
@@ -289,8 +287,6 @@ def best_response_value(spec: GameSpec, strat1: MixedStoppingStrategy,
     comparable; for a product family (one time per opponent initial
     state) the minimization separates exactly across states.
     """
-    if n < 1:
-        raise InputError("need at least one replication")
     sums, sumsq, counts, stops = _response_chunk(spec, strat1, family, n, seed)
     times = family.times
     finite_top = times[-2]

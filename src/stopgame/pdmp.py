@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, IntegrityError
-from .model import PathBlock, as_generator, as_simplex, marginal_flow
+from .model import PathBlock, as_chain, marginal_flow
 
 __all__ = [
     "PdmpCharacteristics", "Orbit", "integrate_flow", "ZPath", "simulate_Z",
@@ -517,10 +517,7 @@ class NeverStopStrategy(MixedStoppingStrategy):
     def __init__(self, R=None, p0=None):
         if (R is None) != (p0 is None):
             raise InputError("a never-stop rule takes the chain's R and p0 together or neither")
-        self.R = None if R is None else as_generator(R)
-        self.p0 = None if p0 is None else as_simplex(p0)
-        if R is not None and self.R.shape != (self.p0.size,) * 2:
-            raise InputError(f"a never-stop rule's R must be KxK with K = {self.p0.size}")
+        self.R, self.p0 = (None, None) if R is None else as_chain(R, p0)
 
     def stopping_times(self, paths, rng):
         return np.full(paths.n, math.inf)

@@ -6,7 +6,9 @@ The value is found as the fixed point of one sweep
 
 where the obstacle step is a discounted look-ahead along the marginal
 flow clipped into the obstacle band ``[h, f]``, and the two envelope
-projections enforce the saddle shape.  The residual checker then tests
+projections enforce the saddle shape.  One operator holds the step (the
+obstacles, the discount, the flow stencils), built once per :func:`solve`
+and per :func:`obstacle_step` call.  The residual checker then tests
 the variational characterization pointwise: at extreme nodes of a slice
 the obstacle/transport inequalities must hold with the right sign.
 
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .grids import (SimplexGrid, ValueGrid, _concave_envelope, concave_envelope,
                     convex_envelope, payoff_grids)
-from .model import GameSpec, _expm
+from .model import GameSpec, _propagate
 
 __all__ = [
     "cav_p", "vex_q", "obstacle_step", "solve",
@@ -50,19 +52,18 @@ def _flow_stencil(grid: SimplexGrid, G: np.ndarray, delta: float):
     if grid.dim == 1 or not np.any(G):
         idx = np.arange(grid.n_nodes, dtype=np.int64)[:, None]
         return idx, np.ones((grid.n_nodes, 1))
-    # marginal_flow for every node at once: one propagator, the same
-    # clamp of rounding negatives and renormalization
-    flowed = np.maximum(grid.nodes @ _expm(delta * G.T).T, 0.0)
-    flowed /= flowed.sum(axis=1, keepdims=True)
-    return grid.interp_weights(flowed[:, : grid.dim - 1])
+    return grid.interp_weights(_propagate(grid.nodes, G, delta)[:, : grid.dim - 1])
 
 
-def _obstacle_terms(p_grid: SimplexGrid, q_grid: SimplexGrid, spec: GameSpec, delta: float):
-    """One ``(rows, cols, weight)`` triple per pair of p- and q-stencil points."""
+def _obstacle_operator(spec: GameSpec, p_grid: SimplexGrid, q_grid: SimplexGrid, delta: float):
+    """``(H, F, disc, terms)``: obstacle grids, discount, and one ``(rows, cols,
+    weight)`` triple per pair of p- and q-stencil points."""
+    H, F = payoff_grids(spec, p_grid, q_grid)
     ip, wp = _flow_stencil(p_grid, spec.R, delta)
     iq, wq = _flow_stencil(q_grid, spec.Q, delta)
-    return [(ip[:, a, None], iq[None, :, b], wp[:, a, None] * wq[None, :, b])
-            for a in range(ip.shape[1]) for b in range(iq.shape[1])]
+    terms = [(ip[:, a, None], iq[None, :, b], wp[:, a, None] * wq[None, :, b])
+             for a in range(ip.shape[1]) for b in range(iq.shape[1])]
+    return H, F, math.exp(-spec.r * delta), terms
 
 
 def _obstacle_apply(values, H, F, disc, terms):
@@ -93,11 +94,8 @@ def obstacle_step(grid: ValueGrid, delta: float) -> ValueGrid:
         raise InputError("obstacle step needs a grid carrying its game spec")
     if not delta > 0:
         raise InputError("time step must be positive")
-    spec = grid.spec
-    H, F = payoff_grids(spec, grid.p_grid, grid.q_grid)
-    new = _obstacle_apply(grid.values, H, F, math.exp(-spec.r * delta),
-                          _obstacle_terms(grid.p_grid, grid.q_grid, spec, delta))
-    return grid.with_values(new)
+    operator = _obstacle_operator(grid.spec, grid.p_grid, grid.q_grid, delta)
+    return grid.with_values(_obstacle_apply(grid.values, *operator))
 
 
 def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
@@ -115,10 +113,8 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
         raise InputError("tolerance must be positive and finite")
     p_grid = SimplexGrid(spec.K, N_p)
     q_grid = SimplexGrid(spec.L, N_q)
-    H, F = payoff_grids(spec, p_grid, q_grid)
     delta = default_time_step(spec, N_p, N_q)
-    disc = math.exp(-spec.r * delta)
-    terms = _obstacle_terms(p_grid, q_grid, spec, delta)
+    H, F, disc, terms = _obstacle_operator(spec, p_grid, q_grid, delta)
 
     V = 0.5 * (H + F)
     change = math.inf

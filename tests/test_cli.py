@@ -185,6 +185,23 @@ def test_cli_input_errors(game_files, capsys):
     capsys.readouterr()
 
 
+def test_seed_past_64_bits_is_an_input_error(game_files, capsys):
+    d = game_files["dir"]
+    sfile = d / "s.json"
+    assert main(["strategy", "--family", "e2", "--r", "0.1", "--p", str(1.0 / 3.0),
+                 "--out", str(sfile)]) == 0
+    seed = ["--seed", str(2**64)]
+    for argv in (["simulate", "--strategy", str(sfile)] + seed,
+                 ["verify", "optimality", "--game", str(game_files["e2"]),
+                  "--strategy", str(sfile), "--n", "100"] + seed):
+        capsys.readouterr()
+        out = d / "seed.out"
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err, argv
+        assert not out.exists(), argv
+
+
 def test_malformed_flags_are_input_errors(game_files, capsys):
     d = game_files["dir"]
     sfile = d / "s.json"

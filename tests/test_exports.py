@@ -1,7 +1,7 @@
 """Export lists resolve, the package keeps a single path type, options
 that only ever took one value stay constants, no function switches
 between the p and q sides, the CLI reads strategies through the loaded
-rule, and no two-state workflow loads scipy."""
+rule, laws move by one propagator, and no two-state workflow loads scipy."""
 
 import ast
 import dataclasses
@@ -45,7 +45,8 @@ def test_model_keeps_one_path_type():
     defined = {name for name, obj in vars(model).items()
                if not name.startswith("_") and getattr(obj, "__module__", None) == model.__name__}
     assert defined == {"GameSpec", "PathBlock", "ChainSampler", "as_simplex", "as_generator",
-                       "marginal_flow", "bilinear_payoff", "realized_payoffs", "philox_rng"}
+                       "as_chain", "marginal_flow", "bilinear_payoff", "realized_payoffs",
+                       "philox_rng"}
     assert defined <= set(stopgame.__all__)
     assert _public(PathBlock) == {"times", "states", "horizon", "n", "n_jumps", "initial_states",
                                   "take", "states_at"}
@@ -137,6 +138,30 @@ def test_no_module_level_scipy_import(path):
     found = [f"line {line}: {name}" for line, name, top in _scipy_imports(ast.parse(path.read_text()))
              if top or name not in allowed]
     assert found == []
+
+
+def _uses(node, names, where="<module>"):
+    """``(name, enclosing function)`` for every read of one of ``names`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and child.id in names:
+            yield child.id, where
+        elif isinstance(child, ast.Attribute) and child.attr in names:
+            yield child.attr, where
+        yield from _uses(child, names, child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+
+def test_one_law_propagator():
+    # laws move only by model._propagate, and _expm is left to the slope
+    # flow t(rI - R) of dual_flow, which is no generator: a third copy of
+    # the propagation rule, with its own squarings, fails here
+    names = {"_expm", "_scaled_exp"}
+    found = {}
+    for path in sorted((SRC / "stopgame").glob("*.py")):
+        for name, where in _uses(ast.parse(path.read_text()), names):
+            found.setdefault(name, set()).add(f"{path.stem}.{where}")
+    assert found == {"_expm": {"conjugate.dual_flow"},
+                     "_scaled_exp": {"model._expm", "model._propagate"}}
 
 
 COLD_START = textwrap.dedent("""

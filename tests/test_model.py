@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from stopgame.errors import InputError
-from stopgame.model import (ChainSampler, GameSpec, PathBlock, _expm, as_generator,
-                            as_simplex, bilinear_payoff, marginal_flow,
+from stopgame.conjugate import dual_flow
+from stopgame.model import (ChainSampler, GameSpec, PathBlock, _expm, _propagate,
+                            as_generator, as_simplex, bilinear_payoff, marginal_flow,
                             philox_rng, realized_payoffs)
-from stopgame.montecarlo import _blocks
+from stopgame.montecarlo import _blocks, belief_consistency
+from stopgame.pdmp import NeverStopStrategy
 
 FLIP = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -169,9 +171,9 @@ def test_expm_of_non_finite_or_huge_input_returns():
 
 @pytest.mark.parametrize("K", [2, 3, 4, 5])
 def test_expm_stops_squaring_at_the_stationary_law(K):
-    # past the mixing time every squaring would double the column-sum
-    # drift (1e-9 at t = 1e7, 1e-2 at 1e14); the squarings end once the
-    # powers settle, so the law stays stochastic at any time
+    # past the mixing time every plain squaring would double the column-sum
+    # drift (1e-9 at t = 1e7, 1e-2 at 1e14); the law propagator rescales the
+    # columns of each square to 1, so the law stays stochastic at any time
     rng = np.random.default_rng(100 + K)
     for _ in range(5):
         G = rng.exponential(1.0, size=(K, K))
@@ -182,9 +184,64 @@ def test_expm_stops_squaring_at_the_stationary_law(K):
         # the stationary law: pi^T G = 0, sum(pi) = 1
         pi = np.linalg.lstsq(np.vstack([G.T, np.ones(K)]), np.eye(K + 1)[K], rcond=None)[0]
         for t in (1e7, 1e8, 1e14):
-            assert np.abs(_expm(t * G.T).sum(axis=0) - 1.0).max() <= 1e-12
+            # row k is the law from state k: column k of e^(tG^T)
+            moved = _propagate(np.eye(K), G, t)
+            assert np.abs(moved.sum(axis=1) - 1.0).max() <= 1e-12
+            np.testing.assert_allclose(moved, np.tile(pi, (K, 1)), rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(marginal_flow(p, G, t), pi, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(marginal_flow([1.0, 0.0], FLIP, 1e7), [0.5, 0.5])
+
+
+def _spectral_flow(eps: float, t: float) -> np.ndarray:
+    """``e^(tG)`` of the symmetric ``G`` of :func:`test_nearly_decomposable_laws_stay_exact`,
+    from its spectral decomposition in 80 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        e = mp.mpf(eps)
+        lam, vec = mp.eigsy(mp.matrix([[-1, 1, 0], [1, -1 - e, e], [0, e, -e]]))
+        out = mp.zeros(3, 3)
+        for i in range(3):
+            out += mp.exp(t * lam[i]) * (vec[:, i] * vec[:, i].T)
+        return np.array(out.tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-20])
+def test_nearly_decomposable_laws_stay_exact(eps):
+    # a slow mode keeps the powers moving, so no squaring could stop early:
+    # plain squarings drifted the column sums of e^(tG^T) by up to 1.5e-2
+    # (eps = 1e-20, t = 1e14), the laws by up to 3e-5 after renormalizing,
+    # and marginal_flow raised at eps = 1e-6, t = 1e9
+    G = np.array([[-1.0, 1.0, 0.0], [1.0, -1.0 - eps, eps], [0.0, eps, -eps]])
+    p = np.array([0.2, 0.3, 0.5])
+    for t in (1e3, 1e6, 1e9, 1e10, 1e12, 1e14):
+        want = _spectral_flow(eps, t)
+        moved = _propagate(np.eye(3), G, t)
+        assert np.abs(moved.sum(axis=1) - 1.0).max() <= 1e-12
+        np.testing.assert_allclose(moved, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(marginal_flow(p, G, t), p @ want, rtol=0.0, atol=1e-12)
+
+
+# every class and function that takes a chain checks it with as_chain
+CHAIN_TAKERS = {
+    "GameSpec.R": lambda G, p: GameSpec(R=G, Q=[[0.0]], r=1.0, f=np.ones((2, 1)),
+                                        h=np.zeros((2, 1)), p0=p, q0=[1.0]),
+    "GameSpec.Q": lambda G, p: GameSpec(R=[[0.0]], Q=G, r=1.0, f=np.ones((1, 2)),
+                                        h=np.zeros((1, 2)), p0=[1.0], q0=p),
+    "ChainSampler": ChainSampler,
+    "marginal_flow": lambda G, p: marginal_flow(p, G, 1.0),
+    "NeverStopStrategy": NeverStopStrategy,
+    "dual_flow": lambda G, p: dual_flow([1.0, 0.0], p, FLIP, G, 0.5, 1.0),
+    "belief_consistency": lambda G, p: belief_consistency(NeverStopStrategy(FLIP, p), G,
+                                                          1.0, 100),
+}
+
+
+@pytest.mark.parametrize("take", CHAIN_TAKERS.values(), ids=CHAIN_TAKERS)
+def test_chain_takers_reject_a_law_on_other_states(take):
+    # ChainSampler, and so belief_consistency, used to fail with numpy's
+    # "operands could not be broadcast"
+    with pytest.raises(InputError, match="2x2 to match the law.s dimensions"):
+        take(np.zeros((3, 3)), [0.5, 0.5])
 
 
 def test_simulate_chain_zero_generator():
@@ -272,6 +329,15 @@ def test_realized_payoff_short_trajectory(e1_spec):
         realized_payoffs(e1_spec, X, Y, np.array([2.0]), np.array([5.0]))
     with pytest.raises(InputError):
         realized_payoffs(e1_spec, Y, Y, np.array([-1.0]), np.array([5.0]))
+
+
+def test_philox_keys_stay_within_64_bits():
+    # the key is seed * 2^64 + stream: stream 2^64 of seed 0 would be
+    # stream 0 of seed 1, and a seed of 2^64 is past numpy's 128-bit key
+    for seed, stream in ((2**64, 0), (0, 2**64), (-1, 0), (0, -1)):
+        with pytest.raises(InputError, match="2\\*\\*64"):
+            philox_rng(seed, stream)
+    philox_rng(2**64 - 1, 2**64 - 1)
 
 
 def test_philox_streams_reproducible():

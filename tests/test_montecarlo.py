@@ -7,9 +7,9 @@ import stopgame.examples as ex
 from conftest import game_at
 from stopgame.errors import InputError
 from stopgame.model import bilinear_payoff
-from stopgame.montecarlo import (PureResponseFamily, best_response_value,
-                                 default_time_grid, estimate_payoff,
-                                 exploit_gap)
+from stopgame.montecarlo import (PureResponseFamily, belief_consistency,
+                                 best_response_value, default_time_grid,
+                                 estimate_payoff, exploit_gap)
 from stopgame.pdmp import (ConstantTimeStrategy, InitialStateTimeStrategy,
                            NeverStopStrategy, StopNowStrategy)
 
@@ -26,6 +26,27 @@ def test_time_grid_shape():
     assert np.all(np.diff(grid[:-1]) > 0)
     with pytest.raises(InputError):
         PureResponseFamily(np.array([0.0, 1.0, 2.0]))  # no +inf tail
+
+
+@pytest.mark.parametrize("times", [[0.0, math.nan, 1.0, math.inf], [0.0, 1.0, math.inf, math.inf],
+                                   [0.0, 2.0, 1.0, math.inf], [0.0, 0.0, math.inf],
+                                   [math.nan, 1.0, math.inf], [0.0, math.nan, math.inf]])
+def test_family_times_are_finite_and_increasing_before_inf(times):
+    # np.diff gives NaN at a NaN or a repeated +inf, and NaN <= 0 is false
+    with pytest.raises(InputError):
+        PureResponseFamily(np.array(times))
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_replication_count_is_checked(n, e2_spec):
+    # belief_consistency used to return an "inconclusive" report with n = -5
+    spec = game_at(e2_spec, 1.0 / 3.0, None)
+    never = NeverStopStrategy(spec.R, spec.p0)
+    for run in (lambda: estimate_payoff(spec, never, NeverStopStrategy(), n),
+                lambda: best_response_value(spec, never, small_family(), n),
+                lambda: belief_consistency(never, spec.R, 1.0, n)):
+        with pytest.raises(InputError, match="at least one replication"):
+            run()
 
 
 def test_estimate_stop_now_gives_h(e1_spec):
