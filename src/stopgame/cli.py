@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,7 @@ from .errors import InputError, IntegrityError, StopGameError
 from .grids import write_value_csv
 from .model import GameSpec, philox_rng
 from .montecarlo import PureResponseFamily, exploit_gap
-from .pdmp import (FlowIntensityStrategy, InitialStateTimeStrategy, SplitThenFlowStrategy,
-                   simulate_Z)
+from .pdmp import FlowIntensityStrategy, SplitThenFlowStrategy, simulate_Z
 from . import examples as ex
 from .serialize import strategy_from_json, strategy_to_json
 from .solver import solve
@@ -110,7 +110,7 @@ def _build_parser() -> _Parser:
     t = sub.add_parser("strategy", parents=[e2], help="build an optimal-strategy descriptor")
     t.add_argument("--family", required=True, choices=["e1", "e2"])
     t.add_argument("--p", type=float, required=True)
-    t.add_argument("--q", type=float, default=0.5)
+    t.add_argument("--q", type=float, help="e1 only (default 0.5)")
     t.add_argument("--out", required=True)
 
     m = sub.add_parser("simulate", help="sample one auxiliary-process path")
@@ -263,11 +263,11 @@ def _cmd_dual(args) -> int:
 
 def _cmd_example(args) -> int:
     out = _check_out(args.out)
+    grid = np.linspace(0.0, 1.0, args.res + 1)
     if args.which == "e1":
         _reject_flags(args, ("r", "a", "b", "h", "f"), "e1")
         if args.what != "dual":
             _reject_flags(args, ("ybox",), f"e1 --what {args.what}")
-        grid = np.linspace(0.0, 1.0, args.res + 1)
         if args.what == "value":
             rows = [(float(p), float(q), ex.e1_value(float(p), float(q)))
                     for p in grid for q in grid]
@@ -289,16 +289,10 @@ def _cmd_example(args) -> int:
         return 0
     _reject_flags(args, ("ybox",), "e2")
     params = _e2_params(args)
-    grid = np.linspace(0.0, 1.0, args.res + 1)
-    if args.what == "value":
-        rows = [(float(p), ex.e2_value(params, float(p))) for p in grid]
-        out.write_text(_grid_csv_rows("p,value", rows))
-    elif args.what == "blind":
-        blind = ex.e2_blind_value(params)
-        rows = [(float(p), blind(float(p))) for p in grid]
-        out.write_text(_grid_csv_rows("p,value", rows))
-    else:
+    if args.what not in ("value", "blind"):
         raise InputError("e2 supports --what value|blind")
+    curve = ex.e2_blind_value(params) if args.what == "blind" else partial(ex.e2_value, params)
+    out.write_text(_grid_csv_rows("p,value", [(float(p), curve(float(p))) for p in grid]))
     print(f"example e2 {args.what} (case {ex.e2_case(params).value}) -> {out}")
     return 0
 
@@ -308,15 +302,13 @@ def _cmd_strategy(args) -> int:
     if args.family == "e1":
         _reject_flags(args, ("a", "b", "h", "f"), "e1")
         r = args.r if args.r is not None else 1.0
-        if not (0.0 <= args.p <= 1.0 and 0.0 <= args.q <= 1.0):
-            raise InputError("chart coordinates must lie in [0, 1]")
-        strat = ex.e1_optimal_mu(args.p, args.q, r)
-        claim = ex.e1_value(args.p, args.q)
-        point = {"p": args.p, "q": args.q, "r": r}
+        q = args.q if args.q is not None else 0.5
+        strat = ex.e1_optimal_mu(args.p, q, r)
+        claim = ex.e1_value(args.p, q)
+        point = {"p": args.p, "q": q, "r": r}
     else:
+        _reject_flags(args, ("q",), "e2")
         params = _e2_params(args)
-        if not 0.0 <= args.p <= 1.0:
-            raise InputError("chart coordinate must lie in [0, 1]")
         strat = ex.e2_optimal_mu(params, args.p)
         claim = ex.e2_value(params, args.p)
         point = {"p": args.p}
@@ -351,14 +343,6 @@ def _cmd_verify(args) -> int:
     strat, claim = _read_strategy(args.strategy)
     if claim is None:
         raise InputError("strategy file carries no value_claim to verify against")
-    belief = strat.initial_belief()  # None: the rule carries no start law
-    if belief is not None and (belief.size != spec.p0.size
-                               or np.abs(belief - spec.p0).max() > 1e-6):
-        raise InputError(f"strategy was built for initial law {belief.tolist()} but the "
-                         f"game starts at {spec.p0.tolist()}")
-    if isinstance(strat, InitialStateTimeStrategy) and strat.times.size != spec.K:
-        raise InputError(f"strategy has {strat.times.size} stopping times but the "
-                         f"game has {spec.K} own states")
     family = PureResponseFamily.for_game(spec, n=args.times)
     report = exploit_gap(spec, strat, float(claim), family, args.n,
                          seed=args.seed)

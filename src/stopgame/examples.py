@@ -45,6 +45,25 @@ _MTOL = 1e-9   # membership slack of the domain oracles
 _PCORNER = 1e-9
 
 
+def _check_chart(*coords: float) -> None:
+    if not all(0.0 <= c <= 1.0 for c in coords):  # NaN fails too
+        raise InputError("chart coordinates must lie in [0, 1]")
+
+
+def _jump_characteristics(target: np.ndarray, **fields) -> PdmpCharacteristics:
+    """Characteristics whose every jump lands on ``target``: the drift is
+    ``A z - lam(z) (target - z)`` off ``S`` and 0 on it."""
+    A, lam, in_S = fields["A"], fields["lam"], fields["in_S"]
+
+    def alpha(z):
+        z = np.asarray(z, dtype=float)
+        if in_S(z):
+            return np.zeros(z.size)
+        return A @ z - lam(z) * (target - z)
+
+    return PdmpCharacteristics(alpha=alpha, phi=lambda z: target.copy(), **fields)
+
+
 def scalar_payoff_matrix(c0: float, cp: float, cq: float) -> np.ndarray:
     """Matrix of the bilinear extension of ``c0 + cp*p + cq*q`` (chart form).
 
@@ -67,15 +86,12 @@ def e1_game(r: float = 1.0) -> GameSpec:
 
 def e1_value(p: float, q: float) -> float:
     """Closed-form value on the chart square ``[0,1]^2``."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise InputError("chart coordinates must lie in [0, 1]")
-    if q >= 0.5:
-        if p >= 1.0 - q:
-            return (2.0 * q - 1.0) / q * (p + q - 1.0)
-        return (1.0 - 2.0 * p) / (1.0 - p) * (p + q - 1.0)
-    if p >= 0.5:
+    _check_chart(p, q)
+    if q >= 0.5 and p >= 1.0 - q:
+        return (2.0 * q - 1.0) / q * (p + q - 1.0)
+    if q < 0.5 and p >= 0.5:
         return 0.0
-    return (1.0 - 2.0 * p) / (1.0 - p) * (p + q - 1.0)
+    return _curve(p) * (p + q - 1.0)
 
 
 def e1_value_qslope(p: float, q: float) -> float:
@@ -85,7 +101,7 @@ def e1_value_qslope(p: float, q: float) -> float:
             return (p + qq - 1.0) / qq**2 + 2.0 - 1.0 / qq
         if p >= 0.5:
             return 0.0
-        return (1.0 - 2.0 * p) / (1.0 - p)
+        return _curve(p)
 
     if q <= 0.0:
         return slope(0.0, right=True)
@@ -176,7 +192,7 @@ def e1_characteristics(r: float = 1.0) -> PdmpCharacteristics:
     A = np.zeros((4, 4))
     A[2, 2] = r
     A[3, 3] = r
-    phi_target = _z1(1.0, 2.0)
+    target = _z1(1.0, 2.0)
 
     def on_curve(z) -> bool:
         p, y = _chart1(z)
@@ -187,12 +203,6 @@ def e1_characteristics(r: float = 1.0) -> PdmpCharacteristics:
             p, _ = _chart1(z)
             return 0.5 * r * (1.0 - 2.0 * p)
         return 0.0
-
-    def alpha(z):
-        z = np.asarray(z, dtype=float)
-        if in_S(z):
-            return np.zeros(4)
-        return A @ z - lam(z) * (phi_target - z)
 
     def sane(z) -> bool:
         return (abs(z[0] + z[1] - 1.0) <= 1e-7 and -_MTOL <= z[0] <= 1.0 + _MTOL
@@ -230,7 +240,7 @@ def e1_characteristics(r: float = 1.0) -> PdmpCharacteristics:
     def split(z):
         p, y = _chart1(z)
         zone = e1_zone(p, y)
-        stop = phi_target
+        stop = target
         if zone == "E":
             if p >= 1.0 - _MTOL:
                 raise InputError("point already lies in the absorbing set")
@@ -244,9 +254,8 @@ def e1_characteristics(r: float = 1.0) -> PdmpCharacteristics:
             return _z1(p_res, _curve(p_res)), stop, (p - p_res) / (1.0 - p_res)
         raise InputError(f"point in zone {zone} is not exterior")
 
-    return PdmpCharacteristics(
-        dim_p=2, dim_y=2, r=r, A=A, alpha=alpha, lam=lam,
-        phi=lambda z: phi_target.copy(), in_EH=in_EH, in_S=in_S,
+    return _jump_characteristics(
+        target, dim_p=2, dim_y=2, r=r, A=A, lam=lam, in_EH=in_EH, in_S=in_S,
         split=split, snap=snap, quiescent=quiescent, params={"kind": "example1", "r": r})
 
 
@@ -258,6 +267,7 @@ def e1_optimal_mu(p: float, q: float, r: float = 1.0) -> MixedStoppingStrategy:
     and ``{p = 0}``, stop now on the absorbing set, an intensity rule on
     the invariant zone, and a time-zero split elsewhere.
     """
+    _check_chart(p, q)
     y = e1_value_qslope(p, q)
     char = e1_characteristics(r)
     z = _z1(p, y)
@@ -304,6 +314,10 @@ class Example2Params:
 
     def f(self, p: float) -> float:
         return self.f0 + (self.f1 - self.f0) * p
+
+    def drift(self, p: float) -> float:
+        """Belief drift ``dp/dt = b - (a+b) p`` of the marginal flow."""
+        return self.b - (self.a + self.b) * p
 
     @property
     def p_star(self) -> float:
@@ -356,8 +370,7 @@ def e2_p0(params: Example2Params) -> float:
         raise InputError("the interior kink exists only in case i")
 
     def g(p):
-        return (params.h1 - params.f(p)) / (1.0 - p) * (params.b - (params.a + params.b) * p) \
-            - params.r * params.f(p)
+        return (params.h1 - params.f(p)) / (1.0 - p) * params.drift(p) - params.r * params.f(p)
 
     lo, hi = 0.0, params.p_star
     if not (g(lo) > 0 > g(hi - 1e-15)):
@@ -367,8 +380,7 @@ def e2_p0(params: Example2Params) -> float:
 
 def e2_value(params: Example2Params, p: float) -> float:
     """Closed-form value, dispatched on the case tag."""
-    if not 0.0 <= p <= 1.0:
-        raise InputError("chart coordinate must lie in [0, 1]")
+    _check_chart(p)
     case = e2_case(params)
     if case is CaseTag.III:
         return params.h(p)
@@ -384,13 +396,13 @@ def e2_value(params: Example2Params, p: float) -> float:
 def e2_lambda1(params: Example2Params) -> float:
     """Conditional stopping intensity while the chain sits in state 0."""
     p0 = e2_p0(params)
-    return (params.b - (params.a + params.b) * p0) / (p0 * (1.0 - p0))
+    return params.drift(p0) / (p0 * (1.0 - p0))
 
 
 def e2_jump_intensity(params: Example2Params) -> float:
     """Unconditional jump intensity of the belief PDMP at the kink."""
     p0 = e2_p0(params)
-    return (params.b - (params.a + params.b) * p0) / (1.0 - p0)
+    return params.drift(p0) / (1.0 - p0)
 
 
 def e2_wait_time(params: Example2Params, p: float) -> float:
@@ -398,8 +410,7 @@ def e2_wait_time(params: Example2Params, p: float) -> float:
     p0 = e2_p0(params)
     if p >= p0:
         return 0.0
-    a, b = params.a, params.b
-    return math.log((b - (a + b) * p) / (b - (a + b) * p0)) / (a + b)
+    return math.log(params.drift(p) / params.drift(p0)) / (params.a + params.b)
 
 
 def e2_split_probability(params: Example2Params, p: float) -> float:
@@ -440,12 +451,6 @@ def e2_characteristics(params: Example2Params) -> PdmpCharacteristics:
     def lam(z) -> float:
         return lam_p0 if abs(float(z[0]) - p0) <= _BTOL else 0.0
 
-    def alpha(z):
-        z = np.asarray(z, dtype=float)
-        if in_S(z):
-            return np.zeros(2)
-        return A @ z - lam(z) * (target - z)
-
     def sane(z) -> bool:
         return abs(z[0] + z[1] - 1.0) <= 1e-7 and -_MTOL <= z[0] <= 1.0 + _MTOL
 
@@ -470,9 +475,8 @@ def e2_characteristics(params: Example2Params) -> PdmpCharacteristics:
         m = (p - p0) / (1.0 - p0)
         return np.array([p0, 1.0 - p0]), target.copy(), m
 
-    return PdmpCharacteristics(
-        dim_p=2, dim_y=0, r=params.r, A=A, alpha=alpha, lam=lam,
-        phi=lambda z: target.copy(), in_EH=in_EH, in_S=in_S,
+    return _jump_characteristics(
+        target, dim_p=2, dim_y=0, r=params.r, A=A, lam=lam, in_EH=in_EH, in_S=in_S,
         split=split, snap=snap,
         params={"kind": "example2", "a": params.a, "b": params.b, "r": params.r,
                 "h": [params.h0, params.h1], "f": [params.f0, params.f1]})
@@ -486,6 +490,7 @@ def e2_optimal_mu(params: Example2Params, p: float) -> MixedStoppingStrategy:
     state 0, then run the kink rule.  Below it: the rule is silent until
     the belief flow reaches the kink.
     """
+    _check_chart(p)
     return build_mu(e2_characteristics(params), np.array([p, 1.0 - p]),
                     vstar=e2_vstar_full(params))
 
@@ -509,8 +514,7 @@ class BlindSolution:
     C: float
 
     def __call__(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise InputError("chart coordinate must lie in [0, 1]")
+        _check_chart(p)
         if p <= self.p1:
             return self.params.f(p)
         if p >= self.p2:
@@ -518,12 +522,10 @@ class BlindSolution:
         return self.arc(p)
 
     def arc(self, p: float) -> float:
-        u = self.params.b - (self.params.a + self.params.b) * p
-        return self.C * u ** (-self.params.r / (self.params.a + self.params.b))
+        return self.C * self.params.drift(p) ** (-self.params.r / (self.params.a + self.params.b))
 
     def arc_slope(self, p: float) -> float:
-        u = self.params.b - (self.params.a + self.params.b) * p
-        return self.params.r * self.arc(p) / u
+        return self.params.r * self.arc(p) / self.params.drift(p)
 
 
 def e2_blind_value(params: Example2Params) -> BlindSolution:
@@ -535,8 +537,7 @@ def e2_blind_value(params: Example2Params) -> BlindSolution:
     p2 = (sh * b - r * params.h0) / (sh * (a + b + r))
     if not 0.0 < p2 < params.p_star:
         raise IntegrityError("smooth-fit point outside (0, p*)")
-    u2 = b - (a + b) * p2
-    C = params.h(p2) * u2 ** (r / (a + b))
+    C = params.h(p2) * params.drift(p2) ** (r / (a + b))
     sol = BlindSolution(params, math.nan, p2, C)
 
     def gap(p):  # arc minus f; positive at 0, negative at p2

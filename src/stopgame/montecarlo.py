@@ -9,7 +9,9 @@ computed as arrays, in this stream order: the own paths, the opponent's
 paths (where there is an opponent), then the stopping times.  All blocks
 run in the calling process, one after the other, so every estimate
 depends only on ``seed`` and ``n``.  This module is the only one that
-knows the block layout.
+knows the block layout.  ``_plays`` is the one block loop of the payoff
+estimate and the best responses.  Before its first block it rejects a
+rule built for another start law, or for another number of own states.
 
 Best responses score every candidate time of the opponent without a
 (replication x candidate) matrix: a row's response changes only at its
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import ChainSampler, GameSpec, philox_rng, realized_payoffs
-from .pdmp import MixedStoppingStrategy, never_horizon
+from .pdmp import InitialStateTimeStrategy, MixedStoppingStrategy, never_horizon
 
 __all__ = [
     "PayoffEstimate", "PureResponseFamily", "default_time_grid",
@@ -104,20 +106,38 @@ def _capped(t: np.ndarray, horizon: float) -> np.ndarray:
     return np.where(t <= horizon, t, math.inf)
 
 
+def _check_rule(strategy: MixedStoppingStrategy, law: np.ndarray) -> None:
+    """Reject a rule built for another start law or another number of own states."""
+    belief = strategy.initial_belief()  # None: the rule carries no start law
+    if belief is not None and (belief.size != law.size or np.abs(belief - law).max() > 1e-6):
+        raise InputError(f"strategy was built for initial law {belief.tolist()} but the "
+                         f"game starts at {law.tolist()}")
+    if isinstance(strategy, InitialStateTimeStrategy) and strategy.times.size != law.size:
+        raise InputError(f"strategy has {strategy.times.size} stopping times but the "
+                         f"game has {law.size} own states")
+
+
+def _plays(spec: GameSpec, strat1: MixedStoppingStrategy, horizon: float, n: int, seed: int):
+    """``(stream, X, Y, mu)`` per block, after one check of ``strat1`` against the game."""
+    _check_rule(strat1, spec.p0)
+    sx = ChainSampler(spec.R, spec.p0)
+    sy = ChainSampler(spec.Q, spec.q0)
+    for rng, m in _blocks(n, seed):
+        X = sx.sample_block(horizon, rng, m)
+        Y = sy.sample_block(horizon, rng, m)
+        yield rng, X, Y, _capped(strat1.stopping_times(X, rng), horizon)
+
+
 def estimate_payoff(spec: GameSpec, strat1: MixedStoppingStrategy,
                     strat2: MixedStoppingStrategy, n: int, seed: int = 0) -> PayoffEstimate:
     """Mean realized payoff over ``n`` independent plays of the strategy pair."""
     horizon = never_horizon(spec.r)
-    sx = ChainSampler(spec.R, spec.p0)
-    sy = ChainSampler(spec.Q, spec.q0)
+    _check_rule(strat2, spec.q0)
     total = np.zeros(3)
-    for rng, m in _blocks(n, seed):
-        X = sx.sample_block(horizon, rng, m)
-        Y = sy.sample_block(horizon, rng, m)
-        mu = _capped(strat1.stopping_times(X, rng), horizon)
+    for rng, X, Y, mu in _plays(spec, strat1, horizon, n, seed):
         nu = _capped(strat2.stopping_times(Y, rng), horizon)
         pay = realized_payoffs(spec, X, Y, mu, nu)
-        total += [pay.sum(), (pay * pay).sum(), m]
+        total += [pay.sum(), (pay * pay).sum(), mu.size]
     mean = total[0] / n
     var = max(total[1] / n - mean * mean, 0.0)
     return PayoffEstimate(float(mean), float(math.sqrt(var / n)), n, seed)
@@ -142,8 +162,6 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     finite = family.times[:-1]
     g = finite.size
     horizon = max(float(finite[-1]), never_horizon(spec.r), 1.0)
-    sx = ChainSampler(spec.R, spec.p0)
-    sy = ChainSampler(spec.Q, spec.q0)
     L = spec.L
     pairs = spec.K * L
     # occupancy differences per (group, pair k*L + l, candidate), with one
@@ -152,14 +170,11 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     h_sums = np.zeros((2, L * (g + 1)))
     counts = np.zeros(L)
     stops = np.zeros(len(STOP_KINDS), dtype=np.int64)
-    for rng, m in _blocks(n, seed):
-        X = sx.sample_block(horizon, rng, m)
-        Y = sy.sample_block(horizon, rng, m)
-        mu = _capped(strat1.stopping_times(X, rng), horizon)
+    for _, X, Y, mu in _plays(spec, strat1, horizon, n, seed):
         stopped = np.isfinite(mu)
         zero, n_stopped = int((mu == 0.0).sum()), int(stopped.sum())
-        stops += [zero, n_stopped - zero, m - n_stopped]  # in STOP_KINDS order
-        h_payoff = realized_payoffs(spec, X, Y, mu, np.full(m, math.inf))
+        stops += [zero, n_stopped - zero, mu.size - n_stopped]  # in STOP_KINDS order
+        h_payoff = realized_payoffs(spec, X, Y, mu, np.full(mu.size, math.inf))
         group = Y.initial_states.astype(np.intp)
         counts += np.bincount(group, minlength=L)
         # candidates c < cut pay f, the others (finite >= mu) pay h
@@ -356,7 +371,8 @@ def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: floa
     """
     if threads != 1:
         raise InputError(f"Monte Carlo runs in one process; threads must be 1, got {threads!r}")
-    if value_claim == -math.inf:
+    if value_claim == -math.inf:  # nothing is played, so the rule is checked here
+        _check_rule(strat1, spec.p0)
         return GapReport(value_claim, math.nan, math.inf, 0.0, 0, seed, {},
                          family.descriptor(), family.exhaustive_for(spec),
                          dict.fromkeys(STOP_KINDS, 0), False)

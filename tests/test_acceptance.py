@@ -149,21 +149,20 @@ def _e2_samples_1000(e2_params):
 
 
 def test_criterion_06_structure_conditions(e1_char, e2_char, e2_params):
-    rep1 = sc_check(e1_char, ex.e1_vstar_full, _e1_samples_1000(), tol=1e-6)
+    rep1 = sc_check(e1_char, ex.e1_vstar_full, _e1_samples_1000())
     vstar2 = ex.e2_vstar_full(e2_params)
-    rep2 = sc_check(e2_char, vstar2, _e2_samples_1000(e2_params), tol=1e-6)
+    rep2 = sc_check(e2_char, vstar2, _e2_samples_1000(e2_params))
 
     small1 = _e1_samples_1000()[:240]
     small2 = _e2_samples_1000(e2_params)[:240]
     scaled = dataclasses.replace(e1_char, lam=lambda z: 1.1 * e1_char.lam(z))
-    fail_a = not sc_check(scaled, ex.e1_vstar_full, small1, tol=1e-6).passed
+    fail_a = not sc_check(scaled, ex.e1_vstar_full, small1).passed
     shifted = dataclasses.replace(e2_char, phi=lambda z: np.array([0.9, 0.1]))
-    fail_b = not sc_check(shifted, vstar2, small2, tol=1e-6).passed
+    fail_b = not sc_check(shifted, vstar2, small2).passed
     A = e2_params.R.T
     drifted = dataclasses.replace(
         e2_char, alpha=lambda z: A @ np.asarray(z, dtype=float), snap=None)
-    fail_c = not sc_check(drifted, vstar2, small2,
-                          tol=1e-6).passed_by_condition["sc2_invariant"]
+    fail_c = not sc_check(drifted, vstar2, small2).passed_by_condition["sc2_invariant"]
     report(6, rep1.passed and rep2.passed and fail_a and fail_b and fail_c,
            f"sc_check passes both examples on 1000 samples (tol 1e-6); "
            f"perturbations rejected: scaled lam={fail_a}, shifted phi={fail_b}, "

@@ -170,6 +170,47 @@ def test_verify_rejects_mismatched_initial_law(game_files):
     assert code == 1
 
 
+def test_strategy_q_is_e1_only(game_files, capsys):
+    # e2 has no private state on player 2's side, so --q has nothing to set
+    d = game_files["dir"]
+    capsys.readouterr()
+    for argv in (["--family", "e2", "--p", "0.3", "--q", "0.9"],
+                 ["--family", "e2", "--p", "0.3", "--q", "0.5"],
+                 ["--family", "e1", "--p", "0.3", "--q", "1.5"],
+                 ["--family", "e2", "--p", "nan"]):
+        out = d / "q.json"
+        assert main(["strategy", *argv, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err, argv
+        assert not out.exists(), argv
+    # e1 still defaults to q = 0.5
+    assert main(["strategy", "--family", "e1", "--p", "0.25", "--out", str(d / "e1.json")]) == 0
+    assert json.loads((d / "e1.json").read_text())["point"]["q"] == 0.5
+
+
+def test_verify_rejects_rules_that_do_not_fit_the_game(game_files, capsys):
+    # the library checks the rule; verify maps its InputError to exit 1
+    d = game_files["dir"]
+    three = GameSpec(R=[[-1.0, 0.6, 0.4], [0.5, -0.8, 0.3], [1.0, 1.0, -2.0]], Q=[[0.0]],
+                     r=0.4, f=[[1.0], [0.0], [3.0]], h=[[0.5], [-1.0], [2.0]],
+                     p0=[0.2, 0.5, 0.3], q0=[1.0])
+    (d / "three.json").write_text(three.to_json())
+    flow = d / "flow.json"
+    assert main(["strategy", "--family", "e2", "--p", "0.2", "--out", str(flow)]) == 0
+    (d / "flow_minus_inf.json").write_text(json.dumps(
+        {**json.loads(flow.read_text()), "value_claim": float("-inf")}))
+    (d / "long.json").write_text(json.dumps(
+        {"strategy": {"case": "state_times", "times": [1.0, 2.0, 3.0]}, "value_claim": 1.0}))
+    capsys.readouterr()
+    for game, strategy in (("three.json", "flow.json"), (game_files["e2"], "flow.json"),
+                           (game_files["e2"], "flow_minus_inf.json"),
+                           (game_files["e2"], "long.json")):
+        assert main(["verify", "optimality", "--game", str(d / game), "--strategy",
+                     str(d / strategy), "--n", "100"]) == 1, (game, strategy)
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err, (game, strategy)
+
+
 def test_cli_input_errors(game_files, capsys):
     assert main(["solve", "--game", "missing.json", "--grid", "10",
                  "--out", str(game_files["dir"] / "x.csv")]) == 1

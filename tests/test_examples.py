@@ -278,3 +278,35 @@ def test_blind_band_between_obstacles(e2_params):
     blind = ex.e2_blind_value(e2_params)
     for p in np.linspace(0.0, 1.0, 201):
         assert e2_params.h(p) - 1e-9 <= blind(p) <= e2_params.f(p) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one chart check for both games
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ex.e1_optimal_mu(0.3, 1.5),
+    lambda: ex.e1_optimal_mu(-0.1, 0.5),
+    lambda: ex.e1_optimal_mu(math.nan, 0.5),
+    lambda: ex.e1_optimal_mu(0.3, math.nan),
+    lambda: ex.e2_optimal_mu(ex.REFERENCE_E2, 1.5),
+    lambda: ex.e2_optimal_mu(ex.REFERENCE_E2, -0.1),
+    lambda: ex.e2_optimal_mu(ex.REFERENCE_E2, math.nan),
+    lambda: ex.e1_value(math.nan, 0.5),
+    lambda: ex.e2_value(ex.REFERENCE_E2, math.nan),
+    lambda: ex.e2_blind_value(ex.REFERENCE_E2)(math.nan),
+], ids=["e1_mu_q_above", "e1_mu_p_below", "e1_mu_p_nan", "e1_mu_q_nan", "e2_mu_above",
+        "e2_mu_below", "e2_mu_nan", "e1_value_nan", "e2_value_nan", "blind_nan"])
+def test_chart_outside_the_square_is_an_input_error(build):
+    # e1_optimal_mu(0.3, 1.5) used to return a split rule, and e2 blamed the split
+    with pytest.raises(InputError, match="chart coordinates must lie in"):
+        build()
+
+
+def test_belief_drift_is_the_marginal_flow(e2_params):
+    from stopgame.model import marginal_flow
+
+    p, t = 0.3, 1e-6
+    moved = marginal_flow([p, 1.0 - p], e2_params.R, t)[0]
+    assert (moved - p) / t == pytest.approx(e2_params.drift(p), rel=1e-5)
+    assert e2_params.drift(e2_params.p_star) == pytest.approx(0.0, abs=1e-15)

@@ -1,7 +1,8 @@
 """Export lists resolve, the package keeps a single path type, options
 that only ever took one value stay constants, no function switches
 between the p and q sides, the CLI reads strategies through the loaded
-rule, laws move by one propagator, and no two-state workflow loads scipy."""
+rule, laws move by one propagator, Monte Carlo plays by one loop, and no
+two-state workflow loads scipy."""
 
 import ast
 import dataclasses
@@ -60,7 +61,7 @@ def test_model_keeps_one_path_type():
 SIGNATURES = {
     PureResponseFamily: ["times"],
     pdmp.integrate_flow: ["char", "z0", "horizon", "dt"],
-    pdmp.sc_check: ["char", "vstar", "samples", "tol"],
+    pdmp.sc_check: ["char", "vstar", "samples"],
     pdmp.SplitThenFlowStrategy: ["char", "z", "z_flow", "z_stop", "m", "horizon", "vstar"],
     pdmp.build_mu: ["char", "z", "vstar"],
     solver.residual_check: ["grid"],
@@ -162,6 +163,16 @@ def test_one_law_propagator():
             found.setdefault(name, set()).add(f"{path.stem}.{where}")
     assert found == {"_expm": {"conjugate.dual_flow"},
                      "_scaled_exp": {"model._expm", "model._propagate"}}
+
+
+def test_one_play_loop():
+    # montecarlo builds its chain samplers only in the play loop, which
+    # checks the rule against the game, and in survivor_counts (one chain,
+    # no opponent); the CLI leaves that check to the library
+    mc = ast.parse(Path(montecarlo.__file__).read_text())
+    assert {where for _, where in _uses(mc, {"ChainSampler"})} == {"_plays", "survivor_counts"}
+    names = {"initial_belief", "InitialStateTimeStrategy"}
+    assert list(_uses(ast.parse(Path(cli.__file__).read_text()), names)) == []
 
 
 COLD_START = textwrap.dedent("""

@@ -6,7 +6,7 @@ import pytest
 import stopgame.examples as ex
 from conftest import game_at
 from stopgame.errors import InputError
-from stopgame.model import bilinear_payoff
+from stopgame.model import GameSpec, bilinear_payoff
 from stopgame.montecarlo import (PureResponseFamily, belief_consistency,
                                  best_response_value, default_time_grid,
                                  estimate_payoff, exploit_gap)
@@ -152,6 +152,72 @@ def test_short_state_times_rule_is_an_input_error(e2_spec):
         InitialStateTimeStrategy([])
 
 
+def _three_state_game():
+    return GameSpec(R=[[-1.0, 0.6, 0.4], [0.5, -0.8, 0.3], [1.0, 1.0, -2.0]],
+                    Q=[[-0.5, 0.5], [0.9, -0.9]], r=0.4,
+                    f=[[1.0, 2.0], [0.0, 1.5], [3.0, -0.5]],
+                    h=[[0.5, 1.0], [-1.0, 1.0], [2.0, -2.0]],
+                    p0=[0.2, 0.5, 0.3], q0=[0.6, 0.4])
+
+
+def _certificates(spec, strat):
+    """Every library entry point that plays ``strat`` as player 1 on ``spec``."""
+    fam = PureResponseFamily.for_game(spec, n=20)
+    return [lambda: exploit_gap(spec, strat, 1.0, fam, n=200, seed=0),
+            lambda: exploit_gap(spec, strat, -math.inf, fam, n=200, seed=0),
+            lambda: best_response_value(spec, strat, fam, n=200, seed=0),
+            lambda: estimate_payoff(spec, strat, NeverStopStrategy(), n=200, seed=0)]
+
+
+def test_rule_for_another_start_law_is_an_input_error(e1_spec, e2_spec, e2_params):
+    # e2_game starts at p* = 0.5; the rule was built at p = 0.2
+    strat = ex.e2_optimal_mu(e2_params, 0.2)
+    for play in _certificates(e2_spec, strat):
+        with pytest.raises(InputError, match=r"built for initial law \[0.2, 0.8\]"):
+            play()
+    # player 2's rule is checked against (Q, q0): e1 starts player 2 at [0.5, 0.5]
+    opponent = NeverStopStrategy(R=np.zeros((2, 2)), p0=[0.3, 0.7])
+    with pytest.raises(InputError, match=r"built for initial law \[0.3, 0.7\]"):
+        estimate_payoff(e1_spec, StopNowStrategy(), opponent, n=200, seed=0)
+
+
+def test_two_state_rule_on_a_three_state_game_is_an_input_error(e2_params):
+    # the flow rule's hazard has two states, so play would index past them
+    for play in _certificates(_three_state_game(), ex.e2_optimal_mu(e2_params, 0.5)):
+        with pytest.raises(InputError, match="built for initial law"):
+            play()
+
+
+def test_too_many_state_times_is_an_input_error(e2_spec):
+    spec = game_at(e2_spec, 1.0 / 3.0, None)
+    for play in _certificates(spec, InitialStateTimeStrategy([1.0, 2.0, 3.0, 4.0])):
+        with pytest.raises(InputError, match="4 stopping times but the game has 2 own states"):
+            play()
+    with pytest.raises(InputError, match="3 stopping times but the game has 1 own states"):
+        estimate_payoff(spec, StopNowStrategy(), InitialStateTimeStrategy([1.0, 2.0, 3.0]),
+                        n=200, seed=0)
+
+
+def test_rules_are_checked_once_per_call(e2_spec, e2_params):
+    # the rule check runs before the first block, not once per block
+    class Counting(NeverStopStrategy):
+        reads = 0
+
+        def initial_belief(self):
+            Counting.reads += 1
+            return super().initial_belief()
+
+    spec = game_at(e2_spec, 1.0 / 3.0, None)
+    fam = PureResponseFamily.for_game(spec, n=20)
+    n = 5 * 128 + 1  # six blocks
+    own = Counting(e2_params.R, [1.0 / 3.0, 2.0 / 3.0])
+    exploit_gap(spec, own, 1.0, fam, n=n, seed=0)
+    assert Counting.reads == 1
+    Counting.reads = 0
+    estimate_payoff(spec, own, Counting(), n=n, seed=0)
+    assert Counting.reads == 2  # one read per player
+
+
 def test_never_stop_best_response_matches_quadrature(e2_spec, e2_params):
     # responder against silence: min over t of e^{-rt} f(p_t), p_t the flow
     from stopgame.model import marginal_flow
@@ -232,11 +298,7 @@ def _oracle_cases(e1_spec, e2_spec, e2_params):
     both = model.GameSpec(R=e2_spec.R, Q=[[-0.7, 0.7], [1.3, -1.3]], r=0.5,
                           f=[[2.0, 0.5], [1.0, 3.0]], h=[[-1.0, 0.0], [0.5, 1.5]],
                           p0=[0.4, 0.6], q0=[0.3, 0.7])
-    three = model.GameSpec(R=[[-1.0, 0.6, 0.4], [0.5, -0.8, 0.3], [1.0, 1.0, -2.0]],
-                           Q=[[-0.5, 0.5], [0.9, -0.9]], r=0.4,
-                           f=[[1.0, 2.0], [0.0, 1.5], [3.0, -0.5]],
-                           h=[[0.5, 1.0], [-1.0, 1.0], [2.0, -2.0]],
-                           p0=[0.2, 0.5, 0.3], q0=[0.6, 0.4])
+    three = _three_state_game()
     # the constant and per-state times sit on the grid: ties pay h
     on_grid = PureResponseFamily(np.unique(np.concatenate(
         [small_family().times, [0.5, 1.0, 2.0]])))

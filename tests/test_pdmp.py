@@ -154,23 +154,24 @@ def test_structure_dynamic_exact(e1_char, e2_char, e2_params):
 
 
 def test_sc_check_passes_examples(e1_char, e2_char, e2_params):
-    rep1 = sc_check(e1_char, ex.e1_vstar_full, e1_sample_points(15), tol=1e-6)
+    rep1 = sc_check(e1_char, ex.e1_vstar_full, e1_sample_points(15))
     assert rep1.passed, str(rep1)
+    assert rep1.tol == 1e-6  # the tolerance is a constant, no longer an option
     rep2 = sc_check(e2_char, ex.e2_vstar_full(e2_params),
-                    e2_sample_points(e2_params, 25), tol=1e-6)
+                    e2_sample_points(e2_params, 25))
     assert rep2.passed, str(rep2)
 
 
 def test_sc_check_rejects_scaled_intensity(e1_char):
     bad = dataclasses.replace(e1_char, lam=lambda z: 1.1 * e1_char.lam(z))
-    rep = sc_check(bad, ex.e1_vstar_full, e1_sample_points(10), tol=1e-6)
+    rep = sc_check(bad, ex.e1_vstar_full, e1_sample_points(10))
     assert not rep.passed_by_condition["sc4_dynamic"]
 
 
 def test_sc_check_rejects_shifted_jump_target(e2_char, e2_params):
     bad = dataclasses.replace(e2_char, phi=lambda z: np.array([0.9, 0.1]))
     rep = sc_check(bad, ex.e2_vstar_full(e2_params),
-                   e2_sample_points(e2_params, 10), tol=1e-6)
+                   e2_sample_points(e2_params, 10))
     assert not rep.passed_by_condition["sc3_jump"]
 
 
@@ -179,7 +180,7 @@ def test_sc_check_rejects_nonzero_drift_at_kink(e2_char, e2_params):
     bad = dataclasses.replace(e2_char, alpha=lambda z: A @ np.asarray(z, dtype=float),
                               snap=None)
     rep = sc_check(bad, ex.e2_vstar_full(e2_params),
-                   e2_sample_points(e2_params, 10), tol=1e-6)
+                   e2_sample_points(e2_params, 10))
     assert not rep.passed_by_condition["sc2_invariant"]
 
 
