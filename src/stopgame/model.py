@@ -223,18 +223,28 @@ def marginal_flow(p, G, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathBlock:
-    """A block of sampled paths of one chain on ``[0, horizon]``, one per row.
+    """A block of sampled paths of one chain, one per row, row ``i`` on ``[times[i, 0], ends[i]]``.
 
-    ``times[i]`` is 0 followed by the jump times of path ``i``, padded with
-    ``+inf`` to a common width; ``states[i, j]`` is the state held from
-    ``times[i, j]`` on (entries under the padding carry no meaning).
-    This is the package's only path type: samplers, stopping rules and
-    :func:`realized_payoffs` all work on whole blocks.
+    ``times[i]`` is the row's start time (0 for a fresh path) followed by
+    its jump times, padded with ``+inf`` to a common width;
+    ``states[i, j]`` is the state held from ``times[i, j]`` on (entries
+    under the padding carry no meaning).  ``ends[i]`` is how far row ``i``
+    is sampled; a scalar is taken for every row.  Rows may end at
+    different times, since Monte Carlo continues only the rows its
+    stopping rule still reads.  This is the package's only path type:
+    samplers, stopping rules and :func:`realized_payoffs` all work on
+    whole blocks.
     """
 
     times: np.ndarray
     states: np.ndarray
-    horizon: float
+    ends: np.ndarray
+
+    def __post_init__(self):
+        ends = np.asarray(self.ends, dtype=float)
+        if ends.ndim == 0:
+            ends = np.full(self.times.shape[0], float(ends))
+        object.__setattr__(self, "ends", ends)
 
     @property
     def n(self) -> int:
@@ -250,24 +260,52 @@ class PathBlock:
         return self.states[:, 0]
 
     def take(self, rows) -> "PathBlock":
-        return PathBlock(self.times[rows], self.states[rows], self.horizon)
+        return PathBlock(self.times[rows], self.states[rows], self.ends[rows])
 
     def states_at(self, t: np.ndarray) -> np.ndarray:
         """State of row ``i`` at time ``t[i]`` (meaningless where ``t[i]`` is inf)."""
         idx = (self.times[:, 1:] <= np.asarray(t, dtype=float)[:, None]).sum(axis=1)
         return self.states[np.arange(self.n), idx]
 
+    def joined(self, rows: np.ndarray, more: "PathBlock") -> "PathBlock":
+        """This block with row ``rows[i]`` continued by row ``i`` of ``more``.
+
+        Row ``i`` of ``more`` must start where row ``rows[i]`` ends, in the
+        state it holds there: its jumps follow the row's own, and its end
+        becomes the row's end.
+        """
+        held = np.isfinite(self.times[rows]).sum(axis=1)  # events before the cut
+        added = more.times[:, 1:]
+        width = max(self.times.shape[1], int(held.max(initial=0)) + added.shape[1])
+        times = np.full((self.n, width), np.inf)
+        states = np.zeros((self.n, width), dtype=self.states.dtype)
+        times[:, :self.times.shape[1]] = self.times
+        states[:, :self.states.shape[1]] = self.states
+        # every column from a row's held count on is padding, so the jumps go there
+        cols = held[:, None] + np.arange(added.shape[1])
+        times[rows[:, None], cols] = added
+        states[rows[:, None], cols] = more.states[:, 1:]
+        width = int(np.isfinite(times).sum(axis=1).max(initial=1))
+        ends = self.ends.copy()
+        ends[rows] = more.ends
+        return PathBlock(times[:, :width], states[:, :width], ends)
+
 
 class ChainSampler:
     """Reusable path sampler: validates the generator once, then samples fast.
 
-    :meth:`sample_block` draws a whole block of paths from one stream;
-    :meth:`sample` is its one-row view.  A block draws the initial-state
-    uniforms of all rows first, then each row's holding times in path
-    order, so a block of one row draws what a single path always drew.
-    Two-state chains draw whole blocks of holding times at once since the
-    jump target is forced; larger chains run a per-event loop across the
-    rows with a precomputed jump kernel.
+    :meth:`sample_block` draws a whole block of fresh paths from one
+    stream; :meth:`sample` is its one-row view.  :meth:`extend` continues
+    the rows of a block from their ends, each in the state it holds
+    there: by the Markov property the joined rows have the law of rows
+    sampled to the later end at once.  Both run the same two samplers
+    from a start time and start states.  A fresh block draws the
+    initial-state uniforms of all rows first, then each row's holding
+    times in path order, so a block of one row draws what a single path
+    always drew.  Two-state chains (``_two_state``) draw whole blocks of
+    holding times at once since the jump target is forced; larger chains
+    (``_event_loop``) run a per-event loop across the rows with a
+    precomputed jump kernel.
     """
 
     def __init__(self, G, p):
@@ -300,18 +338,31 @@ class ChainSampler:
         if not math.isfinite(horizon) or horizon < 0:
             raise InputError("horizon must be finite and nonnegative")
         initial = np.searchsorted(self.p_cum, rng.random(n), side="right").astype(self._dtype)
+        return self._paths(np.zeros(n), initial, horizon, rng)
+
+    def extend(self, paths: PathBlock, horizon: float, rng: np.random.Generator) -> PathBlock:
+        """Each row of ``paths`` continued from its end to ``horizon``, drawn from ``rng``.
+
+        Returns the continuation only; :meth:`PathBlock.joined` puts it
+        behind the rows it continues.
+        """
+        if not np.all(paths.ends <= horizon) or not math.isfinite(horizon):
+            raise InputError("a block continues to a finite horizon past its rows' ends")
+        return self._paths(paths.ends, paths.states_at(paths.ends), horizon, rng)
+
+    def _paths(self, start: np.ndarray, initial: np.ndarray, horizon: float, rng) -> PathBlock:
         if self.K == 2:
-            times = self._two_state(initial, horizon, rng)
+            times = self._two_state(start, initial, horizon, rng)
             states = initial[:, None] ^ (np.arange(times.shape[1], dtype=self._dtype) & 1)
         else:
-            times, states = self._event_loop(initial, horizon, rng)
+            times, states = self._event_loop(start, initial, horizon, rng)
         return PathBlock(times, states, float(horizon))
 
-    def _event_loop(self, initial, horizon: float, rng):
+    def _event_loop(self, start, initial, horizon: float, rng):
         n = initial.size
         state = initial.copy()
-        t = np.zeros(n)
-        time_cols, state_cols = [np.zeros(n)], [initial]
+        t = start.copy()
+        time_cols, state_cols = [start], [initial]
         live = np.arange(n)
         while True:
             live = live[self.rates[state[live]] > 0.0]
@@ -332,14 +383,14 @@ class ChainSampler:
             state_cols.append(state)
         return np.stack(time_cols, axis=1), np.stack(state_cols, axis=1)
 
-    def _two_state(self, initial, horizon: float, rng) -> np.ndarray:
-        """Event times (0, then the jumps) of each row, padded with +inf."""
+    def _two_state(self, start, initial, horizon: float, rng) -> np.ndarray:
+        """Event times (the start, then the jumps) of each row, padded with +inf."""
         # states alternate, so only the holding times are random; a row
         # draws a block sized to cover the horizon with a 10-sigma margin
         # and, in the rare case it falls short, another one from there
         n = initial.size
         rows = np.flatnonzero(self.rates[initial] > 0.0)
-        t = np.zeros(rows.size)
+        t = start[rows]
         s = initial[rows]
         rounds = []
         while rows.size:
@@ -364,7 +415,7 @@ class ChainSampler:
             rows = rows[more]
         width = sum(jumps.shape[1] for _, jumps in rounds)
         times = np.full((n, 1 + width), np.inf)
-        times[:, 0] = 0.0
+        times[:, 0] = start
         col = 1
         for rows, jumps in rounds:
             times[rows, col:col + jumps.shape[1]] = jumps
@@ -401,7 +452,7 @@ def realized_payoffs(spec: GameSpec, X: PathBlock, Y: PathBlock,
         raise InputError("stopping times must be nonnegative")
     first = np.minimum(mu, nu)
     done = np.isfinite(first)
-    if np.any(first[done] > min(X.horizon, Y.horizon)):
+    if np.any(first[done] > np.minimum(X.ends, Y.ends)[done]):
         raise InputError("paths shorter than the realized stopping time")
     k, l = X.states_at(first)[done], Y.states_at(first)[done]
     pay = np.zeros(first.shape)

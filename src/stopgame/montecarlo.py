@@ -5,13 +5,25 @@ Replications run in blocks of ``BLOCK`` rows: block ``b`` holds
 replications ``b * BLOCK`` up to the next multiple (or ``n``) and draws
 everything from one counter-based stream, Philox keyed by ``(seed, b)``.
 Within a block the chains, the stopping times and the payoffs are
-computed as arrays, in this stream order: the own paths, the opponent's
-paths (where there is an opponent), then the stopping times.  All blocks
-run in the calling process, one after the other, so every estimate
-depends only on ``seed`` and ``n``.  This module is the only one that
-knows the block layout.  ``_plays`` is the one block loop of the payoff
+computed as arrays.  ``_plays`` is the one block loop of the payoff
 estimate and the best responses.  Before its first block it rejects a
-rule built for another start law, or for another number of own states.
+rule built for another start law, own chain or number of own states.
+It samples the own chain X only as far as the play reads it, in this
+stream order:
+
+1. X to ``FIRST_ROUND``, then the rule's draws on it;
+2. while the rule may still stop rows it left unstopped, those rows
+   continued from their states at the last cut to twice as far (capped
+   at the horizon), then the rule's draws as it resumes on them;
+3. every row that needs more path continued to the horizon at once;
+4. the opponent's paths Y to the horizon, then (for a payoff estimate)
+   the opponent's stopping draws.
+
+By the Markov property and the memoryless ``Exp(1)`` thresholds of the
+rules, a continued row has the law of a row sampled to the horizon at
+once.  All blocks run in the calling process, one after the other, so
+every estimate depends only on ``seed`` and ``n``.  This module is the
+only one that knows the block layout.
 
 Best responses score every candidate time of the opponent without a
 (replication x candidate) matrix: a row's response changes only at its
@@ -39,6 +51,8 @@ __all__ = [
 ]
 
 BLOCK = 128
+# how far the first round samples the own chain, before the rule runs
+FIRST_ROUND = 8.0
 STOP_KINDS = ("zero", "flow", "never")
 
 
@@ -106,33 +120,58 @@ def _capped(t: np.ndarray, horizon: float) -> np.ndarray:
     return np.where(t <= horizon, t, math.inf)
 
 
-def _check_rule(strategy: MixedStoppingStrategy, law: np.ndarray) -> None:
-    """Reject a rule built for another start law or another number of own states."""
+def _check_rule(strategy: MixedStoppingStrategy, G: np.ndarray, law: np.ndarray) -> None:
+    """Reject a rule built for another start law, own chain or number of own states."""
     belief = strategy.initial_belief()  # None: the rule carries no start law
     if belief is not None and (belief.size != law.size or np.abs(belief - law).max() > 1e-6):
         raise InputError(f"strategy was built for initial law {belief.tolist()} but the "
                          f"game starts at {law.tolist()}")
+    built = strategy.generator()  # None: the rule carries no chain
+    if built is not None and (built.shape != G.shape or np.abs(built - G).max()
+                              > 1e-9 * max(1.0, float(np.abs(G).max()))):
+        raise InputError(f"strategy was built for the chain {built.tolist()} but the "
+                         f"game's is {G.tolist()}")
     if isinstance(strategy, InitialStateTimeStrategy) and strategy.times.size != law.size:
         raise InputError(f"strategy has {strategy.times.size} stopping times but the "
                          f"game has {law.size} own states")
 
 
 def _plays(spec: GameSpec, strat1: MixedStoppingStrategy, horizon: float, n: int, seed: int):
-    """``(stream, X, Y, mu)`` per block, after one check of ``strat1`` against the game."""
-    _check_rule(strat1, spec.p0)
+    """``(stream, X, Y, mu)`` per block, after one check of ``strat1`` against the game.
+
+    X is sampled in rounds, in the stream order of the module docstring.
+    A row needs more path while ``min(mu, horizon)`` is past its end: an
+    unstopped row to the horizon, since the opponent reads it there.  A
+    rule that cannot resume (``resumes_until`` is ``+inf``) is sampled to
+    the horizon at once.
+    """
+    _check_rule(strat1, spec.R, spec.p0)
     sx = ChainSampler(spec.R, spec.p0)
     sy = ChainSampler(spec.Q, spec.q0)
+    until = min(strat1.resumes_until, horizon)
+    first = horizon if math.isinf(strat1.resumes_until) else min(FIRST_ROUND, horizon)
     for rng, m in _blocks(n, seed):
-        X = sx.sample_block(horizon, rng, m)
+        X = sx.sample_block(first, rng, m)
+        mu = _capped(strat1.stopping_times(X, rng), horizon)
+        live, end = np.flatnonzero(np.isinf(mu)), first
+        while live.size and end < until:
+            end = min(2.0 * end, horizon)
+            more = sx.extend(X.take(live), end, rng)
+            X = X.joined(live, more)
+            mu[live] = strat1.resume_times(more, rng)
+            live = live[np.isinf(mu[live])]
+        short = np.flatnonzero(np.minimum(mu, horizon) > X.ends)
+        if short.size:
+            X = X.joined(short, sx.extend(X.take(short), horizon, rng))
         Y = sy.sample_block(horizon, rng, m)
-        yield rng, X, Y, _capped(strat1.stopping_times(X, rng), horizon)
+        yield rng, X, Y, mu
 
 
 def estimate_payoff(spec: GameSpec, strat1: MixedStoppingStrategy,
                     strat2: MixedStoppingStrategy, n: int, seed: int = 0) -> PayoffEstimate:
     """Mean realized payoff over ``n`` independent plays of the strategy pair."""
     horizon = never_horizon(spec.r)
-    _check_rule(strat2, spec.q0)
+    _check_rule(strat2, spec.Q, spec.q0)
     total = np.zeros(3)
     for rng, X, Y, mu in _plays(spec, strat1, horizon, n, seed):
         nu = _capped(strat2.stopping_times(Y, rng), horizon)
@@ -372,7 +411,7 @@ def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: floa
     if threads != 1:
         raise InputError(f"Monte Carlo runs in one process; threads must be 1, got {threads!r}")
     if value_claim == -math.inf:  # nothing is played, so the rule is checked here
-        _check_rule(strat1, spec.p0)
+        _check_rule(strat1, spec.R, spec.p0)
         return GapReport(value_claim, math.nan, math.inf, 0.0, 0, seed, {},
                          family.descriptor(), family.exhaustive_for(spec),
                          dict.fromkeys(STOP_KINDS, 0), False)

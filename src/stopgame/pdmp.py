@@ -20,8 +20,10 @@ of the verification theorem's case for the starting point:
   immediate stop and a ``flow`` start,
 * ``stop_now`` (start in ``S``): stop immediately.
 
-Every rule stops a whole :class:`~stopgame.model.PathBlock` at once; the
-Monte Carlo checks that run the rules over sampled blocks, the belief
+Every rule stops a whole :class:`~stopgame.model.PathBlock` at once, and
+the ``flow`` and ``split`` rules resume on rows continued past a cut, so
+Monte Carlo samples paths only as far as a rule reads them; the Monte
+Carlo checks that run the rules over sampled blocks, the belief
 consistency check included, live in :mod:`stopgame.montecarlo`.
 """
 
@@ -55,8 +57,6 @@ _SC_TOL = 1e-6  # the excess sc_check allows on sc1, sc4 and sc5's affinity
 # affinity of V_* along it, that a split rule accepts
 _SPLIT_RECON_TOL = 1e-9
 _SPLIT_AFFINE_TOL = 1e-6
-# inter-jump segments a flow rule draws thresholds for at a time, per path
-_SEGMENT_COLUMNS = 32
 
 SPLIT_NOTE = ("time-0 split uses the belief-consistent conditional probability "
               "m * p''[k] / p[k] given the own state k, so that the posterior is "
@@ -479,16 +479,23 @@ class MixedStoppingStrategy:
     realized stopping time cannot change it.  The other rows only move
     where a row's draws sit in the stream, so each row has the law of the
     rule on one path.
+
+    A rule may also stop a block that is short of the horizon and then
+    resume on continuations of the rows it left unstopped
+    (``resume_times``), up to ``resumes_until``.  Rules decided at time 0
+    read the initial states only and set ``resumes_until`` to 0; the base
+    class sets it to ``+inf``, which asks for whole paths at once.
     """
 
     case = "abstract"
+    resumes_until = math.inf
 
     def stopping_time(self, paths: PathBlock, rng: np.random.Generator) -> float:
         """The stopping time of a one-row block; more rows raise ``ValueError``.
 
         A flow rule may leave the stream further along than a one-path
-        rule would, since it draws thresholds for a column block of
-        segments.  It stays only because perfbench's certify probe still stops one
+        rule would, since it draws thresholds for every segment of the
+        path.  It stays only because perfbench's certify probe still stops one
         replication at a time through it; it goes with the next change to
         the benchmark.
         """
@@ -498,8 +505,21 @@ class MixedStoppingStrategy:
     def stopping_times(self, paths: PathBlock, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def resume_times(self, paths: PathBlock, rng: np.random.Generator) -> np.ndarray:
+        """Stopping times of rows continued from their start ``paths.times[:, 0] > 0``.
+
+        The rows are those the rule has not stopped before their start,
+        which is below ``resumes_until``; each has the law of the rule
+        given no stop by then.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not resume")
+
     def initial_belief(self) -> np.ndarray | None:
         """The law of the own chain at time 0, or ``None`` for a rule that carries none."""
+        return None
+
+    def generator(self) -> np.ndarray | None:
+        """The generator of the own chain, or ``None`` for a rule that carries none."""
         return None
 
     def belief(self, t: float) -> np.ndarray:
@@ -514,6 +534,7 @@ class NeverStopStrategy(MixedStoppingStrategy):
     """Never stop; with a chain ``(R, p0)`` attached the rule also tracks its belief."""
 
     case = "never"
+    resumes_until = 0.0
 
     def __init__(self, R=None, p0=None):
         if (R is None) != (p0 is None):
@@ -531,6 +552,9 @@ class NeverStopStrategy(MixedStoppingStrategy):
     def initial_belief(self):
         return self.p0
 
+    def generator(self):
+        return self.R
+
     def descriptor(self):
         out = {"case": self.case}
         if self.R is not None:
@@ -542,6 +566,7 @@ class NeverStopStrategy(MixedStoppingStrategy):
 
 class StopNowStrategy(MixedStoppingStrategy):
     case = "stop_now"
+    resumes_until = 0.0
 
     def stopping_times(self, paths, rng):
         return np.zeros(paths.n)
@@ -549,6 +574,7 @@ class StopNowStrategy(MixedStoppingStrategy):
 
 class ConstantTimeStrategy(MixedStoppingStrategy):
     case = "constant_time"
+    resumes_until = 0.0
 
     def __init__(self, time: float):
         if not time >= 0:  # NaN fails too; +inf means never
@@ -566,6 +592,7 @@ class InitialStateTimeStrategy(MixedStoppingStrategy):
     """One deterministic time per initial own state (a pure response)."""
 
     case = "state_times"
+    resumes_until = 0.0
 
     def __init__(self, times):
         self.times = np.asarray(times, dtype=float)
@@ -613,35 +640,39 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
     def belief(self, t):
         return self.char.p_part(self.orbit.state_at(min(t, self.t_max)))
 
-    def stopping_times(self, paths, rng):
-        """One exponential threshold per inter-jump segment.
+    @property
+    def resumes_until(self) -> float:
+        # the hazard is zero past a quiescent orbit, and the rule is silent past t_max
+        return self.orbit.t_end if self.orbit.quiescent else self.t_max
 
-        Rows draw thresholds for ``_SEGMENT_COLUMNS`` segments at a time,
-        never for more segments than the longest row has before the
-        horizon; only rows that have neither stopped nor run past the
-        horizon go on to the next columns.
+    def generator(self) -> np.ndarray:
+        dim = self.char.dim_p
+        return self.char.A[:dim, :dim].T
+
+    def stopping_times(self, paths, rng):
+        """One exponential threshold per inter-jump segment of each row.
+
+        A segment runs from a row's start or jump to its next jump, cut at
+        the row's end and at ``t_max``; every row draws thresholds for as
+        many segments as the longest row has.  A block that continues rows
+        from a later start stops them from there, which is the rule given
+        no stop before the start: the thresholds are memoryless.
         """
-        end = min(paths.horizon, self.t_max)
+        end = np.minimum(paths.ends, self.t_max)[:, None]
         # segment j runs from bounds[:, j] to bounds[:, j + 1]
         width = int((paths.times < end).sum(axis=1).max(initial=0))
+        if not width:
+            return np.full(paths.n, math.inf)
         bounds = np.full((paths.n, width + 1), end)
         np.minimum(paths.times[:, :width], end, out=bounds[:, :width])
-        mu = np.full(paths.n, math.inf)
-        rows = np.arange(paths.n)
-        for lo in range(0, width, _SEGMENT_COLUMNS):
-            rows = rows[bounds[rows, lo] < end]
-            if not rows.size:
-                break
-            edges = bounds[rows, lo:lo + _SEGMENT_COLUMNS + 1]
-            starts = edges[:, :-1]
-            t = self.hazard.inverse(paths.states[rows, lo:lo + starts.shape[1]], starts,
-                                    rng.exponential(size=starts.shape))
-            hit = (t < edges[:, 1:]) & (starts < end)
-            stopped = hit.any(axis=1)
-            first = hit.argmax(axis=1)
-            mu[rows[stopped]] = t[stopped, first[stopped]]
-            rows = rows[~stopped]
-        return mu
+        starts = bounds[:, :-1]
+        t = self.hazard.inverse(paths.states[:, :width], starts,
+                                rng.exponential(size=starts.shape))
+        hit = (t < bounds[:, 1:]) & (starts < end)
+        first = hit.argmax(axis=1)
+        return np.where(hit.any(axis=1), t[np.arange(paths.n), first], math.inf)
+
+    resume_times = stopping_times
 
     def descriptor(self):
         return {"case": self.case, "z": self.z0.tolist(), "horizon": self.t_max,
@@ -685,11 +716,21 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
     def belief(self, t):
         return self.flow.belief(t)
 
+    @property
+    def resumes_until(self) -> float:
+        return self.flow.resumes_until
+
+    def generator(self):
+        return self.flow.generator()
+
     def stopping_times(self, paths, rng):
         mu = np.zeros(paths.n)
         go_on = rng.uniform(size=paths.n) >= self.stop_prob[paths.initial_states]
         mu[go_on] = self.flow.stopping_times(paths.take(go_on), rng)
         return mu
+
+    def resume_times(self, paths, rng):
+        return self.flow.stopping_times(paths, rng)
 
     def descriptor(self):
         return {"case": self.case, "z": self.z.tolist(),

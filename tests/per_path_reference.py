@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stopgame.model import ChainSampler, PathBlock, philox_rng
-from stopgame.montecarlo import STOP_KINDS, _blocks, _capped
+from stopgame.montecarlo import STOP_KINDS, _plays
 from stopgame.pdmp import (_ZERO_P, FlowIntensityStrategy,
                            SplitThenFlowStrategy, never_horizon)
 
@@ -33,7 +33,7 @@ class OnePath:
     def of(cls, paths: PathBlock) -> "OnePath":
         """The path of a one-row block."""
         (times,), (states,) = paths.times, paths.states
-        return cls(times, states.astype(np.int64), paths.horizon)
+        return cls(times, states.astype(np.int64), float(paths.ends[0]))
 
     def block(self) -> PathBlock:
         return PathBlock(self.times[None, :], self.states[None, :], self.horizon)
@@ -214,24 +214,21 @@ def states_on_grid(paths: PathBlock, grid: np.ndarray) -> np.ndarray:
 def matrix_response_sums(spec, strat1, family, n: int, seed: int):
     """``montecarlo._response_chunk`` through a (replication x candidate) matrix.
 
-    Same blocks, streams and return values; each block scores every
-    candidate of every row, the last column being the never-stop response.
+    Same blocks (it plays ``montecarlo._plays``), streams and return
+    values; each block scores every candidate of every row, the last
+    column being the never-stop response.
     """
     finite = family.times[:-1]
     g = finite.size
     horizon = max(float(finite[-1]), never_horizon(spec.r), 1.0)
-    sx = ChainSampler(spec.R, spec.p0)
-    sy = ChainSampler(spec.Q, spec.q0)
     L = spec.L
     sums = np.zeros((L, g + 1))
     sumsq = np.zeros((L, g + 1))
     counts = np.zeros(L)
     stops = np.zeros(len(STOP_KINDS), dtype=np.int64)
     disc = np.exp(-spec.r * finite)
-    for rng, m in _blocks(n, seed):
-        X = sx.sample_block(horizon, rng, m)
-        Y = sy.sample_block(horizon, rng, m)
-        mu = _capped(strat1.stopping_times(X, rng), horizon)
+    for _, X, Y, mu in _plays(spec, strat1, horizon, n, seed):
+        m = mu.size
         stopped = np.isfinite(mu)
         zero, n_stopped = int((mu == 0.0).sum()), int(stopped.sum())
         stops += [zero, n_stopped - zero, m - n_stopped]

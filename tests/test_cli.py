@@ -201,10 +201,14 @@ def test_verify_rejects_rules_that_do_not_fit_the_game(game_files, capsys):
         {**json.loads(flow.read_text()), "value_claim": float("-inf")}))
     (d / "long.json").write_text(json.dumps(
         {"strategy": {"case": "state_times", "times": [1.0, 2.0, 3.0]}, "value_claim": 1.0}))
+    # the game's start law, but built for another own chain (a = 3)
+    assert main(["strategy", "--family", "e2", "--a", "3", "--p", str(1.0 / 3.0),
+                 "--out", str(d / "other_chain.json")]) == 0
     capsys.readouterr()
     for game, strategy in (("three.json", "flow.json"), (game_files["e2"], "flow.json"),
                            (game_files["e2"], "flow_minus_inf.json"),
-                           (game_files["e2"], "long.json")):
+                           (game_files["e2"], "long.json"),
+                           (game_files["e2"], "other_chain.json")):
         assert main(["verify", "optimality", "--game", str(d / game), "--strategy",
                      str(d / strategy), "--n", "100"]) == 1, (game, strategy)
         err = capsys.readouterr().err

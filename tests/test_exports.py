@@ -49,8 +49,8 @@ def test_model_keeps_one_path_type():
                        "as_chain", "marginal_flow", "bilinear_payoff", "realized_payoffs",
                        "philox_rng"}
     assert defined <= set(stopgame.__all__)
-    assert _public(PathBlock) == {"times", "states", "horizon", "n", "n_jumps", "initial_states",
-                                  "take", "states_at"}
+    assert _public(PathBlock) == {"times", "states", "ends", "n", "n_jumps", "initial_states",
+                                  "take", "states_at", "joined"}
     assert _public(Orbit) == {"ts", "zs", "lams", "stationary", "quiescent",
                               "t_end", "state_at"}
     assert _public(ZPath) == {"ts", "zs", "jump_time", "post_jump", "jumped", "state_at"}
@@ -166,11 +166,22 @@ def test_one_law_propagator():
 
 
 def test_one_play_loop():
-    # montecarlo builds its chain samplers only in the play loop, which
-    # checks the rule against the game, and in survivor_counts (one chain,
-    # no opponent); the CLI leaves that check to the library
+    # montecarlo builds its chain samplers and samples paths only in the
+    # play loop, which checks the rule against the game and samples in
+    # rounds, and in survivor_counts (one chain, no opponent); the CLI
+    # leaves that check to the library
     mc = ast.parse(Path(montecarlo.__file__).read_text())
-    assert {where for _, where in _uses(mc, {"ChainSampler"})} == {"_plays", "survivor_counts"}
+    for names in ({"ChainSampler"}, {"sample_block"}):
+        assert {where for _, where in _uses(mc, names)} == {"_plays", "survivor_counts"}
+    assert {where for _, where in _uses(mc, {"joined", "resume_times"})} == {"_plays"}
+    # the sampler draws holding times in its two samplers only, which fresh
+    # blocks and continuations share
+    sampler = next(node for node in ast.walk(ast.parse(Path(model.__file__).read_text()))
+                   if isinstance(node, ast.ClassDef) and node.name == "ChainSampler")
+    assert [fn.name for fn in sampler.body if isinstance(fn, ast.FunctionDef)] == [
+        "__init__", "sample", "sample_block", "extend", "_paths", "_event_loop", "_two_state"]
+    assert {where for _, where in _uses(sampler, {"exponential"})} == {"_event_loop",
+                                                                      "_two_state"}
     names = {"initial_belief", "InitialStateTimeStrategy"}
     assert list(_uses(ast.parse(Path(cli.__file__).read_text()), names)) == []
 

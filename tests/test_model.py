@@ -331,6 +331,19 @@ def test_realized_payoff_short_trajectory(e1_spec):
         realized_payoffs(e1_spec, Y, Y, np.array([-1.0]), np.array([5.0]))
 
 
+def test_realized_payoffs_check_each_rows_end(e1_spec):
+    # the rows of a block may end at different times, and each is read
+    # only up to its own end
+    X = PathBlock(np.zeros((2, 1)), np.zeros((2, 1), dtype=np.int64), np.array([10.0, 1.0]))
+    Y = _flat(0, n=2)
+    never = np.full(2, math.inf)
+    realized_payoffs(e1_spec, X, Y, np.array([5.0, 0.5]), never)
+    with pytest.raises(InputError, match="shorter than the realized stopping time"):
+        realized_payoffs(e1_spec, X, Y, np.array([0.5, 5.0]), never)
+    with pytest.raises(InputError, match="shorter than the realized stopping time"):
+        realized_payoffs(e1_spec, Y, X, never, np.array([0.5, 5.0]))
+
+
 def test_philox_keys_stay_within_64_bits():
     # the key is seed * 2^64 + stream: stream 2^64 of seed 0 would be
     # stream 0 of seed 1, and a seed of 2^64 is past numpy's 128-bit key
@@ -395,3 +408,47 @@ def test_three_state_chain_law_and_invariants():
         assert np.all(valid[:, 1:] <= valid[:, :-1])
         assert np.all((times[:, 1:] > times[:, :-1])[valid[:, 1:]])
         assert np.all((states[:, 1:] != states[:, :-1])[valid[:, 1:]])
+
+
+@pytest.mark.parametrize("G,p", [(np.array([[-0.8, 0.8], [0.5, -0.5]]), [0.3, 0.7]),
+                                 (THREE, [0.2, 0.5, 0.3])], ids=["two_state", "event_loop"])
+def test_continued_block_has_the_law_of_a_direct_one(G, p):
+    # a block sampled to H and continued from the states it holds there to
+    # 2H has the law of a block sampled to 2H at once (Markov property)
+    sampler = ChainSampler(G, p)
+    H, n = 3.0, 20_000
+    direct = sampler.sample_block(2.0 * H, philox_rng(60), n)
+    rng = philox_rng(61)
+    first = sampler.sample_block(H, rng, n)
+    more = sampler.extend(first, 2.0 * H, rng)
+    np.testing.assert_array_equal(more.times[:, 0], H)
+    np.testing.assert_array_equal(more.initial_states, first.states_at(np.full(n, H)))
+    joined = first.joined(np.arange(n), more)
+    np.testing.assert_array_equal(joined.ends, 2.0 * H)
+    # the first round's rows are a prefix of the joined ones
+    width = first.times.shape[1]
+    head = np.isfinite(first.times)
+    np.testing.assert_array_equal(joined.times[:, :width][head], first.times[head])
+    np.testing.assert_array_equal(joined.states[:, :width][head], first.states[head])
+    valid = np.isfinite(joined.times)
+    assert np.all(valid[:, 1:] <= valid[:, :-1])
+    assert np.all((joined.times[:, 1:] > joined.times[:, :-1])[valid[:, 1:]])
+    assert np.all((joined.states[:, 1:] != joined.states[:, :-1])[valid[:, 1:]])
+
+    def close(a, b):
+        # two samples of n: equal means within 4 standard errors
+        se = math.sqrt((a.var() + b.var()) / n)
+        assert abs(a.mean() - b.mean()) <= 4.0 * se + 1e-12
+
+    at = {t: [block.states_at(np.full(n, t)) for block in (direct, joined)]
+          for t in (0.5 * H, H, 1.5 * H, 2.0 * H)}
+    for t, states in at.items():
+        for k in range(len(p)):
+            close(*(1.0 * (s == k) for s in states))
+    # and the pair held across the cut
+    for k in range(len(p)):
+        for l in range(len(p)):
+            close(*(1.0 * ((a == k) & (b == l)) for a, b in zip(at[H], at[2.0 * H])))
+    for lo, hi in ((0.0, 2.0 * H), (H, 2.0 * H)):
+        close(*(((block.times > lo) & (block.times <= hi)).sum(axis=1) * 1.0
+                for block in (direct, joined)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -198,6 +199,31 @@ def test_too_many_state_times_is_an_input_error(e2_spec):
                         n=200, seed=0)
 
 
+def test_rule_for_another_own_chain_is_an_input_error(e1_spec, e2_spec, e2_params):
+    # the same start law, but a rule built for a = 3: it used to certify a
+    # gap of -0.165 against the reference game, where the right rule's is -0.006
+    other = dataclasses.replace(e2_params, a=3.0)
+    rules = [ex.e2_optimal_mu(other, p) for p in (0.2, 1.0 / 3.0)]
+    assert [rule.case for rule in rules] == ["flow", "split"]
+    for rule in rules:
+        for play in _certificates(game_at(e2_spec, rule.initial_belief()[0], None), rule):
+            with pytest.raises(InputError, match="built for the chain"):
+                play()
+    # a never rule carries its chain R; player 2's is checked against Q (zero in e1)
+    spec = game_at(e2_spec, 0.2, None)
+    for play in _certificates(spec, NeverStopStrategy(other.R, [0.2, 0.8])):
+        with pytest.raises(InputError, match="built for the chain"):
+            play()
+    opponent = NeverStopStrategy(R=[[-1.0, 1.0], [1.0, -1.0]], p0=[0.5, 0.5])
+    with pytest.raises(InputError, match="built for the chain"):
+        estimate_payoff(e1_spec, StopNowStrategy(), opponent, n=200, seed=0)
+    # the reference rules carry the game's own chain
+    exploit_gap(spec, ex.e2_optimal_mu(e2_params, 0.2), 1.0, small_family(), n=200)
+    exploit_gap(spec, NeverStopStrategy(e2_params.R, [0.2, 0.8]), 1.0, small_family(), n=200)
+    exploit_gap(game_at(e1_spec, 0.75, 0.75), ex.e1_optimal_mu(0.75, 0.75), 1.0,
+                small_family(), n=200)
+
+
 def test_rules_are_checked_once_per_call(e2_spec, e2_params):
     # the rule check runs before the first block, not once per block
     class Counting(NeverStopStrategy):
@@ -262,16 +288,25 @@ def test_exploit_gap_runs_in_one_process(e2_spec, e2_params):
         exploit_gap(spec, strat, 0.0, small_family(), n=10, threads=2)
 
 
-@pytest.mark.parametrize("point", ["e2_kink", "e1_split"])
+def _slow_e2(e2_params):
+    """e2 slowed down tenfold: most rows of its rules stop after the first round."""
+    return dataclasses.replace(e2_params, a=0.1, b=0.1, r=0.01)
+
+
+@pytest.mark.parametrize("point", ["e2_kink", "e1_split", "slow_e2_kink"])
 def test_batched_responses_match_per_path_law(point, e1_spec, e2_spec, e2_params):
     # the block code has the per-candidate means of the per-replication
-    # rows it replaced
+    # rows it replaced, which sampled every path to the horizon at once
     from per_path_reference import response_sums
     from stopgame.montecarlo import _response_chunk
 
     if point == "e2_kink":
         spec = game_at(e2_spec, 1.0 / 3.0, None)
         strat = ex.e2_optimal_mu(e2_params, 1.0 / 3.0)
+    elif point == "slow_e2_kink":
+        slow = _slow_e2(e2_params)
+        spec = game_at(ex.e2_game(slow), 1.0 / 3.0, None)
+        strat = ex.e2_optimal_mu(slow, 1.0 / 3.0)
     else:
         spec = game_at(e1_spec, 0.75, 0.75)
         strat = ex.e1_optimal_mu(0.75, 0.75)
@@ -288,6 +323,50 @@ def test_batched_responses_match_per_path_law(point, e1_spec, e2_spec, e2_params
     assert np.all(np.abs(m1 - m2) <= 4.0 * np.sqrt(var1 + var2) + 1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0 / 3.0, 0.4], ids=["flow", "split"])
+def test_rounds_stop_with_the_law_of_whole_paths(p, e2_params):
+    # rows the first round leaves unstopped are continued and the rule
+    # resumes on them: the stopping times have the law of the rule run on
+    # paths sampled to the horizon at once
+    from scipy.stats import ks_2samp
+
+    from stopgame.model import ChainSampler
+    from stopgame.montecarlo import FIRST_ROUND, _blocks, _plays
+    from stopgame.pdmp import never_horizon
+
+    slow = _slow_e2(e2_params)
+    spec = game_at(ex.e2_game(slow), p, None)
+    strat = ex.e2_optimal_mu(slow, p)
+    assert strat.case == ("flow" if p < 0.35 else "split")
+    horizon, n = never_horizon(slow.r), 4000
+    rounds = np.concatenate([mu for *_, mu in _plays(spec, strat, horizon, n, 70)])
+    sampler = ChainSampler(slow.R, spec.p0)
+    whole = np.concatenate([strat.stopping_times(sampler.sample_block(horizon, rng, m), rng)
+                            for rng, m in _blocks(n, 71)])
+    assert np.mean(rounds > FIRST_ROUND) > 0.4
+    assert np.mean(np.isinf(rounds)) == pytest.approx(np.mean(np.isinf(whole)), abs=0.02)
+    assert ks_2samp(rounds[np.isfinite(rounds)], whole[np.isfinite(whole)]).pvalue > 1e-3
+
+
+def test_rule_without_resume_gets_whole_paths(e2_params):
+    # a rule that does not say how far it reads the path (here: stop at the
+    # first jump) is given paths sampled to the horizon at once
+    from stopgame.montecarlo import _capped, _plays
+    from stopgame.pdmp import MixedStoppingStrategy
+
+    class FirstJump(MixedStoppingStrategy):
+        def stopping_times(self, paths, rng):
+            return paths.times[:, 1]
+
+    slow = _slow_e2(e2_params)
+    spec = game_at(ex.e2_game(slow), 0.5, None)
+    plays = list(_plays(spec, FirstJump(), 100.0, 1000, 72))
+    for _, X, _, mu in plays:
+        np.testing.assert_array_equal(X.ends, 100.0)
+        np.testing.assert_array_equal(mu, _capped(X.times[:, 1], 100.0))
+    assert np.mean(np.concatenate([mu for *_, mu in plays]) > 8.0) > 0.3
+
+
 def _oracle_cases(e1_spec, e2_spec, e2_params):
     """``(spec, rule, family)`` for the occupancy-count oracle test."""
     import stopgame.model as model
@@ -301,7 +380,14 @@ def _oracle_cases(e1_spec, e2_spec, e2_params):
     three = _three_state_game()
     # the constant and per-state times sit on the grid: ties pay h
     on_grid = PureResponseFamily(np.unique(np.concatenate(
-        [small_family().times, [0.5, 1.0, 2.0]])))
+        [small_family().times, [0.5, 1.0, 2.0, 12.0]])))
+    # most rows stop after the first round, so the rules resume on continued
+    # rows; the split one against a moving opponent
+    slow = _slow_e2(e2_params)
+    slow_kink = game_at(ex.e2_game(slow), 1.0 / 3.0, None)
+    slow_both = model.GameSpec(R=slow.R, Q=[[-0.07, 0.07], [0.13, -0.13]], r=0.01,
+                               f=[[2.0, 0.5], [1.0, 3.0]], h=[[-1.0, 0.0], [0.5, 1.5]],
+                               p0=[0.4, 0.6], q0=[0.3, 0.7])
     return [
         (kink, ex.e2_optimal_mu(e2_params, 1.0 / 3.0), PureResponseFamily.for_game(kink)),
         (split, ex.e1_optimal_mu(0.75, 0.75), PureResponseFamily.for_game(split)),
@@ -311,6 +397,10 @@ def _oracle_cases(e1_spec, e2_spec, e2_params):
         (both, StopNowStrategy(), small_family()),
         (three, InitialStateTimeStrategy([0.5, 2.0, 1.0]), on_grid),
         (three, NeverStopStrategy(), PureResponseFamily.for_game(three, n=60)),
+        # past the first round: X is continued to the horizon, never re-stopped
+        (both, ConstantTimeStrategy(12.0), on_grid),
+        (slow_kink, ex.e2_optimal_mu(slow, 1.0 / 3.0), PureResponseFamily.for_game(slow_kink)),
+        (slow_both, ex.e2_optimal_mu(slow, 0.4), PureResponseFamily.for_game(slow_both, n=60)),
     ]
 
 
@@ -359,11 +449,11 @@ def test_certify_numbers_are_pinned():
     e1_game = game_at(ex.e1_game(1.0), 0.75, 0.75)
     certs = [
         (e2_game, ex.e2_optimal_mu(e2, 1.0 / 3.0), ex.e2_value(e2, 1.0 / 3.0), 1,
-         -0.006005591450451986, {"zero": 0, "flow": 20000, "never": 0},
-         {0: 0.1301823889311746}),
+         -0.013502224598460844, {"zero": 0, "flow": 20000, "never": 0},
+         {0: 0.15859409912645722}),
         (e1_game, ex.e1_optimal_mu(0.75, 0.75), ex.e1_value(0.75, 0.75), 2,
-         -0.005419266665057043, {"zero": 13417, "flow": 1672, "never": 4911},
-         {0: math.inf, 1: 0.5273263844992949}),
+         -0.0010047046539424787, {"zero": 13394, "flow": 1695, "never": 4911},
+         {0: math.inf, 1: 0.23940893337689306}),
     ]
     for spec, strat, claim, seed, gap, stop_counts, argmin in certs:
         rep = exploit_gap(spec, strat, claim, PureResponseFamily.for_game(spec),
@@ -371,6 +461,7 @@ def test_certify_numbers_are_pinned():
         assert rep.stop_counts == stop_counts
         assert rep.argmin == argmin
         assert abs(rep.gap - gap) <= 1e-12
+        assert rep.gap >= -3.0 * rep.std_error - 0.05  # the workload's floor
 
 
 def test_coarse_family_flag(tmp_path):

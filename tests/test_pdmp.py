@@ -315,12 +315,12 @@ def _perturb_after(path: PathBlock, cut: float, rng) -> PathBlock:
     states = list(path.states[0, keep])
     t = max(cut, times[-1]) + rng.uniform(0.01, 0.5)
     s = states[-1]
-    while t < path.horizon and rng.random() < 0.7:
+    while t < path.ends[0] and rng.random() < 0.7:
         s = 1 - s
         times.append(t)
         states.append(s)
         t += rng.uniform(0.01, 1.0)
-    return PathBlock(np.array([times]), np.array([states]), path.horizon)
+    return PathBlock(np.array([times]), np.array([states]), path.ends)
 
 
 @pytest.mark.parametrize("builder", ["kink", "split", "wait"])
