@@ -137,7 +137,9 @@ def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(lo, hi)`` arrays of length ``L - 1``; any selection in
     between is a valid subgradient of the (convex) q-slice.  The usual
-    selection is the midpoint unless a caller pins a face.
+    selection is the midpoint unless a caller pins a face.  Where one side
+    of a chart axis leaves the simplex (a face), both ends take the other
+    side's slope; they are NaN where both sides do (at a vertex).
     """
     p = as_simplex(p)
     q = as_simplex(q)
@@ -169,7 +171,8 @@ def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:
         direction[-1] = -1.0
         hi[c] = _one_sided(V, row, q, direction, step)
         lo[c] = -_one_sided(V, row, q, -direction, step)
-    return lo, hi
+    # on a face the one feasible side's slope stands for both, as for two states
+    return np.where(np.isnan(lo), hi, lo), np.where(np.isnan(hi), lo, hi)
 
 
 def _one_sided(V: ValueGrid, row: np.ndarray, q: np.ndarray, direction: np.ndarray,

@@ -45,9 +45,11 @@ _MTOL = 1e-9   # membership slack of the domain oracles
 _PCORNER = 1e-9
 
 
-def _check_chart(*coords: float) -> None:
+def _check_chart(*coords: float, y: float = 0.0) -> None:
     if not all(0.0 <= c <= 1.0 for c in coords):  # NaN fails too
         raise InputError("chart coordinates must lie in [0, 1]")
+    if not math.isfinite(y):
+        raise InputError(f"chart coordinates must lie in [0, 1] x R, got y = {y!r}")
 
 
 def _jump_characteristics(target: np.ndarray, **fields) -> PdmpCharacteristics:
@@ -103,6 +105,7 @@ def e1_value_qslope(p: float, q: float) -> float:
             return 0.0
         return _curve(p)
 
+    _check_chart(p, q)
     if q <= 0.0:
         return slope(0.0, right=True)
     if q >= 1.0:
@@ -119,6 +122,7 @@ def e1_pure_values(p: float, q: float) -> tuple[float, float]:
             return 0.0
         return (1.0 - 2.0 * pp) * (pp * qq - (1.0 - qq))
 
+    _check_chart(p, q)
     return lower(p, q), -lower(1.0 - q, 1.0 - p)
 
 
@@ -128,8 +132,7 @@ def _curve(p: float) -> float:
 
 
 def e1_zone(p: float, y: float) -> str:
-    if not 0.0 <= p <= 1.0:
-        raise InputError("p must lie in [0, 1]")
+    _check_chart(p, y=y)
     if p >= 0.5 and y <= 0.0:
         return "A"
     if p >= 0.5 and y <= 4.0 * p - 2.0:
@@ -407,6 +410,7 @@ def e2_jump_intensity(params: Example2Params) -> float:
 
 def e2_wait_time(params: Example2Params, p: float) -> float:
     """Time for the belief flow started below the kink to reach it."""
+    _check_chart(p)
     p0 = e2_p0(params)
     if p >= p0:
         return 0.0
@@ -415,6 +419,7 @@ def e2_wait_time(params: Example2Params, p: float) -> float:
 
 def e2_split_probability(params: Example2Params, p: float) -> float:
     """Time-zero stop probability given state 0, for starts above the kink."""
+    _check_chart(p)
     p0 = e2_p0(params)
     if p <= p0:
         return 0.0

@@ -267,7 +267,7 @@ class PathBlock:
         idx = (self.times[:, 1:] <= np.asarray(t, dtype=float)[:, None]).sum(axis=1)
         return self.states[np.arange(self.n), idx]
 
-    def joined(self, rows: np.ndarray, more: "PathBlock") -> "PathBlock":
+    def _joined(self, rows: np.ndarray, more: "PathBlock") -> "PathBlock":
         """This block with row ``rows[i]`` continued by row ``i`` of ``more``.
 
         Row ``i`` of ``more`` must start where row ``rows[i]`` ends, in the
@@ -295,17 +295,18 @@ class ChainSampler:
     """Reusable path sampler: validates the generator once, then samples fast.
 
     :meth:`sample_block` draws a whole block of fresh paths from one
-    stream; :meth:`sample` is its one-row view.  :meth:`extend` continues
-    the rows of a block from their ends, each in the state it holds
-    there: by the Markov property the joined rows have the law of rows
-    sampled to the later end at once.  Both run the same two samplers
-    from a start time and start states.  A fresh block draws the
-    initial-state uniforms of all rows first, then each row's holding
-    times in path order, so a block of one row draws what a single path
-    always drew.  Two-state chains (``_two_state``) draw whole blocks of
-    holding times at once since the jump target is forced; larger chains
-    (``_event_loop``) run a per-event loop across the rows with a
-    precomputed jump kernel.
+    stream; :meth:`sample` is its one-row view.  :meth:`extend` is the one
+    continuation: it continues chosen rows of a block from their ends,
+    each in the state it holds there, and by the Markov property the
+    joined rows have the law of rows sampled to the later end at once.
+    Both run the same two samplers from a start time and start states.  A
+    fresh block draws the initial-state uniforms of all rows first, then
+    each row's holding times in path order, so a block of one row draws
+    what a single path always drew.  Two-state chains (``_two_state``)
+    draw one sized chunk of holding times per row, since the jump target
+    is forced, and the rare row that uses up its chunk is continued
+    through :meth:`extend`; larger chains (``_event_loop``) run a
+    per-event loop across the rows with a precomputed jump kernel.
     """
 
     def __init__(self, G, p):
@@ -340,23 +341,25 @@ class ChainSampler:
         initial = np.searchsorted(self.p_cum, rng.random(n), side="right").astype(self._dtype)
         return self._paths(np.zeros(n), initial, horizon, rng)
 
-    def extend(self, paths: PathBlock, horizon: float, rng: np.random.Generator) -> PathBlock:
-        """Each row of ``paths`` continued from its end to ``horizon``, drawn from ``rng``.
+    def extend(self, paths: PathBlock, rows: np.ndarray, horizon: float,
+               rng: np.random.Generator) -> tuple[PathBlock, PathBlock]:
+        """Rows ``rows`` of ``paths`` continued from their ends to ``horizon``, drawn from ``rng``.
 
-        Returns the continuation only; :meth:`PathBlock.joined` puts it
-        behind the rows it continues.
+        Returns ``(joined, more)``: ``paths`` with those rows continued,
+        and the continuation alone, whose row ``i`` starts at the end of
+        row ``rows[i]``; a stopping rule stops it from there.
         """
-        if not np.all(paths.ends <= horizon) or not math.isfinite(horizon):
+        cut = paths.take(rows)
+        if not np.all(cut.ends <= horizon) or not math.isfinite(horizon):
             raise InputError("a block continues to a finite horizon past its rows' ends")
-        return self._paths(paths.ends, paths.states_at(paths.ends), horizon, rng)
+        more = self._paths(cut.ends, cut.states_at(cut.ends), horizon, rng)
+        return paths._joined(rows, more), more
 
     def _paths(self, start: np.ndarray, initial: np.ndarray, horizon: float, rng) -> PathBlock:
-        if self.K == 2:
-            times = self._two_state(start, initial, horizon, rng)
-            states = initial[:, None] ^ (np.arange(times.shape[1], dtype=self._dtype) & 1)
-        else:
-            times, states = self._event_loop(start, initial, horizon, rng)
-        return PathBlock(times, states, float(horizon))
+        if self.K != 2:
+            return PathBlock(*self._event_loop(start, initial, horizon, rng), float(horizon))
+        paths, short = self._two_state(start, initial, horizon, rng)
+        return self.extend(paths, short, horizon, rng)[0] if short.size else paths
 
     def _event_loop(self, start, initial, horizon: float, rng):
         n = initial.size
@@ -383,49 +386,40 @@ class ChainSampler:
             state_cols.append(state)
         return np.stack(time_cols, axis=1), np.stack(state_cols, axis=1)
 
-    def _two_state(self, start, initial, horizon: float, rng) -> np.ndarray:
-        """Event times (the start, then the jumps) of each row, padded with +inf."""
-        # states alternate, so only the holding times are random; a row
-        # draws a block sized to cover the horizon with a 10-sigma margin
-        # and, in the rare case it falls short, another one from there
-        n = initial.size
+    def _two_state(self, start, initial, horizon: float, rng) -> tuple[PathBlock, np.ndarray]:
+        """Paths to ``horizon``, and the rows that ran out of draws.
+
+        States alternate, so only the holding times are random: each row
+        draws one chunk sized to cover the horizon with a 10-sigma margin.
+        A row whose every draw lands by the horizon (``cut == sizes``,
+        rare) may jump again after its last draw, so it ends there.
+        """
         rows = np.flatnonzero(self.rates[initial] > 0.0)
-        t = start[rows]
+        if not rows.size:
+            return PathBlock(start[:, None].copy(), initial[:, None].copy(), float(horizon)), rows
         s = initial[rows]
-        rounds = []
-        while rows.size:
-            hold_now, hold_next = self.mean_hold[s], self.mean_hold[1 - s]
-            pair_mean = hold_now + np.where(self.rates[1 - s] > 0, hold_next, 0.0)
-            expect = (horizon - t) / pair_mean * 2.0
-            sizes = (expect + 10.0 * np.sqrt(expect + 1.0)).astype(np.int64) + 16
-            jumps = np.full((rows.size, int(sizes.max())), np.inf)
-            jumps[np.arange(jumps.shape[1]) < sizes[:, None]] = np.maximum(
-                rng.exponential(size=int(sizes.sum())), 1e-300)
-            jumps[:, 0::2] *= hold_now[:, None]
-            jumps[:, 1::2] *= hold_next[:, None]
-            np.cumsum(jumps, axis=1, out=jumps)
-            jumps += t[:, None]
-            cut = (jumps <= horizon).sum(axis=1)
-            jumps = jumps[:, :int(cut.max(initial=0))]
-            jumps[jumps > horizon] = np.inf
-            rounds.append((rows, jumps))
-            more = cut == sizes
-            t = jumps[more, sizes[more] - 1]
-            s = s[more] ^ (sizes[more] & 1)
-            rows = rows[more]
-        width = sum(jumps.shape[1] for _, jumps in rounds)
-        times = np.full((n, 1 + width), np.inf)
+        hold_now, hold_next = self.mean_hold[s], self.mean_hold[1 - s]
+        pair_mean = hold_now + np.where(self.rates[1 - s] > 0, hold_next, 0.0)
+        expect = (horizon - start[rows]) / pair_mean * 2.0
+        sizes = (expect + 10.0 * np.sqrt(expect + 1.0)).astype(np.int64) + 16
+        jumps = np.full((rows.size, int(sizes.max())), np.inf)
+        jumps[np.arange(jumps.shape[1]) < sizes[:, None]] = np.maximum(
+            rng.exponential(size=int(sizes.sum())), 1e-300)
+        jumps[:, 0::2] *= hold_now[:, None]
+        jumps[:, 1::2] *= hold_next[:, None]
+        np.cumsum(jumps, axis=1, out=jumps)
+        jumps += start[rows, None]
+        cut = (jumps <= horizon).sum(axis=1)
+        out = cut == sizes
+        ends = np.full(initial.size, float(horizon))
+        ends[rows[out]] = jumps[out, sizes[out] - 1]
+        jumps = jumps[:, :int(cut.max())]
+        jumps[jumps > horizon] = np.inf
+        times = np.full((initial.size, 1 + jumps.shape[1]), np.inf)
         times[:, 0] = start
-        col = 1
-        for rows, jumps in rounds:
-            times[rows, col:col + jumps.shape[1]] = jumps
-            col += jumps.shape[1]
-        if len(rounds) > 1:
-            # a row continued into a later round may hold +inf padding
-            # between its rounds; sorting moves it to the end
-            times.sort(axis=1)
-            times = times[:, :int(np.isfinite(times).sum(axis=1).max())]
-        return times
+        times[rows, 1:] = jumps
+        states = initial[:, None] ^ (np.arange(times.shape[1], dtype=self._dtype) & 1)
+        return PathBlock(times, states, ends), rows[out]
 
 
 def bilinear_payoff(M, p, q) -> float:

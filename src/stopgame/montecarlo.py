@@ -14,7 +14,7 @@ stream order:
 1. X to ``FIRST_ROUND``, then the rule's draws on it;
 2. while the rule may still stop rows it left unstopped, those rows
    continued from their states at the last cut to twice as far (capped
-   at the horizon), then the rule's draws as it resumes on them;
+   at the horizon), then the rule's draws as it stops them from the cut;
 3. every row that needs more path continued to the horizon at once;
 4. the opponent's paths Y to the horizon, then (for a payoff estimate)
    the opponent's stopping draws.
@@ -139,11 +139,13 @@ def _check_rule(strategy: MixedStoppingStrategy, G: np.ndarray, law: np.ndarray)
 def _plays(spec: GameSpec, strat1: MixedStoppingStrategy, horizon: float, n: int, seed: int):
     """``(stream, X, Y, mu)`` per block, after one check of ``strat1`` against the game.
 
-    X is sampled in rounds, in the stream order of the module docstring.
-    A row needs more path while ``min(mu, horizon)`` is past its end: an
-    unstopped row to the horizon, since the opponent reads it there.  A
-    rule that cannot resume (``resumes_until`` is ``+inf``) is sampled to
-    the horizon at once.
+    X is sampled in rounds, in the stream order of the module docstring,
+    and continued only by ``ChainSampler.extend``; the rule stops fresh
+    and continued rows by its one ``stopping_times``.  A row needs more
+    path while ``min(mu, horizon)`` is past its end: an unstopped row to
+    the horizon, since the opponent reads it there.  A rule that cannot
+    resume (``resumes_until`` is ``+inf``) is sampled to the horizon at
+    once.
     """
     _check_rule(strat1, spec.R, spec.p0)
     sx = ChainSampler(spec.R, spec.p0)
@@ -156,13 +158,12 @@ def _plays(spec: GameSpec, strat1: MixedStoppingStrategy, horizon: float, n: int
         live, end = np.flatnonzero(np.isinf(mu)), first
         while live.size and end < until:
             end = min(2.0 * end, horizon)
-            more = sx.extend(X.take(live), end, rng)
-            X = X.joined(live, more)
-            mu[live] = strat1.resume_times(more, rng)
+            X, more = sx.extend(X, live, end, rng)
+            mu[live] = strat1.stopping_times(more, rng)
             live = live[np.isinf(mu[live])]
         short = np.flatnonzero(np.minimum(mu, horizon) > X.ends)
         if short.size:
-            X = X.joined(short, sx.extend(X.take(short), horizon, rng))
+            X = sx.extend(X, short, horizon, rng)[0]
         Y = sy.sample_block(horizon, rng, m)
         yield rng, X, Y, mu
 
@@ -389,7 +390,7 @@ class GapReport:
 
     def to_payload(self) -> dict:
         def num(x):
-            return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
+            return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
         return {"value_claim": num(self.value_claim),
                 "best_response": num(self.best_response),
                 "gap": num(self.gap), "std_error": self.std_error,
@@ -404,12 +405,15 @@ def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: floa
                 threads: int = 1) -> GapReport:
     """best_response_value minus the claimed value (+inf against a -inf claim).
 
-    Monte Carlo runs in the calling process, so ``threads`` accepts only 1.
-    The keyword stays because the benchmark workloads still pass
-    ``threads=1``; it goes with the next change to the benchmark.
+    A NaN claim is an input error.  Monte Carlo runs in the calling
+    process, so ``threads`` accepts only 1.  The keyword stays because the
+    benchmark workloads still pass ``threads=1``; it goes with the next
+    change to the benchmark.
     """
     if threads != 1:
         raise InputError(f"Monte Carlo runs in one process; threads must be 1, got {threads!r}")
+    if math.isnan(value_claim):
+        raise InputError("the value claim is NaN")
     if value_claim == -math.inf:  # nothing is played, so the rule is checked here
         _check_rule(strat1, spec.R, spec.p0)
         return GapReport(value_claim, math.nan, math.inf, 0.0, 0, seed, {},

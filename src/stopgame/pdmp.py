@@ -20,11 +20,12 @@ of the verification theorem's case for the starting point:
   immediate stop and a ``flow`` start,
 * ``stop_now`` (start in ``S``): stop immediately.
 
-Every rule stops a whole :class:`~stopgame.model.PathBlock` at once, and
-the ``flow`` and ``split`` rules resume on rows continued past a cut, so
-Monte Carlo samples paths only as far as a rule reads them; the Monte
-Carlo checks that run the rules over sampled blocks, the belief
-consistency check included, live in :mod:`stopgame.montecarlo`.
+Every rule stops a whole :class:`~stopgame.model.PathBlock` at once
+through its one ``stopping_times``, fresh rows and rows continued past a
+cut alike, each row from its own start; so Monte Carlo samples paths
+only as far as a rule reads them.  The Monte Carlo checks that run the
+rules over sampled blocks, the belief consistency check included, live
+in :mod:`stopgame.montecarlo`.
 """
 
 from __future__ import annotations
@@ -473,18 +474,20 @@ class MixedStoppingStrategy:
     """A stopping rule of the own filtration plus an exogenous random stream.
 
     A rule implements ``stopping_times``, which stops a whole
-    :class:`PathBlock` from one stream.  A row's decision uses only its
+    :class:`PathBlock` from one stream, each row given no stop before the
+    row's start ``paths.times[:, 0]``.  A row's decision uses only its
     path up to that decision and the draws the rule takes for it, which
     is what makes the rule adapted: altering the path strictly after the
     realized stopping time cannot change it.  The other rows only move
     where a row's draws sit in the stream, so each row has the law of the
     rule on one path.
 
-    A rule may also stop a block that is short of the horizon and then
-    resume on continuations of the rows it left unstopped
-    (``resume_times``), up to ``resumes_until``.  Rules decided at time 0
-    read the initial states only and set ``resumes_until`` to 0; the base
-    class sets it to ``+inf``, which asks for whole paths at once.
+    A rule may also stop a block that is short of the horizon and then,
+    by the same ``stopping_times``, the continuations of the rows it left
+    unstopped, each from where it was cut, up to ``resumes_until``.  Rules
+    decided at time 0 read the initial states only and set
+    ``resumes_until`` to 0; the base class sets it to ``+inf``, which asks
+    for whole paths at once.
     """
 
     case = "abstract"
@@ -504,15 +507,6 @@ class MixedStoppingStrategy:
 
     def stopping_times(self, paths: PathBlock, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
-
-    def resume_times(self, paths: PathBlock, rng: np.random.Generator) -> np.ndarray:
-        """Stopping times of rows continued from their start ``paths.times[:, 0] > 0``.
-
-        The rows are those the rule has not stopped before their start,
-        which is below ``resumes_until``; each has the law of the rule
-        given no stop by then.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not resume")
 
     def initial_belief(self) -> np.ndarray | None:
         """The law of the own chain at time 0, or ``None`` for a rule that carries none."""
@@ -672,8 +666,6 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
         first = hit.argmax(axis=1)
         return np.where(hit.any(axis=1), t[np.arange(paths.n), first], math.inf)
 
-    resume_times = stopping_times
-
     def descriptor(self):
         return {"case": self.case, "z": self.z0.tolist(), "horizon": self.t_max,
                 "characteristics": dict(self.char.params)}
@@ -724,13 +716,13 @@ class SplitThenFlowStrategy(MixedStoppingStrategy):
         return self.flow.generator()
 
     def stopping_times(self, paths, rng):
+        """The time-0 coin for rows that start at 0, then the flow rule from each row's start."""
+        go_on = paths.times[:, 0] > 0.0
+        fresh = np.flatnonzero(~go_on)
+        go_on[fresh] = rng.uniform(size=fresh.size) >= self.stop_prob[paths.states[fresh, 0]]
         mu = np.zeros(paths.n)
-        go_on = rng.uniform(size=paths.n) >= self.stop_prob[paths.initial_states]
         mu[go_on] = self.flow.stopping_times(paths.take(go_on), rng)
         return mu
-
-    def resume_times(self, paths, rng):
-        return self.flow.stopping_times(paths, rng)
 
     def descriptor(self):
         return {"case": self.case, "z": self.z.tolist(),

@@ -199,6 +199,11 @@ def test_verify_rejects_rules_that_do_not_fit_the_game(game_files, capsys):
     assert main(["strategy", "--family", "e2", "--p", "0.2", "--out", str(flow)]) == 0
     (d / "flow_minus_inf.json").write_text(json.dumps(
         {**json.loads(flow.read_text()), "value_claim": float("-inf")}))
+    # a rule that fits the game, with a NaN claim
+    fits = d / "fits.json"
+    assert main(["strategy", "--family", "e2", "--p", str(1.0 / 3.0), "--out", str(fits)]) == 0
+    (d / "fits_nan.json").write_text(json.dumps(
+        {**json.loads(fits.read_text()), "value_claim": float("nan")}))
     (d / "long.json").write_text(json.dumps(
         {"strategy": {"case": "state_times", "times": [1.0, 2.0, 3.0]}, "value_claim": 1.0}))
     # the game's start law, but built for another own chain (a = 3)
@@ -207,6 +212,7 @@ def test_verify_rejects_rules_that_do_not_fit_the_game(game_files, capsys):
     capsys.readouterr()
     for game, strategy in (("three.json", "flow.json"), (game_files["e2"], "flow.json"),
                            (game_files["e2"], "flow_minus_inf.json"),
+                           (game_files["e2"], "fits_nan.json"),
                            (game_files["e2"], "long.json"),
                            (game_files["e2"], "other_chain.json")):
         assert main(["verify", "optimality", "--game", str(d / game), "--strategy",

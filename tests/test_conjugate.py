@@ -148,6 +148,25 @@ def test_subgradient_interval_width_at_kink(e2_params):
     assert hi[0] == pytest.approx(-0.5, abs=1e-3)
 
 
+def test_subgradient_q_on_a_face_of_a_three_state_slice():
+    # V = p + q . (1, 3, -2): chart axis c moves weight from the last state
+    # to state c, so its slope is 1 + 2 = 3 on axis 0 and 3 + 2 = 5 on axis 1
+    spec = GameSpec(R=np.zeros((2, 2)), Q=np.zeros((3, 3)), r=1.0,
+                    f=np.full((2, 3), 5.0), h=np.full((2, 3), -5.0),
+                    p0=[0.5, 0.5], q0=[1 / 3, 1 / 3, 1 / 3])
+    v = np.array([1.0, 3.0, -2.0])
+    grid = ValueGrid.from_function(spec, lambda p, q: float(p[0] + q @ v), 4, 10)
+    # inside, and on the face q_2 = 0 where each axis is feasible on one side only
+    for q in ([0.2, 0.3, 0.5], [0.5, 0.5, 0.0]):
+        lo, hi = subgradient_q(grid, pair(0.3), q)
+        np.testing.assert_allclose(lo, [3.0, 5.0], atol=1e-9)
+        np.testing.assert_allclose(hi, [3.0, 5.0], atol=1e-9)
+    # at the vertex q = e_1 axis 0 leaves the simplex both ways, axis 1 does not
+    lo, hi = subgradient_q(grid, pair(0.3), [0.0, 1.0, 0.0])
+    assert math.isnan(lo[0]) and math.isnan(hi[0])
+    assert lo[1] == pytest.approx(5.0, abs=1e-9) and hi[1] == pytest.approx(5.0, abs=1e-9)
+
+
 def test_dual_flow_frozen_chain():
     state = dual_flow(np.array([1.0, 0.5]), [0.6, 0.4], np.zeros((2, 2)),
                       np.zeros((2, 2)), r=1.0, t=0.7)

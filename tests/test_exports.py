@@ -50,7 +50,7 @@ def test_model_keeps_one_path_type():
                        "philox_rng"}
     assert defined <= set(stopgame.__all__)
     assert _public(PathBlock) == {"times", "states", "ends", "n", "n_jumps", "initial_states",
-                                  "take", "states_at", "joined"}
+                                  "take", "states_at"}
     assert _public(Orbit) == {"ts", "zs", "lams", "stationary", "quiescent",
                               "t_end", "state_at"}
     assert _public(ZPath) == {"ts", "zs", "jump_time", "post_jump", "jumped", "state_at"}
@@ -173,10 +173,18 @@ def test_one_play_loop():
     mc = ast.parse(Path(montecarlo.__file__).read_text())
     for names in ({"ChainSampler"}, {"sample_block"}):
         assert {where for _, where in _uses(mc, names)} == {"_plays", "survivor_counts"}
-    assert {where for _, where in _uses(mc, {"joined", "resume_times"})} == {"_plays"}
+    # rows are continued by the one ChainSampler.extend: in montecarlo by
+    # the play loop, in model by the two-state refill, and a rule stops
+    # fresh and continued rows by its one stopping_times
+    model_tree = ast.parse(Path(model.__file__).read_text())
+    assert {where for _, where in _uses(mc, {"extend"})} == {"_plays"}
+    assert {where for _, where in _uses(model_tree, {"extend"})} == {"_paths"}
+    assert {where for _, where in _uses(model_tree, {"_joined"})} == {"extend"}
+    assert [path.name for path in sorted((SRC / "stopgame").glob("*.py"))
+            if "resume_times" in path.read_text()] == []
     # the sampler draws holding times in its two samplers only, which fresh
     # blocks and continuations share
-    sampler = next(node for node in ast.walk(ast.parse(Path(model.__file__).read_text()))
+    sampler = next(node for node in ast.walk(model_tree)
                    if isinstance(node, ast.ClassDef) and node.name == "ChainSampler")
     assert [fn.name for fn in sampler.body if isinstance(fn, ast.FunctionDef)] == [
         "__init__", "sample", "sample_block", "extend", "_paths", "_event_loop", "_two_state"]

@@ -390,6 +390,59 @@ def test_sample_matches_per_path_reference(G, p, horizon):
         assert rng_got.random() == rng_want.random()  # and left the stream at the same place
 
 
+class _ShortFirstChunk:
+    """A stream whose first ``exponential`` draws are scaled down, so that
+    every row of a two-state block uses up its first chunk of holding times."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def exponential(self, *args, **kwargs):
+        draws = self.rng.exponential(*args, **kwargs)
+        self.calls += 1
+        return draws * 1e-6 if self.calls == 1 else draws
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("G,horizon", [
+    (FLIP, 0.5),
+    (FLIP, 10.0),
+    (np.array([[-0.3, 0.3], [0.2, -0.2]]), 184.0),
+    (np.array([[-50.0, 50.0], [80.0, -80.0]]), 3.0),
+])
+def test_two_state_rows_that_use_up_their_draws_are_continued(G, horizon):
+    # the two-state sampler draws one chunk per row; a row whose every draw
+    # lands by the horizon is continued from its last jump, bit for bit as
+    # the per-path sampler refills
+    from per_path_reference import sample_path
+
+    sampler = ChainSampler(G, [0.4, 0.6])
+    for i in range(20):
+        rng_got, rng_want = _ShortFirstChunk(philox_rng(23, i)), _ShortFirstChunk(philox_rng(23, i))
+        got = sampler.sample(horizon, rng_got)
+        want = sample_path(sampler, horizon, rng_want)
+        assert rng_got.calls > 1  # the refill ran
+        np.testing.assert_array_equal(got.times, want.times[None, :])
+        np.testing.assert_array_equal(got.states, want.states[None, :])
+        np.testing.assert_array_equal(got.ends, horizon)
+        assert rng_got.random() == rng_want.random()
+    for n in (7, 128):
+        rng = _ShortFirstChunk(philox_rng(24, n))
+        block = sampler.sample_block(horizon, rng, n)
+        assert rng.calls > 1
+        times, states = block.times, block.states
+        valid = np.isfinite(times)
+        np.testing.assert_array_equal(block.ends, horizon)
+        assert np.all(times[:, 0] == 0.0) and np.all(times[valid] <= horizon)
+        assert np.all(valid[:, 1:] <= valid[:, :-1])
+        assert np.all((times[:, 1:] > times[:, :-1])[valid[:, 1:]])
+        assert np.all((states[:, 1:] != states[:, :-1])[valid[:, 1:]])
+        # every row holds its whole first chunk, at least 16 jumps
+        assert np.all(valid.sum(axis=1) >= 17)
+
+
 def test_three_state_chain_law_and_invariants():
     sampler = ChainSampler(THREE, [0.2, 0.5, 0.3])
     horizon, t, blocks = 4.0, 1.3, 80
@@ -420,10 +473,9 @@ def test_continued_block_has_the_law_of_a_direct_one(G, p):
     direct = sampler.sample_block(2.0 * H, philox_rng(60), n)
     rng = philox_rng(61)
     first = sampler.sample_block(H, rng, n)
-    more = sampler.extend(first, 2.0 * H, rng)
+    joined, more = sampler.extend(first, np.arange(n), 2.0 * H, rng)
     np.testing.assert_array_equal(more.times[:, 0], H)
     np.testing.assert_array_equal(more.initial_states, first.states_at(np.full(n, H)))
-    joined = first.joined(np.arange(n), more)
     np.testing.assert_array_equal(joined.ends, 2.0 * H)
     # the first round's rows are a prefix of the joined ones
     width = first.times.shape[1]

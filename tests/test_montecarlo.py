@@ -115,6 +115,12 @@ def test_exploit_gap_infinite_claim(e2_spec, e2_params):
     gap = exploit_gap(spec, NeverStopStrategy(), -math.inf, small_family(),
                       n=10, seed=0)
     assert gap.gap == math.inf
+    # nothing is played, so the best response is NaN, and the payload says so
+    payload = gap.to_payload()
+    assert (payload["value_claim"], payload["best_response"], payload["gap"]) == (
+        "-inf", "nan", "inf")
+    with pytest.raises(InputError, match="value claim is NaN"):
+        exploit_gap(spec, NeverStopStrategy(), math.nan, small_family(), n=10, seed=0)
 
 
 def test_stop_past_sampled_horizon_counts_as_never(e2_spec):

@@ -282,6 +282,21 @@ def test_zone_B_split_probability(e1_char):
     assert np.all(strat.stopping_times(flat(1, 300), philox_rng(8)) == math.inf)
 
 
+def test_split_rule_tosses_its_coin_only_for_rows_that_start_at_zero(e2_params):
+    # a row continued from a later start is past the time-0 coin: the split
+    # rule stops it as its flow rule does, from the same draws
+    strat = ex.e2_optimal_mu(e2_params, 0.6)
+    assert strat.case == "split"
+    sampler = ChainSampler(e2_params.R, [0.6, 0.4])
+    first = sampler.sample_block(2.0, philox_rng(9), 400)
+    _, later = sampler.extend(first, np.arange(400), 40.0, philox_rng(10))
+    mu = strat.stopping_times(later, philox_rng(11))
+    np.testing.assert_array_equal(mu, strat.flow.stopping_times(later, philox_rng(11)))
+    assert np.all(mu > 2.0)
+    # while rows that start at 0 toss it
+    assert np.any(strat.stopping_times(first, philox_rng(12)) == 0.0)
+
+
 def test_case3_stops_now():
     strat = StopNowStrategy()
     assert strat.stopping_time(flat(0), philox_rng(0)) == 0.0
