@@ -160,11 +160,13 @@ def e1_dual(p: float, y: float) -> tuple[float, str]:
 
 def e1_hstar(p: float, y: float) -> float:
     """Restricted conjugate of the stop payoff h."""
+    _check_chart(p, y=y)
     return 4.0 - 3.0 * p if y <= 2.0 else y + 2.0 - 3.0 * p
 
 
 def e1_fstar(p: float, y: float) -> float:
     """Restricted conjugate of the counter-stop payoff f."""
+    _check_chart(p, y=y)
     return 1.0 - 2.0 * p if y <= 3.0 else y - 2.0 - 2.0 * p
 
 

@@ -13,11 +13,17 @@ exact pop test on values rounded to a dyadic integer grid, so the vertex
 set is the same in any pruning order, hinted or cold, and a dropped node
 lies at most one quantum above its chord (``2^-(52 - bitlen(N))`` of the
 power of two above the slice's max ``|v|``, 1.1e-13 of it at N = 400).
-A hinted dead node above the chord of its hinted neighbours is revived
-in round one; later rounds only drop nodes.  From all nodes solver
-iterates need 2-17 rounds (medians 5-11); from the previous sweep's
-vertex sets, as ``solve`` starts, about 1.4 on e2 401x1, 1.7 on the
-moving-chain game at 41x41 and 5 on e1 101x101.  Higher dimensions use
+``solve`` carries each side's hull record (the vertex mask with every
+node's neighbouring vertices) from one sweep to the next.  Round one
+tests every node against the chord of its recorded neighbours, with no
+neighbour search; when that confirms the mask, the call only
+interpolates chords and returns the same record.  That happens on 3,563
+of 3,919 carried calls on e2 401x1, 920 of 1,144 on the moving-chain
+game at 41x41 and 2 of 280 on e1 101x101, whose masks move almost every
+sweep.  A fall-back revives the nodes above their recorded chords and
+then runs the pruning rounds, each with a fresh neighbour search (a
+median of 4-5 searches on those three games), which makes it about five
+times the cost of a confirmed call.  Higher dimensions use
 Delaunay barycentric interpolation and qhull envelopes; both are exact
 for piecewise-affine data but cost grows quickly with dimension.
 """
@@ -25,8 +31,10 @@ for piecewise-affine data but cost grows quickly with dimension.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +128,39 @@ class SimplexGrid:
         return idx.astype(np.int64), w
 
 
-def _upper_hull_columns(v: np.ndarray, alive: np.ndarray | None = None):
+class _Hull(NamedTuple):
+    """A vertex mask carried from one envelope call to the next.
+
+    ``alive`` is the ``(n, m)`` mask, end rows always set; ``a`` and ``c``
+    hold each interior row's previous and next alive row, ``(n - 2, m)``.
+    """
+
+    alive: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+
+
+def _rows(n: int, m: int) -> np.ndarray:
+    """Row numbers as a column, in int32 while every flat index ``row * m + col`` fits."""
+    return np.arange(n, dtype=np.int32 if n * m < 2**31 else np.int64)[:, None]
+
+
+def _neighbours(alive: np.ndarray, rows: np.ndarray):
+    """Each interior row's previous and next alive row, per column of ``alive``."""
+    n = alive.shape[0]
+    a = np.maximum.accumulate(np.where(alive[:-2], rows[:-2], 0), axis=0)
+    c = np.minimum.accumulate(np.where(alive[:1:-1], rows[:1:-1], n - 1), axis=0)[::-1]
+    return a, c
+
+
+def _hull_record(alive) -> _Hull:
+    """The record of a vertex mask, such as one from a nearby slice; its end rows are set."""
+    alive = np.array(alive, dtype=bool)
+    alive[:1] = alive[-1:] = True
+    return _Hull(alive, *_neighbours(alive, _rows(*alive.shape)))
+
+
+def _upper_hull_columns(v: np.ndarray, alive: _Hull | None = None):
     """Least concave majorant of every column of ``v`` over equally spaced nodes.
 
     The nodes are rows ``0 .. n-1``.  Each column is put on a dyadic
@@ -131,74 +171,87 @@ def _upper_hull_columns(v: np.ndarray, alive: np.ndarray | None = None):
     unique one of the quantized points.  A node is dropped at most one
     quantum, ``2^(e - 52 + bitlen(n-1))``, above its chord.
 
-    Round-wise pruning: each round finds, per column, every node's alive
-    neighbours ``a < b < c`` and tests each interior ``b`` against the
-    chord ``a -> c``.  ``alive`` is an optional vertex-mask hint, such as
-    the mask returned for a nearby ``v``; without one every node starts
-    alive.  Round one sets each interior node alive if and only if it lies
-    above the chord of its hinted neighbours, which keeps every hull vertex
-    (a vertex lies above any chord across it); later rounds only drop nodes
-    on or below their chord, which are never vertices.  Once a round
-    changes nothing in a column its alive chain is strictly concave, hence
-    the hull, so each round after the first works on the columns that
-    changed in the round before: on a view while that is every column and
-    on a gathered copy otherwise.  A concave run ending in a spike drops
-    one node per round, so the worst case is ``n - 2`` rounds of O(n m).
-    Between vertices the envelope is the chord ``(1 - w) v_a + w v_c`` of
-    the original values, ``w = (b - a)/(c - a)``.  Returns ``(envelope,
-    alive)``, the mask of the hull vertices.
+    Round-wise pruning: each round tests every interior node ``b`` of a
+    column against the chord ``a -> c`` of its alive neighbours.
+    ``alive`` is a carried :class:`_Hull` record, such as the one returned
+    for a nearby ``v`` or :func:`_hull_record` of a mask; without one
+    every node starts alive.  Round one reads the record's neighbours and
+    sets each interior node alive if and only if it lies above the chord
+    of its recorded neighbours, which keeps every hull vertex (a vertex
+    lies above any chord across it).  If that changes no node, the record
+    is the hull's and is returned as it is.  Otherwise later rounds search
+    the neighbours afresh and only drop nodes on or below their chord,
+    which are never vertices.  Once a round changes nothing in a column
+    its alive chain is strictly concave, hence the hull, so each round
+    after the first works on the columns that changed in the round
+    before: on a view while that is every column and on a gathered copy
+    otherwise.  A concave run ending in a spike drops one node per round,
+    so the worst case is ``n - 2`` rounds of O(n m).  Between vertices the
+    envelope is the chord ``(1 - w) v_a + w v_c`` of the original values,
+    ``w = (b - a)/(c - a)``.  Returns ``(envelope, record)``, the record
+    of the hull vertices.
     """
     n, m = v.shape
+    record = _hull_record(np.ones((n, m), dtype=bool)) if alive is None else alive
     if n < 3 or m == 0:
-        return v.copy(), np.ones((n, m), dtype=bool)
+        return v.copy(), record
     shift = 52 - (n - 1).bit_length() - np.frexp(np.abs(v).max(axis=0))[1]
     q = np.rint(np.ldexp(v, shift))
     flat, qflat = v.ravel(), q.ravel()
-    rows, cols = np.arange(n)[:, None], np.arange(m)
-    alive = np.ones((n, m), dtype=bool) if alive is None else alive.copy()
-    alive[0] = alive[-1] = True  # the end nodes are always vertices
+    rows, cols = _rows(n, m), np.arange(m)
+    alive, a, c = record
     # the columns still changing: a view while all are, else their indices
-    act, revive, settled = slice(None), True, False
+    act, idx, revive, settled = slice(None), cols, True, False
     while True:
-        al, idx = alive[:, act], cols[act]
-        # each interior node's previous and next alive node
-        a = np.maximum.accumulate(np.where(al[:-2], rows[:-2], 0), axis=0)
-        c = np.minimum.accumulate(np.where(al[:1:-1], rows[:1:-1], n - 1), axis=0)[::-1]
+        if not revive:  # round one reads the record's neighbours, later ones search
+            idx = cols[act]
+            a, c = _neighbours(alive[:, act], rows)
+        ia, ic, span, off = a * m + idx, c * m + idx, c - a, rows[1:-1] - a
         if settled:
             break
         # the exact pop test: b stays only while strictly above the chord a -> c
-        qa = qflat[a * m + idx]
-        above = (q[1:-1, act] - qa) * (c - a) > (qflat[c * m + idx] - qa) * (rows[1:-1] - a)
-        mid = al[1:-1]
+        qa = qflat.take(ia)
+        above = (q[1:-1, act] - qa) * span > (qflat.take(ic) - qa) * off
+        del qa  # not held through the next neighbour search: it raised peak memory
+        mid = alive[1:-1, act]
         keep = above if revive else mid & above
         changed = (keep != mid).any(axis=0)
-        alive[1:-1, act] = keep
         revive = False
-        if changed.all():
-            continue
-        if changed.any():
-            act = idx[changed]
-        elif isinstance(act, slice):
-            break  # this round's neighbours already cover every column
-        else:
+        if not changed.any():
+            if isinstance(act, slice):
+                break  # this round's neighbours already cover every column
             act, settled = slice(None), True  # neighbours of every column
-    w = (rows[1:-1] - a) / (c - a)
-    chord = (1.0 - w) * flat[a * m + cols] + w * flat[c * m + cols]
+            continue
+        if alive is record.alive:
+            alive = alive.copy()
+        alive[1:-1, act] = keep
+        if not changed.all():
+            act = idx[changed]
+    if a is not record.a:
+        record = _Hull(alive, a, c)
+    w = off / span
+    chord = flat.take(ia)
+    chord *= 1.0 - w
+    w *= flat.take(ic)
+    chord += w
     env = v.copy()
     env[1:-1] = np.maximum(np.where(alive[1:-1], v[1:-1], chord), v[1:-1])
-    return env, alive
+    return env, record
 
 
-def _concave_envelope(chart: np.ndarray, v: np.ndarray, alive: np.ndarray | None = None):
-    """:func:`concave_envelope` with a vertex-mask hint; returns ``(envelope, alive)``.
+def _concave_envelope(chart: np.ndarray, v: np.ndarray, alive: _Hull | None = None):
+    """:func:`concave_envelope` with a carried record; returns ``(envelope, record)``.
 
-    Only one chart coordinate uses the hint (see :func:`_upper_hull_columns`).
-    With no chart coordinate every node is a vertex; charts of two or more
-    coordinates are always computed cold and return ``alive=None``.
+    Only one chart coordinate reads the record (see :func:`_upper_hull_columns`).
+    With no chart coordinate every node is a vertex, and a given record
+    is returned as it is; charts of two or more coordinates are always
+    computed cold and return ``None``.
     """
     v = np.asarray(v, dtype=float)
     if chart.shape[1] == 0:
-        return v.copy(), np.ones(v.shape, dtype=bool)
+        if alive is None:
+            alive = _hull_record(np.ones((v.shape[0], math.prod(v.shape[1:])), dtype=bool))
+        return v.copy(), alive
     if chart.shape[1] == 1:
         env, alive = _upper_hull_columns(np.ascontiguousarray(v.reshape(v.shape[0], -1)), alive)
         return env.reshape(v.shape), alive

@@ -524,6 +524,13 @@ class MixedStoppingStrategy:
         return {"case": self.case}
 
 
+def _starts_by(paths: PathBlock, time: float, rule: str) -> None:
+    """A rule decided at time 0 stops only rows that start by ``time``."""
+    if np.any(paths.times[:, 0] > time):
+        raise InputError(f"{rule} is decided at time 0 and cannot stop a row "
+                         f"that starts after {time}")
+
+
 class NeverStopStrategy(MixedStoppingStrategy):
     """Never stop; with a chain ``(R, p0)`` attached the rule also tracks its belief."""
 
@@ -563,6 +570,7 @@ class StopNowStrategy(MixedStoppingStrategy):
     resumes_until = 0.0
 
     def stopping_times(self, paths, rng):
+        _starts_by(paths, 0.0, "a stop-now rule")
         return np.zeros(paths.n)
 
 
@@ -576,6 +584,7 @@ class ConstantTimeStrategy(MixedStoppingStrategy):
         self.time = float(time)
 
     def stopping_times(self, paths, rng):
+        _starts_by(paths, self.time, "a constant-time rule")
         return np.full(paths.n, self.time)
 
     def descriptor(self):
@@ -596,6 +605,8 @@ class InitialStateTimeStrategy(MixedStoppingStrategy):
             raise InputError("stopping times must be nonnegative")
 
     def stopping_times(self, paths, rng):
+        # a row that starts later has no known initial state
+        _starts_by(paths, 0.0, "a rule of the initial state")
         return self.times[paths.initial_states]
 
     def descriptor(self):

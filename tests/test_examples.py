@@ -302,10 +302,14 @@ def test_blind_band_between_obstacles(e2_params):
     lambda: ex.e1_dual(0.3, math.nan),
     lambda: ex.e1_dual(0.3, math.inf),
     lambda: ex.e1_zone(1.5, 0.0),
+    lambda: ex.e1_hstar(2.0, 1.0),
+    lambda: ex.e1_fstar(math.nan, 1.0),
+    lambda: ex.e1_hstar(0.5, math.nan),
 ], ids=["e1_mu_q_above", "e1_mu_p_below", "e1_mu_p_nan", "e1_mu_q_nan", "e2_mu_above",
         "e2_mu_below", "e2_mu_nan", "e1_value_nan", "e2_value_nan", "blind_nan",
         "e2_split_above", "e2_wait_below", "e1_pure_above", "e1_qslope_above",
-        "e1_dual_y_nan", "e1_dual_y_inf", "e1_zone_p_above"])
+        "e1_dual_y_nan", "e1_dual_y_inf", "e1_zone_p_above", "e1_hstar_p_above",
+        "e1_fstar_p_nan", "e1_hstar_y_nan"])
 def test_chart_outside_the_square_is_an_input_error(build):
     # e1_optimal_mu(0.3, 1.5) used to return a split rule, and e2 blamed the split
     with pytest.raises(InputError, match="chart coordinates must lie in"):

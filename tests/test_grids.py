@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stopgame.errors import InputError
-from stopgame.grids import (SimplexGrid, ValueGrid, _upper_hull_columns,
+from stopgame.grids import (SimplexGrid, ValueGrid, _hull_record, _upper_hull_columns,
                             concave_envelope, convex_envelope, read_value_csv,
                             write_value_csv)
 
@@ -149,24 +149,60 @@ def _hint(kind, cold_mask, seed):
     return cold_mask
 
 
+def _hull(v, hint=None):
+    """``(envelope, vertex mask, record)`` of the kernel, hinted by a mask."""
+    env, record = _upper_hull_columns(v, None if hint is None else _hull_record(hint))
+    return env, record.alive, record
+
+
 @settings(max_examples=300, deadline=None)
 @given(_envelope_case(), st.sampled_from(("random", "none", "all", "cold")),
        st.integers(0, 2**32 - 1))
 def test_hinted_envelope_matches_cold(case, hint_kind, seed):
     # a vertex-mask hint changes the pruning path, never the hull
     kind, x, v = case
-    cold, mask = _upper_hull_columns(v)
-    hinted, alive = _upper_hull_columns(v, _hint(hint_kind, mask, seed))
+    cold, mask, _ = _hull(v)
+    hinted, alive, _ = _hull(v, _hint(hint_kind, mask, seed))
     np.testing.assert_array_equal(hinted, cold)
     np.testing.assert_array_equal(alive, mask)
     if kind == "collinear":
         # the same runs in inexact floats: the pop test is exact on the
         # quantized values, so near-ties fall the same way in any order
         vf = v / 3.0
-        cold, mask = _upper_hull_columns(vf)
-        hinted, alive = _upper_hull_columns(vf, _hint(hint_kind, mask, seed))
+        cold, mask, _ = _hull(vf)
+        hinted, alive, _ = _hull(vf, _hint(hint_kind, mask, seed))
         np.testing.assert_array_equal(hinted, cold)
         np.testing.assert_array_equal(alive, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_envelope_case(), st.integers(0, 2**32 - 1))
+def test_carried_record_matches_cold(case, seed):
+    # a carried record changes the work, never the hull: it is returned as
+    # it is exactly when its mask is the hull's, and otherwise replaced
+    kind, x, v = case
+    n, m = v.shape
+    rng = np.random.default_rng(seed)
+    cold, mask, own = _hull(v)
+    # nearby: the same columns plus an affine function, whose vertex sets
+    # are the same in exact arithmetic; unrelated: another draw of the case
+    near = v + rng.integers(-3, 4, m) + rng.integers(-3, 4, m) * x[:, None]
+    records = {"own": own, "near": _upper_hull_columns(near)[1],
+               "unrelated": _upper_hull_columns(rng.normal(size=(n, m)))[1],
+               "random mask": _hull_record(rng.random((n, m)) < 0.5)}
+    for name, record in records.items():
+        given_mask = record.alive.copy()
+        env, out = _upper_hull_columns(v, record)
+        np.testing.assert_array_equal(env, cold)
+        np.testing.assert_array_equal(out.alive, mask)
+        np.testing.assert_array_equal(record.alive, given_mask)  # never written to
+        assert (out is record) == np.array_equal(given_mask, mask), name
+        if out is not record:
+            np.testing.assert_array_equal(out.a, _hull_record(mask).a)
+            np.testing.assert_array_equal(out.c, _hull_record(mask).c)
+    assert _upper_hull_columns(v, own)[1] is own
+    if kind != "random":  # integer values: the affine shift keeps every vertex
+        assert _upper_hull_columns(v, records["near"])[1] is records["near"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,16 +213,16 @@ def test_batched_envelope_matches_column_by_column(case, seed):
     kind, x, v = case
     n, m = v.shape
     rng = np.random.default_rng(seed)
-    cold_env, cold = _upper_hull_columns(v)
+    cold_env, cold, _ = _hull(v)
     hint = np.column_stack([
         (cold[:, j], rng.random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool))[rng.integers(4)]
         for j in range(m)])
-    env, alive = _upper_hull_columns(v, hint)
+    env, alive, _ = _hull(v, hint)
     for j in range(m):
-        one_env, one = _upper_hull_columns(v[:, [j]])
+        one_env, one, _ = _hull(v[:, [j]])
         np.testing.assert_array_equal(cold_env[:, [j]], one_env)
         np.testing.assert_array_equal(cold[:, [j]], one)
-        one_env, one = _upper_hull_columns(v[:, [j]], hint[:, [j]])
+        one_env, one, _ = _hull(v[:, [j]], hint[:, [j]])
         np.testing.assert_array_equal(env[:, [j]], one_env)
         np.testing.assert_array_equal(alive[:, [j]], one)
 
@@ -208,18 +244,18 @@ def test_batched_envelope_revives_hinted_dead_node():
     concave = -(i - 6.0) ** 2
     peak = np.array([0.0, 5.0, 9.0, 12.0, 13.0, 15.0, 13.0, 12.0, 9.0, 5.0])
     v = np.column_stack([concave, spike, 2.0 * i - 5.0, peak, concave[::-1]])
-    cold_env, cold = _upper_hull_columns(v)
+    cold_env, cold, _ = _hull(v)
     hint = cold.copy()
     hint[:, 1] = True
     hint[:, 2] = False
     hint[:, 3] = True
     hint[5, 3] = False
-    env, alive = _upper_hull_columns(v, hint)
+    env, alive, _ = _hull(v, hint)
     np.testing.assert_array_equal(env, cold_env)
     np.testing.assert_array_equal(alive, cold)
     np.testing.assert_array_equal(env, monotone_chain_envelope(x, v))
     for j in range(v.shape[1]):
-        one_env, one = _upper_hull_columns(v[:, [j]], hint[:, [j]])
+        one_env, one, _ = _hull(v[:, [j]], hint[:, [j]])
         np.testing.assert_array_equal(env[:, [j]], one_env)
         np.testing.assert_array_equal(alive[:, [j]], one)
     assert alive[5, 3] and not alive[[4, 6], 3].any()
@@ -270,9 +306,9 @@ def test_envelope_vertex_mask_is_exact(case):
     # chain run in Python integers on the same quantized values
     v, hint = case
     exact = _exact_vertex_mask(v)
-    env, alive = _upper_hull_columns(v)
+    env, alive, _ = _hull(v)
     np.testing.assert_array_equal(alive, exact)
-    hinted_env, hinted = _upper_hull_columns(v, hint)
+    hinted_env, hinted, _ = _hull(v, hint)
     np.testing.assert_array_equal(hinted_env, env)
     np.testing.assert_array_equal(hinted, alive)
     assert np.all(env >= v)
@@ -296,11 +332,11 @@ def test_hinted_envelope_nan_columns_terminate():
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, 41)
     v = rng.normal(size=(41, 5))
-    cold, mask = _upper_hull_columns(v)
+    cold, mask, _ = _hull(v)
     dead, alive = np.flatnonzero(~mask[1:-1, 1]) + 1, np.flatnonzero(mask[1:-1, 3]) + 1
     assert dead.size and alive.size
     v[dead[0], 1] = v[alive[0], 3] = math.nan
-    hinted, _ = _upper_hull_columns(v, mask)
+    hinted, _, _ = _hull(v, mask)
     keep = [0, 2, 4]
     np.testing.assert_array_equal(hinted[:, keep], cold[:, keep])
     assert np.isnan(hinted[:, 1]).any() and np.isnan(hinted[:, 3]).any()

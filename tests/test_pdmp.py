@@ -11,8 +11,8 @@ from conftest import flat, z1, z2
 from stopgame.errors import InputError, IntegrityError
 from stopgame.model import ChainSampler, PathBlock, philox_rng
 from stopgame.montecarlo import _blocks, belief_consistency, survivor_counts
-from stopgame.pdmp import (ConstantTimeStrategy, FlowIntensityStrategy, NeverStopStrategy,
-                           SplitThenFlowStrategy, StopNowStrategy, build_mu,
+from stopgame.pdmp import (ConstantTimeStrategy, FlowIntensityStrategy,
+                           InitialStateTimeStrategy, NeverStopStrategy, SplitThenFlowStrategy, StopNowStrategy, build_mu,
                            _z_paths, integrate_flow, sc_check, simulate_Z)
 
 
@@ -295,6 +295,30 @@ def test_split_rule_tosses_its_coin_only_for_rows_that_start_at_zero(e2_params):
     assert np.all(mu > 2.0)
     # while rows that start at 0 toss it
     assert np.any(strat.stopping_times(first, philox_rng(12)) == 0.0)
+
+
+def test_rules_decided_at_time_zero_stop_only_rows_that_start_in_time(e2_params):
+    # a continuation from t = 8 is past time 0: a stop now, a time read off
+    # an initial state it does not know and a constant time before its start
+    # are input errors, while a constant time from its start on and never
+    # stopping still stop it
+    sampler = ChainSampler(e2_params.R, [0.6, 0.4])
+    first = sampler.sample_block(8.0, philox_rng(9), 50)
+    _, later = sampler.extend(first, np.arange(50), 20.0, philox_rng(10))
+    assert np.all(later.times[:, 0] == 8.0)
+    for rule in (StopNowStrategy(), InitialStateTimeStrategy([1.0, 30.0]),
+                 ConstantTimeStrategy(1.0), ConstantTimeStrategy(7.9)):
+        with pytest.raises(InputError, match="decided at time 0"):
+            rule.stopping_times(later, philox_rng(11))
+    for time in (8.0, 12.0, math.inf):
+        assert np.all(ConstantTimeStrategy(time).stopping_times(later, philox_rng(11)) == time)
+    assert np.all(NeverStopStrategy().stopping_times(later, philox_rng(11)) == math.inf)
+    # rows that start at 0 stop as before
+    assert np.all(StopNowStrategy().stopping_times(first, philox_rng(12)) == 0.0)
+    assert np.all(ConstantTimeStrategy(1.0).stopping_times(first, philox_rng(12)) == 1.0)
+    np.testing.assert_array_equal(
+        InitialStateTimeStrategy([1.0, 30.0]).stopping_times(first, philox_rng(12)),
+        np.where(first.initial_states == 0, 1.0, 30.0))
 
 
 def test_case3_stops_now():

@@ -228,6 +228,44 @@ def test_solve_records_vertices_and_pins(tmp_path):
     assert solve(spec3, 4, 1, tol=1e-9).metadata["hull_vertices"] == {"p": None, "q": 15}
 
 
+def test_solve_confirms_carried_hulls_on_most_sweeps(tmp_path):
+    # a sweep whose vertex sets hold is confirmed by one exact test and does
+    # not count as a move; every sweep would count if that path were lost
+    moves = {}
+    for name, spec, N_p, N_q, tol in (("e2", ex.e2_game(ex.REFERENCE_E2), 40, 1, 1e-9),
+                                      ("moving", _moving_game(), 13, 13, 1e-8)):
+        grid = solve(spec, N_p, N_q, tol=tol)
+        moves[name], sweeps = grid.metadata["hull_moves"], grid.metadata["iterations"]
+        assert set(moves[name]) == {"p", "q"}
+        assert all(1 <= k < sweeps for k in moves[name].values())
+        write_value_csv(grid, tmp_path / "v.csv")
+        meta = json.loads((tmp_path / "v.csv.meta.json").read_text())
+        assert meta["hull_moves"] == moves[name]
+        assert meta["error_bound"] == grid.metadata["error_bound"]
+    assert max(moves["moving"].values()) < sweeps // 4  # most sweeps hold
+    # a one-node slice moves only from the first sweep's cold record, and a
+    # two-coordinate chart carries no record
+    assert moves["e2"]["q"] == 1
+    spec3 = GameSpec(R=np.zeros((3, 3)), Q=np.zeros((1, 1)), r=1.0,
+                     f=[[2.0], [1.5], [3.0]], h=[[1.0], [0.5], [2.0]],
+                     p0=[1 / 3, 1 / 3, 1 / 3], q0=[1.0])
+    assert solve(spec3, 4, 1, tol=1e-9).metadata["hull_moves"] == {"p": None, "q": 1}
+
+
+def test_error_bound_covers_the_distance_to_the_fixed_point(e1_spec):
+    # tol bounds the last change; the distance to the fixed point is up to
+    # e^{-r delta} / (1 - e^{-r delta}) times that, 9.5 times at delta = 0.1
+    grid = solve(e1_spec, 20, 20, tol=1e-6)
+    tight = solve(e1_spec, 20, 20, tol=1e-12)
+    meta = grid.metadata
+    disc = math.exp(-e1_spec.r * meta["delta"])
+    assert meta["error_bound"] == meta["residual"] * disc / (1.0 - disc)
+    assert meta["error_bound"] == pytest.approx(9.508 * meta["residual"], rel=1e-3)
+    gap = float(np.abs(grid.values - tight.values).max())
+    assert gap <= meta["error_bound"] + tight.metadata["error_bound"]
+    assert gap > 9.0 * meta["residual"]  # the last change alone understates the error
+
+
 def test_saddle_posteriori_stability(e1_solved):
     tol = e1_solved.metadata["tol"]
     again = vex_q(cav_p(e1_solved))
