@@ -45,8 +45,8 @@ _MTOL = 1e-9   # membership slack of the domain oracles
 _PCORNER = 1e-9
 
 
-def _check_chart(*coords: float, y: float = 0.0) -> None:
-    if not all(0.0 <= c <= 1.0 for c in coords):  # NaN fails too
+def _check_chart(p: float, q: float = 0.0, y: float = 0.0) -> None:
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):  # NaN fails too
         raise InputError("chart coordinates must lie in [0, 1]")
     if not math.isfinite(y):
         raise InputError(f"chart coordinates must lie in [0, 1] x R, got y = {y!r}")

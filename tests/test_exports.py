@@ -194,6 +194,15 @@ def test_one_play_loop():
     assert list(_uses(ast.parse(Path(cli.__file__).read_text()), names)) == []
 
 
+def test_one_neighbour_search():
+    # the envelope kernel searches hull neighbours when it builds a record
+    # and once per pruning round, for the columns that round changed; a
+    # second pass over every column, such as an end-of-call search, fails here
+    tree = ast.parse(Path(grids.__file__).read_text())
+    assert sorted(where for _, where in _uses(tree, {"_neighbours"})) == [
+        "_hull_record", "_upper_hull_columns"]
+
+
 COLD_START = textwrap.dedent("""
     import sys
     import numpy as np

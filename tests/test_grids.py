@@ -187,19 +187,25 @@ def test_carried_record_matches_cold(case, seed):
     # nearby: the same columns plus an affine function, whose vertex sets
     # are the same in exact arithmetic; unrelated: another draw of the case
     near = v + rng.integers(-3, 4, m) + rng.integers(-3, 4, m) * x[:, None]
+    # mixed: the hull's mask in some columns and a random one in the others,
+    # so round one confirms those and the later rounds narrow to the rest
+    moved = rng.random(m) < 0.5
     records = {"own": own, "near": _upper_hull_columns(near)[1],
                "unrelated": _upper_hull_columns(rng.normal(size=(n, m)))[1],
-               "random mask": _hull_record(rng.random((n, m)) < 0.5)}
+               "random mask": _hull_record(rng.random((n, m)) < 0.5),
+               "mixed": _hull_record(np.where(moved, rng.random((n, m)) < 0.5, mask))}
     for name, record in records.items():
-        given_mask = record.alive.copy()
+        given = [part.copy() for part in record]
         env, out = _upper_hull_columns(v, record)
         np.testing.assert_array_equal(env, cold)
         np.testing.assert_array_equal(out.alive, mask)
-        np.testing.assert_array_equal(record.alive, given_mask)  # never written to
-        assert (out is record) == np.array_equal(given_mask, mask), name
-        if out is not record:
-            np.testing.assert_array_equal(out.a, _hull_record(mask).a)
-            np.testing.assert_array_equal(out.c, _hull_record(mask).c)
+        for part, before in zip(record, given):  # never written to
+            np.testing.assert_array_equal(part, before)
+        assert (out is record) == np.array_equal(given[0], mask), name
+        # every column's neighbours are current, also those round one confirmed
+        fresh = _hull_record(out.alive)
+        np.testing.assert_array_equal(out.a, fresh.a)
+        np.testing.assert_array_equal(out.c, fresh.c)
     assert _upper_hull_columns(v, own)[1] is own
     if kind != "random":  # integer values: the affine shift keeps every vertex
         assert _upper_hull_columns(v, records["near"])[1] is records["near"]
