@@ -52,8 +52,9 @@ def ycoord(y: float) -> np.ndarray:
     return np.array([y, 0.0])
 
 
-def _golden_min(f, a: float, b: float) -> float:
-    """Golden-section minimum of a unimodal function on ``[a, b]``."""
+def _golden_min(f) -> float:
+    """Golden-section minimum of a unimodal function on the chart ``[0, 1]``."""
+    a, b = 0.0, 1.0
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -69,6 +70,13 @@ def _golden_min(f, a: float, b: float) -> float:
     return f(0.5 * (a + b))
 
 
+def _dual_vector(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise InputError("dual vector must be finite")
+    return v
+
+
 def _grid_slice(partner: SimplexGrid, point: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Columns of ``values`` (one per ``partner`` node) interpolated at ``point``."""
     idx, w = partner.interp_weights(np.atleast_2d(point[: partner.dim - 1]))
@@ -80,24 +88,19 @@ def _inf_pairing(x: np.ndarray, slice_, nodes: np.ndarray | None = None) -> floa
 
     Grid input (``slice_`` holds the values at ``nodes``): the objective is
     affine on every cell, so the exact answer is a scan over the nodes.
-    Callable input (``slice_`` maps the scalar chart to a value): coarse
-    scan plus golden section; the objective is convex, so it is unimodal.
+    Callable input (``slice_`` maps the scalar chart to a value): one golden
+    section over the whole chart; the objective is convex, so it is unimodal.
     """
     if nodes is not None:
         return float(np.min(nodes @ x - slice_))
     if x.size != 2:
         raise InputError("callable conjugation is implemented on the scalar chart")
-    obj = lambda c: x[0] * c + x[1] * (1 - c) - slice_(c)
-    coarse = np.linspace(0.0, 1.0, 257)
-    vals = np.array([obj(c) for c in coarse])
-    best = int(np.argmin(vals))
-    lo, hi = coarse[max(best - 1, 0)], coarse[min(best + 1, coarse.size - 1)]
-    return min(float(vals[best]), float(_golden_min(obj, lo, hi)))
+    return float(_golden_min(lambda c: x[0] * c + x[1] * (1 - c) - slice_(c)))
 
 
 def concave_conjugate_p(V, x, q) -> float:
     """inf over the p-simplex of <x, p> - V(p, q), for a value grid or a callable."""
-    x = np.asarray(x, dtype=float)
+    x = _dual_vector(x)
     q = as_simplex(q)
     if isinstance(V, ValueGrid):
         if x.size != V.p_grid.dim:
@@ -112,7 +115,7 @@ def convex_conjugate_q(V, p, y) -> float:
     Computed as ``-inf_q <q, -y> - (-V(p, q))``.
     """
     p = as_simplex(p)
-    y = np.asarray(y, dtype=float)
+    y = _dual_vector(y)
     if isinstance(V, ValueGrid):
         if y.size != V.q_grid.dim:
             raise InputError("dual vector dimension does not match the q-side")

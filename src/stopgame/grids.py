@@ -372,7 +372,12 @@ def read_value_csv(path):
     rows = path.read_text().strip().splitlines()
     if not rows or rows[0] != "p,q,value":
         raise InputError(f"{path} is not a value-grid CSV")
-    data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
+    try:  # a non-numeric field, or rows of unequal length, is a ValueError
+        data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
+    except ValueError:
+        data = np.empty(0)
+    if data.ndim != 2 or data.shape[1] != 3:
+        raise InputError(f"{path} needs one or more rows of three numbers")
     p_chart = np.unique(data[:, 0])
     q_chart = np.unique(data[:, 1])
     if data.shape[0] != p_chart.size * q_chart.size:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import stopgame.examples as ex
-from stopgame.conjugate import (concave_conjugate_p, convex_conjugate_q,
+from stopgame.conjugate import (_GOLDEN_ITERS, concave_conjugate_p, convex_conjugate_q,
                                 dual_flow, dual_pde_residual_lower,
                                 dual_pde_residual_upper, obstacle_conjugate_p,
                                 obstacle_conjugate_q, pair, subgradient_q,
@@ -66,6 +66,32 @@ def test_conjugate_shift_identity():
         reduced = y2 + ex.e1_dual(p, y1 - y2)[0]
         assert full == pytest.approx(reduced, abs=1e-6)
         assert ex.e1_vstar_full(np.array([p, 1 - p, y1, y2])) == pytest.approx(reduced)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("branch", ["grid", "callable"])
+def test_conjugates_reject_non_finite_dual_vectors(e1_spec, branch, bad):
+    V = (ValueGrid.from_function(e1_spec, e1_callable, 4, 4) if branch == "grid"
+         else e1_callable)
+    with pytest.raises(InputError, match="dual vector"):
+        concave_conjugate_p(V, [0.5, bad], pair(0.5))
+    with pytest.raises(InputError, match="dual vector"):
+        convex_conjugate_q(V, pair(0.5), [bad, 0.0])
+
+
+def test_callable_conjugate_is_one_golden_section():
+    # one golden section over the whole chart: no scan before it
+    calls = []
+
+    def counted(p_vec, q_vec):
+        calls.append(1)
+        return e1_callable(p_vec, q_vec)
+
+    for conjugate in (lambda: concave_conjugate_p(counted, ycoord(0.3), pair(0.4)),
+                      lambda: convex_conjugate_q(counted, pair(0.4), ycoord(0.3))):
+        calls.clear()
+        conjugate()
+        assert 0 < len(calls) <= _GOLDEN_ITERS + 3
 
 
 def test_conjugate_sandwich(e1_spec, e1_oracle_grid):

@@ -60,7 +60,7 @@ def test_model_keeps_one_path_type():
 # value is a constant, and adding one back needs a change here
 SIGNATURES = {
     PureResponseFamily: ["times"],
-    pdmp.integrate_flow: ["char", "z0", "horizon", "dt"],
+    pdmp.integrate_flow: ["char", "z0", "horizon"],
     pdmp.sc_check: ["char", "vstar", "samples"],
     pdmp.SplitThenFlowStrategy: ["char", "z", "z_flow", "z_stop", "m", "horizon", "vstar"],
     pdmp.build_mu: ["char", "z", "vstar"],
@@ -69,7 +69,7 @@ SIGNATURES = {
     ValueGrid.with_values: ["self", "values"],
     montecarlo.belief_consistency: ["strategy", "R", "t", "n", "seed"],
     model.as_simplex: ["weights"],
-    conjugate._golden_min: ["f", "a", "b"],
+    conjugate._golden_min: ["f"],
     examples.e1_optimal_mu: ["p", "q", "r"],
     examples.e2_optimal_mu: ["params", "p"],
 }
@@ -100,7 +100,7 @@ def test_public_names_of_spec_and_characteristics():
                                  "to_json", "from_json"}
     assert _public(PdmpCharacteristics) == {
         "dim_p", "dim_y", "r", "A", "alpha", "lam", "phi", "in_EH", "in_S", "split",
-        "snap", "quiescent", "params", "p_part", "in_E", "is_quiescent"}
+        "snap", "quiescent", "params", "p_part", "is_quiescent"}
     assert _public(PureResponseFamily) == {"times", "for_game", "exhaustive_for",
                                            "descriptor"}
     # value_at is the one interpolation entry point

@@ -424,3 +424,26 @@ def test_value_csv_rejects_garbage(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(InputError):
         read_value_csv(bad)
+
+
+def test_value_csv_rejects_header_only_file(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p,q,value\n")
+    with pytest.raises(InputError, match="rows of three numbers"):
+        read_value_csv(bad)
+
+
+def test_value_csv_rejects_non_numeric_field(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p,q,value\n0,0,1.5\n0,1,x\n")
+    with pytest.raises(InputError, match="rows of three numbers"):
+        read_value_csv(bad)
+
+
+@pytest.mark.parametrize("rows", ["0,0,1.5\n0,1\n", "0,0,1.5\n0,1,2.5,3\n", "0,0,1.5\n0\n",
+                                  "0,0,1.5\n0,1,2.5,\n", "0,0\n0,1\n", "0,0,1,2\n0,1,1,2\n"])
+def test_value_csv_rejects_rows_of_other_than_three_fields(tmp_path, rows):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p,q,value\n" + rows)
+    with pytest.raises(InputError, match="rows of three numbers"):
+        read_value_csv(bad)

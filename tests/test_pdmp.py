@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.stats import ks_2samp, kstest
 
 import stopgame.examples as ex
+import stopgame.pdmp as pdmp
 from conftest import flat, z1, z2
 from stopgame.errors import InputError, IntegrityError
 from stopgame.model import ChainSampler, PathBlock, philox_rng
@@ -160,6 +161,31 @@ def test_sc_check_passes_examples(e1_char, e2_char, e2_params):
     rep2 = sc_check(e2_char, ex.e2_vstar_full(e2_params),
                     e2_sample_points(e2_params, 25))
     assert rep2.passed, str(rep2)
+
+
+def test_sc_check_follows_jump_curve_orbits_without_bisection(e1_char, monkeypatch):
+    # e1's flow rides the jump curve, at E_H's edge: at integrate_flow's step
+    # no RK4 step leaves E_H, so each orbit step costs one _step call
+    steps = []
+    orbit_steps = []
+    real_step, real_flow = pdmp._step, pdmp.integrate_flow
+
+    def counted_step(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    def counted_flow(*args, **kwargs):
+        orbit = real_flow(*args, **kwargs)
+        orbit_steps.append(orbit.ts.size - 1)
+        return orbit
+
+    monkeypatch.setattr(pdmp, "_step", counted_step)
+    monkeypatch.setattr(pdmp, "integrate_flow", counted_flow)
+    samples = [z1(p, (1 - 2 * p) / (1 - p)) for p in (0.05, 0.2, 0.35, 0.45)]
+    assert all(e1_char.in_EH(z) for z in samples)
+    assert sc_check(e1_char, ex.e1_vstar_full, samples).passed
+    assert len(orbit_steps) == len(samples) and min(orbit_steps) > 0
+    assert len(steps) == sum(orbit_steps)
 
 
 def test_sc_check_rejects_scaled_intensity(e1_char):
