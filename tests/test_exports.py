@@ -65,6 +65,7 @@ SIGNATURES = {
     pdmp.SplitThenFlowStrategy: ["char", "z", "z_flow", "z_stop", "m", "horizon", "vstar"],
     pdmp.build_mu: ["char", "z", "vstar"],
     solver.residual_check: ["grid"],
+    solver.solve: ["spec", "N_p", "N_q", "tol", "max_iter"],
     grids._upper_hull_columns: ["v", "alive"],
     ValueGrid.with_values: ["self", "values"],
     montecarlo.belief_consistency: ["strategy", "R", "t", "n", "seed"],

@@ -440,6 +440,17 @@ def test_value_csv_rejects_non_numeric_field(tmp_path):
         read_value_csv(bad)
 
 
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["p", "q", "value"])
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+def test_value_csv_rejects_non_finite_fields(tmp_path, field, text):
+    rows = [["0", "0", "1.5"], ["0", "1", "2"], ["1", "0", "-1"], ["1", "1", "0.5"]]
+    rows[3][field] = text
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p,q,value\n" + "".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(InputError, match="not a finite number"):
+        read_value_csv(bad)
+
+
 @pytest.mark.parametrize("rows", ["0,0,1.5\n0,1\n", "0,0,1.5\n0,1,2.5,3\n", "0,0,1.5\n0\n",
                                   "0,0,1.5\n0,1,2.5,\n", "0,0\n0,1\n", "0,0,1,2\n0,1,1,2\n"])
 def test_value_csv_rejects_rows_of_other_than_three_fields(tmp_path, rows):

@@ -160,29 +160,74 @@ def _moving_game():
 
 
 _GAMES = {"e1": lambda: ex.e1_game(1.0), "e2": lambda: ex.e2_game(ex.REFERENCE_E2),
-          "moving": _moving_game}
+          "moving": _moving_game,
+          # frozen three-state chains with a singleton opponent (qhull envelopes)
+          "spec3": lambda: GameSpec(R=np.zeros((3, 3)), Q=np.zeros((1, 1)), r=1.0,
+                                    f=[[2.0], [1.5], [3.0]], h=[[1.0], [0.5], [2.0]],
+                                    p0=[1 / 3, 1 / 3, 1 / 3], q0=[1.0]),
+          "cav3": lambda: GameSpec(R=np.zeros((3, 3)), Q=np.zeros((1, 1)), r=1.0,
+                                   f=[[2.0], [0.5], [0.1]], h=[[1.0], [-1.0], [-1.0]],
+                                   p0=[1 / 3, 1 / 3, 1 / 3], q0=[1.0])}
 
 
-@pytest.mark.parametrize("game,N_p,N_q,tol", [
-    ("e1", 20, 20, 1e-7), ("e2", 40, 1, 1e-9), ("moving", 13, 13, 1e-8)])
-def test_solve_matches_public_sweep_loop(game, N_p, N_q, tol):
-    # solve carries hull vertex masks between sweeps; the public, stateless
-    # functions start every envelope cold.  The envelope kernel's pop test
-    # is exact, so both reach the same vertex set on every slice, bit for bit.
-    spec = _GAMES[game]()
-    grid = solve(spec, N_p, N_q, tol=tol)
-    H, F = payoff_grids(spec, grid.p_grid, grid.q_grid)
+def _public_sweep_loop(spec, N_p, N_q, tol):
+    """Plain value iteration through the public functions: ``(values, sweeps, change)``."""
+    p_grid, q_grid = SimplexGrid(spec.K, N_p), SimplexGrid(spec.L, N_q)
+    H, F = payoff_grids(spec, p_grid, q_grid)
     delta = default_time_step(spec, N_p, N_q)
-    V = ValueGrid(grid.p_grid, grid.q_grid, 0.5 * (H + F), spec)
+    V = ValueGrid(p_grid, q_grid, 0.5 * (H + F), spec)
     for it in range(1, 10_000):
         new = vex_q(cav_p(obstacle_step(V, delta)))
         change = float(np.abs(new.values - V.values).max())
         V = new
         if change < tol:
             break
-    ref = np.clip(V.values, H, F)
-    assert grid.metadata["iterations"] == it
+    return np.clip(V.values, H, F), it, change
+
+
+@pytest.mark.parametrize("game,N_p,N_q,tol", [("e2", 40, 1, 1e-9), ("moving", 13, 13, 1e-8)])
+def test_solve_matches_public_sweep_loop(game, N_p, N_q, tol):
+    # solve carries hull vertex masks between sweeps; the public, stateless
+    # functions start every envelope cold.  The envelope kernel's pop test
+    # is exact, so both reach the same vertex set on every slice, bit for bit.
+    # With a moving chain solve does not mix: its iterates are the plain loop's.
+    grid = solve(_GAMES[game](), N_p, N_q, tol=tol)
+    ref, sweeps, _ = _public_sweep_loop(_GAMES[game](), N_p, N_q, tol)
+    assert grid.metadata["iterations"] == sweeps
     np.testing.assert_array_equal(grid.values, ref)
+    assert grid.metadata["mixing"] is None
+
+
+# rounding slack of the envelope kernel (a dropped node lies up to one
+# quantum, 1.1e-13 of the slice max at N = 400, above its chord)
+_KERNEL_SLACK = 1e-12
+
+
+@pytest.mark.parametrize("game,N_p,N_q,tol,max_sweeps", [
+    ("e1", 20, 20, 1e-7, 30), ("e1", 100, 100, 1e-7, 90),  # plain loop: 141 sweeps each
+    ("spec3", 4, 1, 1e-9, 8),  # converges before the mixing starts
+    ("cav3", 6, 1, 1e-10, 20)])  # plain loop: 200 sweeps
+def test_solve_mixes_frozen_chains(game, N_p, N_q, tol, max_sweeps):
+    # frozen chains: after its first plain sweeps solve mixes the sweep, so
+    # its iterates leave the plain loop's.  It returns the image T(x) of its
+    # last iterate with residual |T(x) - x|, so one more sweep moves the
+    # result by at most e^{-r delta} times the residual, and the result lies
+    # within the summed error bounds of the plain loop's
+    spec = _GAMES[game]()
+    grid = solve(spec, N_p, N_q, tol=tol)
+    meta = grid.metadata
+    delta = default_time_step(spec, N_p, N_q)
+    again = vex_q(cav_p(obstacle_step(grid, delta))).values
+    disc = math.exp(-spec.r * delta)
+    assert np.abs(again - grid.values).max() <= disc * meta["residual"] + _KERNEL_SLACK
+    ref, _, change = _public_sweep_loop(spec, N_p, N_q, tol)
+    gap = float(np.abs(grid.values - ref).max())
+    assert gap <= meta["error_bound"] + change * disc / (1.0 - disc) + _KERNEL_SLACK
+    assert meta["iterations"] <= max_sweeps
+    mixing = meta["mixing"]
+    assert set(mixing) == {"accepted", "restarts"}
+    # sweep 12 is the first to start from a mixed iterate
+    assert (mixing["accepted"] > 0) == (meta["iterations"] > 11)
 
 
 @pytest.mark.parametrize("game,N_p,N_q", [("e1", 100, 100), ("e2", 400, 1), ("moving", 40, 40)])
@@ -222,9 +267,7 @@ def test_solve_records_vertices_and_pins(tmp_path):
     single = solve(ex.e2_game(ex.REFERENCE_E2), 40, 1, tol=1e-9)
     assert single.metadata["hull_vertices"]["q"] == 41
     # charts of two coordinates are enveloped cold, without a mask
-    spec3 = GameSpec(R=np.zeros((3, 3)), Q=np.zeros((1, 1)), r=1.0,
-                     f=[[2.0], [1.5], [3.0]], h=[[1.0], [0.5], [2.0]],
-                     p0=[1 / 3, 1 / 3, 1 / 3], q0=[1.0])
+    spec3 = _GAMES["spec3"]()
     assert solve(spec3, 4, 1, tol=1e-9).metadata["hull_vertices"] == {"p": None, "q": 15}
 
 
@@ -246,15 +289,14 @@ def test_solve_confirms_carried_hulls_on_most_sweeps(tmp_path):
     # a one-node slice moves only from the first sweep's cold record, and a
     # two-coordinate chart carries no record
     assert moves["e2"]["q"] == 1
-    spec3 = GameSpec(R=np.zeros((3, 3)), Q=np.zeros((1, 1)), r=1.0,
-                     f=[[2.0], [1.5], [3.0]], h=[[1.0], [0.5], [2.0]],
-                     p0=[1 / 3, 1 / 3, 1 / 3], q0=[1.0])
+    spec3 = _GAMES["spec3"]()
     assert solve(spec3, 4, 1, tol=1e-9).metadata["hull_moves"] == {"p": None, "q": 1}
 
 
 def test_error_bound_covers_the_distance_to_the_fixed_point(e1_spec):
     # tol bounds the last change; the distance to the fixed point is up to
-    # e^{-r delta} / (1 - e^{-r delta}) times that, 9.5 times at delta = 0.1
+    # e^{-r delta} / (1 - e^{-r delta}) times that, 9.5 times at delta = 0.1,
+    # whatever the last iterate, so also where solve mixes (frozen e1)
     grid = solve(e1_spec, 20, 20, tol=1e-6)
     tight = solve(e1_spec, 20, 20, tol=1e-12)
     meta = grid.metadata
@@ -263,7 +305,17 @@ def test_error_bound_covers_the_distance_to_the_fixed_point(e1_spec):
     assert meta["error_bound"] == pytest.approx(9.508 * meta["residual"], rel=1e-3)
     gap = float(np.abs(grid.values - tight.values).max())
     assert gap <= meta["error_bound"] + tight.metadata["error_bound"]
-    assert gap > 9.0 * meta["residual"]  # the last change alone understates the error
+    # plain value iteration (a moving chain): the last change alone
+    # understates the error, by 0.82 of the bound's factor 38.5 here
+    spec = _moving_game()
+    grid = solve(spec, 13, 13, tol=1e-6)
+    tight = solve(spec, 13, 13, tol=1e-12)
+    meta = grid.metadata
+    disc = math.exp(-spec.r * meta["delta"])
+    assert meta["error_bound"] == meta["residual"] * disc / (1.0 - disc)
+    gap = float(np.abs(grid.values - tight.values).max())
+    assert gap <= meta["error_bound"] + tight.metadata["error_bound"]
+    assert gap > 0.75 * meta["error_bound"]
 
 
 def test_saddle_posteriori_stability(e1_solved):
@@ -427,9 +479,7 @@ def test_solve_three_state_frozen_chain():
     # of clip(0, h, f); checked against an independent LP oracle
     from scipy.optimize import linprog
 
-    spec = GameSpec(R=np.zeros((3, 3)), Q=np.zeros((1, 1)), r=1.0,
-                    f=[[2.0], [0.5], [0.1]], h=[[1.0], [-1.0], [-1.0]],
-                    p0=[1 / 3, 1 / 3, 1 / 3], q0=[1.0])
+    spec = _GAMES["cav3"]()
     N = 18
     grid = solve(spec, N, 1, tol=1e-10)
     nodes = grid.p_grid.nodes
