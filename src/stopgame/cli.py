@@ -30,7 +30,7 @@ from .conjugate import convex_conjugate_q, pair, ycoord
 GAP_SLACK = 0.05
 DUAL_GRID = "200"  # dual --game defaults
 DUAL_TOL = 1e-7
-YBOX = "-1,3"  # dual and example e1 --what dual
+YBOX = "-1,3"  # dual
 _NUMBER = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"  # unsigned, as float() reads it
 
 
@@ -100,11 +100,8 @@ def _build_parser() -> _Parser:
 
     e = sub.add_parser("example", parents=[e2], help="emit closed-form benchmark curves")
     e.add_argument("which", choices=["e1", "e2"])
-    e.add_argument("--what", default="value",
-                   choices=["value", "dual", "pure", "blind"])
+    e.add_argument("--what", default="value", choices=["value", "pure", "blind"])
     e.add_argument("--res", type=_positive_int, default=200)
-    e.add_argument("--ybox", help="e1 --what dual only: y range as for dual "
-                                  f"(default {YBOX})")
     e.add_argument("--out", required=True)
 
     t = sub.add_parser("strategy", parents=[e2], help="build an optimal-strategy descriptor")
@@ -166,13 +163,6 @@ def _parse_pair_arg(text: str, name: str) -> tuple[float, float]:
     return a, b
 
 
-def _parse_ybox(text: str | None) -> tuple[float, float]:
-    lo, hi = _parse_pair_arg(YBOX if text is None else text, "--ybox")
-    if not lo < hi:
-        raise InputError(f"bad --ybox value {text!r}, expected lo < hi")
-    return lo, hi
-
-
 def _read_game(path: str) -> GameSpec:
     p = Path(path)
     if not p.is_file():
@@ -218,11 +208,6 @@ def _grid_csv_rows(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _e1_dual_rows(ps, ys) -> list:
-    """``(p, y, value, zone)`` rows of the closed-form e1 dual surface."""
-    return [(float(p), float(y), *ex.e1_dual(float(p), float(y))) for p in ps for y in ys]
-
-
 def _cmd_solve(args) -> int:
     spec = _read_game(args.game)
     out = _check_out(args.out)
@@ -236,24 +221,22 @@ def _cmd_solve(args) -> int:
 
 def _cmd_dual(args) -> int:
     out = _check_out(args.out)
-    ylo, yhi = _parse_ybox(args.ybox)
+    ylo, yhi = _parse_pair_arg(YBOX if args.ybox is None else args.ybox, "--ybox")
+    if not ylo < yhi:
+        raise InputError(f"bad --ybox value {args.ybox!r}, expected lo < hi")
     ps = np.linspace(0.0, 1.0, args.pres + 1)
     ys = np.linspace(ylo, yhi, args.yres + 1)
     if args.oracle == "e1":
         _reject_flags(args, ("grid", "tol"), "--oracle e1")
-        rows = _e1_dual_rows(ps, ys)
+        rows = [(float(p), float(y), *ex.e1_dual(float(p), float(y))) for p in ps for y in ys]
     elif args.game:
         spec = _read_game(args.game)
         if spec.L > 2:
             raise InputError("dual export needs a two-state (or singleton) q side")
         n_p, n_q = _parse_grid(DUAL_GRID if args.grid is None else args.grid, spec)
         grid = solve(spec, n_p, n_q, tol=DUAL_TOL if args.tol is None else args.tol)
-        rows = []
-        for p in ps:
-            for y in ys:
-                val = convex_conjugate_q(grid, pair(float(p)),
-                                         ycoord(float(y))[: spec.L])
-                rows.append((float(p), float(y), float(val), ""))
+        rows = [(float(p), float(y), convex_conjugate_q(grid, pair(p), ycoord(y)[: spec.L]), "")
+                for p in ps for y in ys]
     else:
         raise InputError("dual needs either --oracle e1 or --game")
     out.write_text(_grid_csv_rows("p,y,value,zone", rows))
@@ -266,8 +249,6 @@ def _cmd_example(args) -> int:
     grid = np.linspace(0.0, 1.0, args.res + 1)
     if args.which == "e1":
         _reject_flags(args, ("r", "a", "b", "h", "f"), "e1")
-        if args.what != "dual":
-            _reject_flags(args, ("ybox",), f"e1 --what {args.what}")
         if args.what == "value":
             rows = [(float(p), float(q), ex.e1_value(float(p), float(q)))
                     for p in grid for q in grid]
@@ -279,15 +260,10 @@ def _cmd_example(args) -> int:
                     lo, hi = ex.e1_pure_values(float(p), float(q))
                     rows.append((float(p), float(q), lo, hi))
             out.write_text(_grid_csv_rows("p,q,lower,upper", rows))
-        elif args.what == "dual":
-            ylo, yhi = _parse_ybox(args.ybox)
-            ys = np.linspace(ylo, yhi, args.res + 1)
-            out.write_text(_grid_csv_rows("p,y,value,zone", _e1_dual_rows(grid, ys)))
         else:
-            raise InputError("e1 supports --what value|pure|dual")
+            raise InputError("e1 supports --what value|pure")
         print(f"example e1 {args.what} -> {out}")
         return 0
-    _reject_flags(args, ("ybox",), "e2")
     params = _e2_params(args)
     if args.what not in ("value", "blind"):
         raise InputError("e2 supports --what value|blind")

@@ -77,12 +77,6 @@ def _dual_vector(v) -> np.ndarray:
     return v
 
 
-def _grid_slice(partner: SimplexGrid, point: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Columns of ``values`` (one per ``partner`` node) interpolated at ``point``."""
-    idx, w = partner.interp_weights(np.atleast_2d(point[: partner.dim - 1]))
-    return sum(w[0, b] * values[:, idx[0, b]] for b in range(idx.shape[1]))
-
-
 def _inf_pairing(x: np.ndarray, slice_, nodes: np.ndarray | None = None) -> float:
     """inf over a simplex of ``<x, s> - slice_(s)``.
 
@@ -105,7 +99,7 @@ def concave_conjugate_p(V, x, q) -> float:
     if isinstance(V, ValueGrid):
         if x.size != V.p_grid.dim:
             raise InputError("dual vector dimension does not match the p-side")
-        return _inf_pairing(x, _grid_slice(V.q_grid, q, V.values), V.p_grid.nodes)
+        return _inf_pairing(x, V.q_grid.interpolate(q, V.values.T)[0], V.p_grid.nodes)
     return _inf_pairing(x, lambda c: V(pair(c), q))
 
 
@@ -119,7 +113,7 @@ def convex_conjugate_q(V, p, y) -> float:
     if isinstance(V, ValueGrid):
         if y.size != V.q_grid.dim:
             raise InputError("dual vector dimension does not match the q-side")
-        return -_inf_pairing(-y, -_grid_slice(V.p_grid, p, V.values.T), V.q_grid.nodes)
+        return -_inf_pairing(-y, -V.p_grid.interpolate(p, V.values)[0], V.q_grid.nodes)
     return -_inf_pairing(-y, lambda c: -V(p, pair(c)))
 
 
@@ -144,13 +138,13 @@ def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:
     of a chart axis leaves the simplex (a face), both ends take the other
     side's slope; they are NaN where both sides do (at a vertex).
     """
-    p = as_simplex(p)
-    q = as_simplex(q)
-    qg = V.q_grid
+    q, qg = as_simplex(q), V.q_grid
+    if q.size != qg.dim:  # the two-state branch reads the row at q directly
+        raise InputError(f"q has {q.size} states, the q side {qg.dim}")
+    row = V.p_grid.interpolate(as_simplex(p), V.values)[0]
     if qg.dim == 1:
         z = np.zeros(0)
         return z, z
-    row = _grid_slice(V.p_grid, p, V.values.T)
     step = qg.step
     if qg.dim == 2:
         c = float(q[0])
@@ -172,13 +166,13 @@ def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:
         direction = np.zeros(qg.dim)
         direction[c] = 1.0
         direction[-1] = -1.0
-        hi[c] = _one_sided(V, row, q, direction, step)
-        lo[c] = -_one_sided(V, row, q, -direction, step)
+        hi[c] = _one_sided(qg, row, q, direction, step)
+        lo[c] = -_one_sided(qg, row, q, -direction, step)
     # on a face the one feasible side's slope stands for both, as for two states
     return np.where(np.isnan(lo), hi, lo), np.where(np.isnan(hi), lo, hi)
 
 
-def _one_sided(V: ValueGrid, row: np.ndarray, q: np.ndarray, direction: np.ndarray,
+def _one_sided(qg: SimplexGrid, row: np.ndarray, q: np.ndarray, direction: np.ndarray,
                step: float) -> float:
     eps = step
     target = q + eps * direction
@@ -187,9 +181,8 @@ def _one_sided(V: ValueGrid, row: np.ndarray, q: np.ndarray, direction: np.ndarr
         if eps <= 1e-14:
             return math.nan
         target = q + eps * direction
-    values = row[None, :]
-    return (_grid_slice(V.q_grid, np.maximum(target, 0.0), values)[0]
-            - _grid_slice(V.q_grid, q, values)[0]) / eps
+    ahead, base = qg.interpolate([np.maximum(target, 0.0), q], row)
+    return (ahead - base) / eps
 
 
 @dataclass(frozen=True)
@@ -220,26 +213,25 @@ def dual_flow(x, q, R, Q, r: float, t: float) -> DualFlowState:
     return DualFlowState(x_t, q_t, t)
 
 
-def dual_pde_residual_upper(vstar, hstar, x, q, R, Q, r: float,
-                            eps: float = 1e-7) -> tuple[float, float]:
+def dual_pde_residual_upper(vstar, hstar, x, q, R, Q, r: float) -> tuple[float, float]:
     """Residual pair for the concave conjugate V*(x, q).
 
     Returns ``(h*(x,q) - V*(x,q),  D V*(x,q; (rI-R)x, Q^T q) - r V*(x,q))``,
-    the derivative by a forward difference; the minimum of the pair is <= 0
-    (up to tolerance) for the true value.
+    the derivative by a forward difference of step 1e-7 over the largest
+    direction entry (or 1); the minimum of the pair is <= 0 (up to
+    tolerance) for the true value.
     """
     x = np.asarray(x, dtype=float)
     q = as_simplex(q)
     dx = (r * np.eye(x.size) - np.asarray(R, dtype=float)) @ x
     dq = np.asarray(Q, dtype=float).T @ q
-    step = eps / max(1.0, float(np.abs(dx).max(initial=0.0)), float(np.abs(dq).max(initial=0.0)))
+    step = 1e-7 / max(1.0, float(np.abs(dx).max(initial=0.0)), float(np.abs(dq).max(initial=0.0)))
     base = vstar(x, q)
     ahead = vstar(x + step * dx, q + step * dq)
     return float(hstar(x, q) - base), float((ahead - base) / step - r * base)
 
 
-def dual_pde_residual_lower(vstar, fstar, p, y, R, Q, r: float,
-                            eps: float = 1e-7) -> tuple[float, float]:
+def dual_pde_residual_lower(vstar, fstar, p, y, R, Q, r: float) -> tuple[float, float]:
     """Residual pair for the convex conjugate V_*(p, y).
 
     Returns ``(V_*(p,y) - f_*(p,y),  r V_*(p,y) - D V_*(p,y; R^T p, (rI-Q)y))``;
@@ -250,4 +242,4 @@ def dual_pde_residual_lower(vstar, fstar, p, y, R, Q, r: float,
     and ``-fstar(p, -x)`` at ``x = -y``, with the chains passed as ``(Q, R)``.
     """
     return dual_pde_residual_upper(lambda x, q: -vstar(q, -x), lambda x, q: -fstar(q, -x),
-                                   -np.asarray(y, dtype=float), p, Q, R, r, eps)
+                                   -np.asarray(y, dtype=float), p, Q, R, r)

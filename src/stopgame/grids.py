@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .model import GameSpec
+from .model import GameSpec, as_simplex
 
 __all__ = [
     "SimplexGrid", "ValueGrid", "payoff_grids",
@@ -128,6 +128,25 @@ class SimplexGrid:
         w = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
         idx = tri.simplices[simplex]
         return idx.astype(np.int64), w
+
+    def interpolate(self, points, values) -> np.ndarray:
+        """The rows of ``values`` (one per node) interpolated at simplex ``points``.
+
+        ``points`` are in full coordinates, one point or one per row; row
+        ``i`` of the result is ``sum_a w[i, a] * values[idx[i, a]]`` for the
+        stencil of :meth:`interp_weights`, summed in stencil order.  A
+        point with another number of states is an :class:`InputError`.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise InputError(f"a point of a {self.dim}-state grid needs {self.dim} "
+                             f"coordinates, got shape {np.shape(points)}")
+        idx, w = self.interp_weights(pts[:, : self.dim - 1])
+        shape = (-1,) + (1,) * (values.ndim - 1)  # one weight per row of values
+        out = np.zeros((idx.shape[0],) + values.shape[1:])
+        for a in range(idx.shape[1]):
+            out += w[:, a].reshape(shape) * values[idx[:, a]]
+        return out
 
 
 class _Hull(NamedTuple):
@@ -332,14 +351,12 @@ class ValueGrid:
         return cls(pg, qg, vals, spec)
 
     def value_at(self, p, q) -> float:
-        """The interpolated value at ``(p, q)``, both in full simplex coordinates."""
-        ip, wp = self.p_grid.interp_weights(np.asarray(p, dtype=float)[: self.p_grid.dim - 1])
-        iq, wq = self.q_grid.interp_weights(np.asarray(q, dtype=float)[: self.q_grid.dim - 1])
-        out = 0.0
-        for a in range(ip.shape[1]):
-            for b in range(iq.shape[1]):
-                out += wp[0, a] * wq[0, b] * self.values[ip[0, a], iq[0, b]]
-        return float(out)
+        """The interpolated value at beliefs ``(p, q)`` of the two sides, read over p, then q.
+
+        Each belief must be a simplex point (:func:`as_simplex`) with its side's number of states.
+        """
+        row = self.p_grid.interpolate(as_simplex(p), self.values)
+        return float(self.q_grid.interpolate(as_simplex(q), row[0])[0])
 
 
 def payoff_grids(spec: GameSpec, p_grid: SimplexGrid, q_grid: SimplexGrid):

@@ -296,14 +296,14 @@ class BeliefReport:
         return (not self.inconclusive) and bool(np.all(np.abs(self.z_scores) <= 3.0))
 
 
-def belief_consistency(strategy: MixedStoppingStrategy, R, t: float, n: int,
+def belief_consistency(strategy: MixedStoppingStrategy, t: float, n: int,
                        seed: int = 0) -> BeliefReport:
     """Estimate P(X_t = k | no stop by t) and compare with the tracked belief.
 
-    The chain starts from the strategy's initial belief and runs under
-    generator ``R`` on ``[0, max(2t, 1)]``; survivors of the stopping rule
-    at ``t`` are binned by state and z-scored against the deterministic
-    belief flow.
+    The chain starts from the strategy's initial belief and runs under the
+    rule's own generator on ``[0, max(2t, 1)]``; survivors of the stopping
+    rule at ``t`` are binned by state and z-scored against the
+    deterministic belief flow.
     """
     p0 = strategy.initial_belief()
     if p0 is None:
@@ -312,7 +312,7 @@ def belief_consistency(strategy: MixedStoppingStrategy, R, t: float, n: int,
         raise InputError(f"check time must be finite and nonnegative, got {t!r}")
     predicted = np.asarray(strategy.belief(t), dtype=float)
     K = p0.size
-    counts = survivor_counts(strategy, np.asarray(R, dtype=float), p0, t, max(2.0 * t, 1.0),
+    counts = survivor_counts(strategy, strategy.generator(), p0, t, max(2.0 * t, 1.0),
                              n, seed).astype(float)
     survivors = int(counts.sum())
     inconclusive = survivors < 100

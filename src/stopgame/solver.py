@@ -230,9 +230,14 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
 
 
 def directional_derivative(grid: ValueGrid, node, dir_p, dir_q) -> float:
-    """One-sided difference quotient along ``(dir_p, dir_q)`` with a one-cell step."""
+    """One-sided difference quotient along ``(dir_p, dir_q)`` with a one-cell step.
+
+    The node must be a pair of beliefs of the grid's two sides, also where
+    the direction is zero.
+    """
     p = np.asarray(node[0], dtype=float)
     q = np.asarray(node[1], dtype=float)
+    base = grid.value_at(p, q)  # checks the node
     dp = np.zeros(p.size) if dir_p is None else np.asarray(dir_p, dtype=float)
     dq = np.zeros(q.size) if dir_q is None else np.asarray(dir_q, dtype=float)
     mag = max(float(np.abs(dp).max(initial=0.0)), float(np.abs(dq).max(initial=0.0)))
@@ -248,9 +253,7 @@ def directional_derivative(grid: ValueGrid, node, dir_p, dir_q) -> float:
     if np.any(p2 < -slack) or np.any(q2 < -slack):
         raise InputError("direction exits the simplex")
     p2, q2 = np.maximum(p2, 0.0), np.maximum(q2, 0.0)
-    base = grid.value_at(p, q)
-    ahead = grid.value_at(p2, q2)
-    return (ahead - base) / eps
+    return (grid.value_at(p2, q2) - base) / eps
 
 
 def _neighbor_pairs(grid: SimplexGrid):
@@ -323,11 +326,7 @@ def _flow_derivative(g: SimplexGrid, G: np.ndarray, values: np.ndarray,
     if not np.any(mags > 1e-14):
         return np.zeros_like(values)
     eps = np.where(mags > 1e-14, cell / np.maximum(mags, 1e-300), 0.0)
-    moved = np.maximum(g.nodes + eps[:, None] * dirs, 0.0)
-    idx, w = g.interp_weights(moved[:, : g.dim - 1])
-    ahead = np.zeros_like(values)
-    for a in range(idx.shape[1]):
-        ahead += w[:, a, None] * values[idx[:, a], :]
+    ahead = g.interpolate(np.maximum(g.nodes + eps[:, None] * dirs, 0.0), values)
     moving = eps[:, None] > 0
     return np.where(moving, (ahead - values) / np.where(moving, eps[:, None], 1.0), 0.0)
 

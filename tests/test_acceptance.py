@@ -218,7 +218,7 @@ def test_criterion_09_pure_strategy_gap():
 def test_criterion_10_belief_consistency(e2_char, e2_params, e1_char):
     p0 = ex.e2_p0(e2_params)
     strat = ex.e2_optimal_mu(e2_params, p0)
-    rep = belief_consistency(strat, e2_params.R, t=1.0, n=100_000, seed=205)
+    rep = belief_consistency(strat, t=1.0, n=100_000, seed=205)
     ok_e2 = rep.consistent and abs(rep.predicted[0] - p0) < 1e-9
 
     # frozen game: belief rides p' = -(r/2)(1-2p)(1-p); compare the

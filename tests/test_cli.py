@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from stopgame.cli import main
 from stopgame.grids import read_value_csv
 from stopgame.model import ChainSampler, GameSpec, philox_rng
 from stopgame.montecarlo import _blocks
+from stopgame.pdmp import (ConstantTimeStrategy, InitialStateTimeStrategy, NeverStopStrategy,
+                           StopNowStrategy)
 from stopgame.serialize import (strategy_from_descriptor, strategy_from_json,
                                 strategy_to_json)
 
@@ -60,13 +63,50 @@ def test_example_and_dual_outputs(game_files):
     e1dual = game_files["dir"] / "e1dual.csv"
     for ybox, lo, hi in ((["--ybox=-2,2"], -2.0, 2.0), (["--ybox", "-2,2"], -2.0, 2.0),
                          (["--ybox", "-1.5,-0.5"], -1.5, -0.5)):
-        assert main(["example", "e1", "--what", "dual", "--res", "4", *ybox,
+        assert main(["dual", "--oracle", "e1", "--pres", "4", "--yres", "4", *ybox,
                      "--out", str(e1dual)]) == 0
         ys = [float(line.split(",")[1]) for line in e1dual.read_text().strip().splitlines()[1:]]
         assert (min(ys), max(ys)) == (lo, hi)
     assert main(["dual", "--oracle", "e1", "--ybox", "-1,3", "--pres", "10", "--yres", "10",
                  "--out", str(e1dual)]) == 0
     assert e1dual.read_bytes() == dual.read_bytes()  # the default box, spelled out
+
+
+def _rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def test_dual_game_rows_are_grid_conjugates(game_files, e1_spec, e2_spec):
+    # e2's q side has one state, so its dual vector has one coordinate
+    from stopgame.cli import DUAL_TOL
+    from stopgame.conjugate import convex_conjugate_q, pair, ycoord
+    from stopgame.solver import solve
+
+    for name, spec, n_q in (("e1", game_at(e1_spec, 0.25, 0.5), 5),
+                            ("e2", game_at(e2_spec, 1.0 / 3.0, None), 1)):
+        out = game_files["dir"] / f"dual_{name}.csv"
+        assert main(["dual", "--game", str(game_files[name]), "--grid", "6", "--pres", "4",
+                     "--yres", "5", "--ybox=-1,2", "--out", str(out)]) == 0
+        header, rows = _rows(out)
+        grid = solve(spec, 5, n_q, tol=DUAL_TOL)
+        assert header == "p,y,value,zone" and len(rows) == 5 * 6
+        for p, y, value, zone in rows:
+            want = convex_conjugate_q(grid, pair(float(p)), ycoord(float(y))[: spec.L])
+            assert (float(value), zone) == (want, ""), (name, p, y)
+
+
+def test_example_e1_value_and_pure_rows(game_files):
+    out = game_files["dir"] / "e1.csv"
+    for what, header, closed_form in (
+            ("value", "p,q,value", lambda p, q: (ex.e1_value(p, q),)),
+            ("pure", "p,q,lower,upper", ex.e1_pure_values)):
+        assert main(["example", "e1", "--what", what, "--res", "8", "--out", str(out)]) == 0
+        got, rows = _rows(out)
+        assert got == header and len(rows) == 9 * 9
+        for row in rows:
+            p, q, *values = map(float, row)
+            assert tuple(values) == tuple(closed_form(p, q)), (what, p, q)
 
 
 def test_strategy_simulate_verify_happy_path(game_files):
@@ -113,8 +153,6 @@ def test_verify_reports_are_byte_identical(game_files):
 def test_verify_flags_wrong_strategy(game_files):
     # claim the value but play an immediate stop: significantly exploited
     sfile = game_files["dir"] / "bad.json"
-    from stopgame.pdmp import StopNowStrategy
-
     claim = ex.e2_value(ex.REFERENCE_E2, 1.0 / 3.0)
     sfile.write_text(strategy_to_json(StopNowStrategy(), value_claim=claim))
     code = main(["verify", "optimality", "--game", str(game_files["e2"]),
@@ -278,7 +316,8 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["example", "e1", "--a", "2"],
         ["example", "e1", "--b", "2"],
         ["example", "e1", "--h", "0.5,2", "--what", "pure"],
-        ["example", "e1", "--f", "1,3", "--what", "dual"],
+        ["example", "e1", "--f", "1,3", "--what", "value"],
+        ["example", "e1", "--what", "dual", "--res", "2"],  # dual --oracle e1 writes it
         ["strategy", "--family", "e1", "--p", "0.5", "--a", "2"],
         ["strategy", "--family", "e1", "--p", "0.5", "--b", "2"],
         ["strategy", "--family", "e1", "--p", "0.5", "--h", "0.5,2"],
@@ -289,17 +328,12 @@ def test_malformed_flags_are_input_errors(game_files, capsys):
         ["dual", "--oracle", "e1", "--game", str(game_files["e1"]), "--pres", "2", "--yres", "2"],
         ["dual", "--oracle", "e1", "--grid", "5", "--pres", "2", "--yres", "2"],
         ["dual", "--oracle", "e1", "--tol", "1e-6", "--pres", "2", "--yres", "2"],
-        # --ybox: finite, lo < hi, and only where it is read
+        # --ybox: two finite numbers with lo < hi
         ["dual", "--oracle", "e1", "--ybox", "inf,2", "--pres", "2", "--yres", "2"],
+        ["dual", "--oracle", "e1", "--ybox", "nan,1", "--pres", "2", "--yres", "2"],
+        ["dual", "--oracle", "e1", "--ybox", "x,y", "--pres", "2", "--yres", "2"],
         ["dual", "--oracle", "e1", "--ybox", "3,-1", "--pres", "2", "--yres", "2"],
         ["dual", "--oracle", "e1", "--ybox", "1,1", "--pres", "2", "--yres", "2"],
-        ["example", "e1", "--what", "dual", "--ybox", "nan,1", "--res", "2"],
-        ["example", "e1", "--what", "dual", "--ybox", "3,-1", "--res", "2"],
-        ["example", "e1", "--what", "pure", "--ybox", "x,y", "--res", "2"],
-        ["example", "e1", "--ybox=-1,3", "--res", "2"],
-        ["example", "e2", "--ybox", "garbage", "--res", "2"],
-        ["example", "e2", "--ybox=-1,3", "--res", "2"],
-        ["example", "e2", "--ybox", "-1,3", "--res", "2"],
         ["dual", "--oracle", "e1", "--ybox"],  # then --out: a flag, not a value
         # --grid: a one-state side has one node
         ["solve", "--game", str(game_files["e2"]), "--grid", "4x4"],
@@ -428,6 +462,32 @@ def test_strategy_descriptor_roundtrip(e2_params):
     assert again.case == "split" and claim == pytest.approx(1.0 / 3.0)
     np.testing.assert_allclose(again.z, strat.z)
     np.testing.assert_allclose(again.flow.z0, strat.flow.z0)
+
+
+ROUNDTRIP_RULES = {
+    "never": lambda: NeverStopStrategy(),
+    "never-chain": lambda: NeverStopStrategy([[-1.0, 1.0], [0.6, -0.6]], [0.3, 0.7]),
+    "stop_now": lambda: StopNowStrategy(),
+    "constant_time": lambda: ConstantTimeStrategy(0.75),
+    "constant_time-inf": lambda: ConstantTimeStrategy(math.inf),
+    "state_times": lambda: InitialStateTimeStrategy([0.5, math.inf]),
+    "flow": lambda: ex.e2_optimal_mu(ex.REFERENCE_E2, 1.0 / 3.0),
+    "split": lambda: ex.e1_optimal_mu(0.75, 0.75),
+}
+
+
+@pytest.mark.parametrize("make", ROUNDTRIP_RULES.values(), ids=ROUNDTRIP_RULES)
+def test_strategy_file_roundtrip_keeps_the_rule(make, e2_params):
+    # the file gives back the descriptor, and the same stops on one block
+    # of the rule's own chain (e2's where the rule carries none)
+    rule = make()
+    again, claim = strategy_from_json(strategy_to_json(rule, value_claim=0.5))
+    assert (again.case, again.descriptor(), claim) == (rule.case, rule.descriptor(), 0.5)
+    R = e2_params.R if rule.generator() is None else rule.generator()
+    p0 = [0.4, 0.6] if rule.initial_belief() is None else rule.initial_belief()
+    paths = ChainSampler(R, p0).sample_block(20.0, philox_rng(31, 0), 200)
+    stops = [r.stopping_times(paths, philox_rng(31, 1)) for r in (rule, again)]
+    assert stops[0].tobytes() == stops[1].tobytes()
 
 
 def test_descriptor_with_mechanisation_key_loads(e2_params):

@@ -268,13 +268,13 @@ def test_dual_residual_lower_everywhere():
     assert worst <= 1e-3
 
 
-def _lower_reference(vstar, fstar, p, y, R, Q, r, eps=1e-7):
+def _lower_reference(vstar, fstar, p, y, R, Q, r):
     """The convex-conjugate residual pair written out, not mirrored."""
     gap = vstar(p, y) - fstar(p, y)
     dp = R.T @ p
     dy = (r * np.eye(y.size) - Q) @ y
     scale = max(1.0, float(np.abs(dp).max(initial=0.0)), float(np.abs(dy).max(initial=0.0)))
-    step = eps / scale
+    step = 1e-7 / scale
     base = vstar(p, y)
     ahead = vstar(p + step * dp, y + step * dy)
     return float(gap), float(-((ahead - base) / step - r * base))
@@ -317,6 +317,6 @@ def test_dual_residual_upper_side(e1_oracle_grid, e1_spec):
         for q in np.linspace(0.05, 0.95, 7):
             gap, term = dual_pde_residual_upper(vstar_up, hstar_up,
                                                 np.array([x, 0.0]), pair(q),
-                                                R, Q, r=1.0, eps=1e-5)
+                                                R, Q, r=1.0)
             worst = max(worst, min(gap, term))
     assert worst <= 1e-2

@@ -1,8 +1,9 @@
 """Export lists resolve, the package keeps a single path type, options
 that only ever took one value stay constants, no function switches
 between the p and q sides, the CLI reads strategies through the loaded
-rule, laws move by one propagator, Monte Carlo plays by one loop, and no
-two-state workflow loads scipy."""
+rule, laws move by one propagator, Monte Carlo plays by one loop, value
+grids are read between nodes in one place, and no two-state workflow
+loads scipy."""
 
 import ast
 import dataclasses
@@ -68,9 +69,11 @@ SIGNATURES = {
     solver.solve: ["spec", "N_p", "N_q", "tol", "max_iter"],
     grids._upper_hull_columns: ["v", "alive"],
     ValueGrid.with_values: ["self", "values"],
-    montecarlo.belief_consistency: ["strategy", "R", "t", "n", "seed"],
+    montecarlo.belief_consistency: ["strategy", "t", "n", "seed"],
     model.as_simplex: ["weights"],
     conjugate._golden_min: ["f"],
+    conjugate.dual_pde_residual_upper: ["vstar", "hstar", "x", "q", "R", "Q", "r"],
+    conjugate.dual_pde_residual_lower: ["vstar", "fstar", "p", "y", "R", "Q", "r"],
     examples.e1_optimal_mu: ["p", "q", "r"],
     examples.e2_optimal_mu: ["params", "p"],
 }
@@ -104,7 +107,7 @@ def test_public_names_of_spec_and_characteristics():
         "snap", "quiescent", "params", "p_part", "is_quiescent"}
     assert _public(PureResponseFamily) == {"times", "for_game", "exhaustive_for",
                                            "descriptor"}
-    # value_at is the one interpolation entry point
+    # value_at reads the grid between nodes through SimplexGrid.interpolate
     assert _public(ValueGrid) == {"p_grid", "q_grid", "values", "spec", "metadata",
                                   "with_values", "from_function", "value_at"}
 
@@ -202,6 +205,19 @@ def test_one_neighbour_search():
     tree = ast.parse(Path(grids.__file__).read_text())
     assert sorted(where for _, where in _uses(tree, {"_neighbours"})) == [
         "_hull_record", "_upper_hull_columns"]
+
+
+def test_one_interpolation():
+    # grid values are read between nodes only by SimplexGrid.interpolate,
+    # which checks each point's number of states; the solver's flattened
+    # obstacle stencil takes the weights once per solve.  A reader that
+    # applies a stencil by hand, such as a conjugate's slice helper, fails here
+    found = set()
+    for path in sorted((SRC / "stopgame").glob("*.py")):
+        found |= {f"{path.stem}.{where}"
+                  for _, where in _uses(ast.parse(path.read_text()), {"interp_weights"})}
+    assert found == {"grids.interpolate", "solver._flow_stencil"}
+    assert not hasattr(conjugate, "_grid_slice")
 
 
 COLD_START = textwrap.dedent("""

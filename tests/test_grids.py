@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stopgame.examples as ex
+from stopgame.conjugate import concave_conjugate_p, convex_conjugate_q, subgradient_q
 from stopgame.errors import InputError
 from stopgame.grids import (SimplexGrid, ValueGrid, _hull_record, _upper_hull_columns,
                             concave_envelope, convex_envelope, read_value_csv,
                             write_value_csv)
+from stopgame.solver import directional_derivative
 
 
 def monotone_chain_envelope(x, vals):
@@ -384,6 +387,49 @@ def test_interpolation_three_state_affine(e2_spec):
     for _ in range(30):
         p = rng.dirichlet([1, 1, 1])
         assert grid.value_at(p, [1.0]) == pytest.approx(float(p @ c), abs=1e-10)
+
+
+THREE, HALF, OFF, DUAL = [0.2, 0.3, 0.5], [0.5, 0.5], [1.5, -0.5], [0.5, 0.0]
+
+# every reader of a value grid between its nodes, with one bad belief: on e1
+# each of these returned a number, and a zero direction returned 0.0 unchecked
+BAD_READS = {
+    "value_at-p-states": lambda g: g.value_at(THREE, HALF),
+    "value_at-q-states": lambda g: g.value_at(HALF, [1.0]),
+    "value_at-p-off": lambda g: g.value_at(OFF, HALF),
+    "value_at-q-off": lambda g: g.value_at(HALF, OFF),
+    "concave_conjugate_p-q-states": lambda g: concave_conjugate_p(g, DUAL, THREE),
+    "convex_conjugate_q-p-states": lambda g: convex_conjugate_q(g, THREE, DUAL),
+    "subgradient_q-p-states": lambda g: subgradient_q(g, THREE, HALF),
+    "subgradient_q-q-states": lambda g: subgradient_q(g, HALF, THREE),
+    "directional_derivative-p-states":
+        lambda g: directional_derivative(g, (THREE, HALF), None, None),
+    "directional_derivative-q-states":
+        lambda g: directional_derivative(g, (HALF, THREE), None, None),
+    "directional_derivative-p-off": lambda g: directional_derivative(g, (OFF, HALF), None, None),
+    "directional_derivative-q-off": lambda g: directional_derivative(g, (HALF, OFF), None, None),
+}
+
+
+@pytest.mark.parametrize("read", BAD_READS.values(), ids=BAD_READS)
+def test_grid_readers_check_their_beliefs(read, e1_spec):
+    grid = ValueGrid.from_function(
+        e1_spec, lambda p, q: ex.e1_value(float(p[0]), float(q[0])), 10, 10)
+    with pytest.raises(InputError):
+        read(grid)
+
+
+def test_interpolate_reads_rows_at_points():
+    # node values come back at the nodes, for one point or many, and for
+    # rows of any shape; a point with another number of states is refused
+    grid = SimplexGrid(2, 4)
+    values = np.arange(10.0).reshape(5, 2)
+    np.testing.assert_array_equal(grid.interpolate(grid.nodes, values), values)
+    np.testing.assert_array_equal(grid.interpolate([0.375, 0.625], values[:, 0]), [3.0])
+    np.testing.assert_array_equal(grid.interpolate(HALF, values), [[4.0, 5.0]])
+    for bad in (THREE, [1.0], [[0.5, 0.5, 0.0]]):
+        with pytest.raises(InputError, match="2-state grid"):
+            grid.interpolate(bad, values)
 
 
 def test_value_csv_roundtrip(tmp_path, e1_spec):

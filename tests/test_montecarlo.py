@@ -45,7 +45,7 @@ def test_replication_count_is_checked(n, e2_spec):
     never = NeverStopStrategy(spec.R, spec.p0)
     for run in (lambda: estimate_payoff(spec, never, NeverStopStrategy(), n),
                 lambda: best_response_value(spec, never, small_family(), n),
-                lambda: belief_consistency(never, spec.R, 1.0, n)):
+                lambda: belief_consistency(never, 1.0, n)):
         with pytest.raises(InputError, match="at least one replication"):
             run()
 

@@ -420,7 +420,7 @@ def test_adaptedness_prefix_perturbation(builder, e2_char, e2_params):
 def test_belief_consistency_reports(e2_char, e2_params):
     p0 = ex.e2_p0(e2_params)
     strat = FlowIntensityStrategy(e2_char, z2(p0))
-    rep = belief_consistency(strat, e2_params.R, t=1.0, n=20_000, seed=12)
+    rep = belief_consistency(strat, t=1.0, n=20_000, seed=12)
     assert not rep.inconclusive
     assert rep.consistent
     assert rep.predicted[0] == pytest.approx(p0, abs=1e-6)
@@ -429,7 +429,7 @@ def test_belief_consistency_reports(e2_char, e2_params):
 def test_belief_consistency_never_stop(e2_params):
     # lambda == 0: the conditional law is just the marginal flow
     strat = NeverStopStrategy(R=e2_params.R, p0=[0.2, 0.8])
-    rep = belief_consistency(strat, e2_params.R, t=0.7, n=20_000, seed=13)
+    rep = belief_consistency(strat, t=0.7, n=20_000, seed=13)
     assert rep.consistent
     from stopgame.model import marginal_flow
 
@@ -443,7 +443,7 @@ def test_belief_consistency_needs_a_start_law(e2_params):
     for strat in (NeverStopStrategy(), ConstantTimeStrategy(1.0)):
         assert strat.initial_belief() is None
         with pytest.raises(InputError):
-            belief_consistency(strat, e2_params.R, 1.0, 200)
+            belief_consistency(strat, 1.0, 200)
     # the chain comes whole or not at all
     with pytest.raises(InputError):
         NeverStopStrategy(R=e2_params.R)
@@ -454,7 +454,7 @@ def test_belief_consistency_needs_a_start_law(e2_params):
 def test_belief_consistency_inconclusive_flag(e1_char):
     # stop-at-zero-now strategies leave (almost) no survivors
     strat = build_mu(e1_char, z1(0.4, 1.4002), vstar=ex.e1_vstar_full)
-    rep = belief_consistency(strat, np.zeros((2, 2)), t=0.5, n=150, seed=14)
+    rep = belief_consistency(strat, t=0.5, n=150, seed=14)
     assert rep.inconclusive
 
 
