@@ -8,22 +8,28 @@ Within a block the chains, the stopping times and the payoffs are
 computed as arrays.  ``_plays`` is the one block loop of the payoff
 estimate and the best responses.  Before its first block it rejects a
 rule built for another start law, own chain or number of own states.
-It samples the own chain X only as far as the play reads it, in this
+It samples both chains only as far as the play reads them, in this
 stream order:
 
 1. X to ``FIRST_ROUND``, then the rule's draws on it;
 2. while the rule may still stop rows it left unstopped, those rows
    continued from their states at the last cut to twice as far (capped
    at the horizon), then the rule's draws as it stops them from the cut;
-3. every row that needs more path continued to the horizon at once;
-4. the opponent's paths Y to the horizon, then (for a payoff estimate)
-   the opponent's stopping draws.
+3. every row of X that needs more path continued to the horizon at once;
+4. the opponent's paths Y to ``FIRST_ROUND``, then the rows of Y that
+   need more path continued to the horizon at once, then (for a payoff
+   estimate) the opponent's stopping draws.
 
+A row needs more path while ``min(mu, horizon)`` lies past its end.
 By the Markov property and the memoryless ``Exp(1)`` thresholds of the
 rules, a continued row has the law of a row sampled to the horizon at
-once.  All blocks run in the calling process, one after the other, so
-every estimate depends only on ``seed`` and ``n``.  This module is the
-only one that knows the block layout.
+once.  The opponent's rule stops a row of Y before its end on the path
+so far, and a stop of the opponent after ``mu`` does not change the
+payoff, so a row of Y that ends at or after ``mu`` is long enough for a
+payoff estimate as well as for a best response.  All blocks run in
+the calling process, one after the other, so every estimate depends
+only on ``seed`` and ``n``.  This module is the only one that knows
+the block layout.
 
 Best responses score every candidate time of the opponent without a
 (replication x candidate) matrix: a row's response changes only at its
@@ -50,7 +56,15 @@ __all__ = [
     "GapReport", "exploit_gap", "BeliefReport", "belief_consistency",
 ]
 
-BLOCK = 128
+# Rows per block.  Each block pays a fixed numpy overhead per array call,
+# and its memory grows with its rows.  certify-mc (perfbench, seed 1, two
+# 10 s runs per size, 2 shared Xeon cores, numpy 2.4) read wall_norm_s and
+# peak_rss_mb:
+#     128: 0.41-0.42 s, 39.9 MB     1024: 0.18-0.19 s, 42.9-43.0 MB
+#     256: 0.28-0.31 s, 40.4 MB     2048: 0.15-0.17 s, 46.4-47.4 MB
+#     512: 0.23-0.25 s, 41.3-41.4 MB
+# 512 is the largest size within 5% of the memory of 128.
+BLOCK = 512
 # how far the first round samples the own chain, before the rule runs
 FIRST_ROUND = 8.0
 STOP_KINDS = ("zero", "flow", "never")
@@ -140,12 +154,12 @@ def _plays(spec: GameSpec, strat1: MixedStoppingStrategy, horizon: float, n: int
     """``(stream, X, Y, mu)`` per block, after one check of ``strat1`` against the game.
 
     X is sampled in rounds, in the stream order of the module docstring,
-    and continued only by ``ChainSampler.extend``; the rule stops fresh
-    and continued rows by its one ``stopping_times``.  A row needs more
-    path while ``min(mu, horizon)`` is past its end: an unstopped row to
-    the horizon, since the opponent reads it there.  A rule that cannot
-    resume (``resumes_until`` is ``+inf``) is sampled to the horizon at
-    once.
+    and both chains are continued only by ``ChainSampler.extend``; the
+    rule stops fresh and continued rows by its one ``stopping_times``.  A
+    row of X or Y needs more path while ``min(mu, horizon)`` is past its
+    end: an unstopped row to the horizon, since the opponent reads it
+    there.  A rule that cannot resume (``resumes_until`` is ``+inf``) gets
+    X sampled to the horizon at once.
     """
     _check_rule(strat1, spec.R, spec.p0)
     sx = ChainSampler(spec.R, spec.p0)
@@ -161,10 +175,14 @@ def _plays(spec: GameSpec, strat1: MixedStoppingStrategy, horizon: float, n: int
             X, more = sx.extend(X, live, end, rng)
             mu[live] = strat1.stopping_times(more, rng)
             live = live[np.isinf(mu[live])]
-        short = np.flatnonzero(np.minimum(mu, horizon) > X.ends)
+        needed = np.minimum(mu, horizon)
+        short = np.flatnonzero(needed > X.ends)
         if short.size:
             X = sx.extend(X, short, horizon, rng)[0]
-        Y = sy.sample_block(horizon, rng, m)
+        Y = sy.sample_block(min(FIRST_ROUND, horizon), rng, m)
+        short = np.flatnonzero(needed > Y.ends)
+        if short.size:
+            Y = sy.extend(Y, short, horizon, rng)[0]
         yield rng, X, Y, mu
 
 

@@ -653,7 +653,8 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
 
         A segment runs from a row's start or jump to its next jump, cut at
         the row's end and at ``t_max``; every row draws thresholds for as
-        many segments as the longest row has.  A block that continues rows
+        many segments as the longest row has, and the hazard is inverted
+        only on the segments the row holds.  A block that continues rows
         from a later start stops them from there, which is the rule given
         no stop before the start: the thresholds are memoryless.
         """
@@ -665,9 +666,13 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
         bounds = np.full((paths.n, width + 1), end)
         np.minimum(paths.times[:, :width], end, out=bounds[:, :width])
         starts = bounds[:, :-1]
-        t = self.hazard.inverse(paths.states[:, :width], starts,
-                                rng.exponential(size=starts.shape))
-        hit = (t < bounds[:, 1:]) & (starts < end)
+        excess = rng.exponential(size=starts.shape)
+        # every cell draws its threshold, which keeps each row's draws where they sit
+        # in the stream; only cells before the row's end can stop it
+        live = starts < end
+        t = np.full(starts.shape, math.inf)
+        t[live] = self.hazard.inverse(paths.states[:, :width][live], starts[live], excess[live])
+        hit = t < bounds[:, 1:]
         first = hit.argmax(axis=1)
         return np.where(hit.any(axis=1), t[np.arange(paths.n), first], math.inf)
 

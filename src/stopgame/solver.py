@@ -233,13 +233,17 @@ def directional_derivative(grid: ValueGrid, node, dir_p, dir_q) -> float:
     """One-sided difference quotient along ``(dir_p, dir_q)`` with a one-cell step.
 
     The node must be a pair of beliefs of the grid's two sides, also where
-    the direction is zero.
+    the direction is zero, and each direction must have its side's number
+    of states.
     """
     p = np.asarray(node[0], dtype=float)
     q = np.asarray(node[1], dtype=float)
     base = grid.value_at(p, q)  # checks the node
     dp = np.zeros(p.size) if dir_p is None else np.asarray(dir_p, dtype=float)
     dq = np.zeros(q.size) if dir_q is None else np.asarray(dir_q, dtype=float)
+    if dp.shape != p.shape or dq.shape != q.shape:
+        raise InputError(f"directions of shapes {dp.shape} and {dq.shape} do not fit the "
+                         f"beliefs of shapes {p.shape} and {q.shape}")
     mag = max(float(np.abs(dp).max(initial=0.0)), float(np.abs(dq).max(initial=0.0)))
     if mag < 1e-14:
         return 0.0

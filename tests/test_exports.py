@@ -178,8 +178,9 @@ def test_one_play_loop():
     for names in ({"ChainSampler"}, {"sample_block"}):
         assert {where for _, where in _uses(mc, names)} == {"_plays", "survivor_counts"}
     # rows are continued by the one ChainSampler.extend: in montecarlo by
-    # the play loop, in model by the two-state refill, and a rule stops
-    # fresh and continued rows by its one stopping_times
+    # the play loop, own and opponent rows alike, in model by the
+    # two-state refill, and a rule stops fresh and continued rows by its
+    # one stopping_times
     model_tree = ast.parse(Path(model.__file__).read_text())
     assert {where for _, where in _uses(mc, {"extend"})} == {"_plays"}
     assert {where for _, where in _uses(model_tree, {"extend"})} == {"_paths"}

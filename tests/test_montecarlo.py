@@ -299,16 +299,27 @@ def _slow_e2(e2_params):
     return dataclasses.replace(e2_params, a=0.1, b=0.1, r=0.01)
 
 
-@pytest.mark.parametrize("point", ["e2_kink", "e1_split", "slow_e2_kink"])
+def _moving_e2(e2_params):
+    """e2's rule at p = 1/3 against a moving opponent whose state the payoffs read."""
+    spec = GameSpec(R=e2_params.R, Q=[[-0.7, 0.7], [1.3, -1.3]], r=e2_params.r,
+                    f=[[2.0, 0.5], [1.0, 3.0]], h=[[-1.0, 0.0], [0.5, 1.5]],
+                    p0=[1.0 / 3.0, 2.0 / 3.0], q0=[0.3, 0.7])
+    return spec, ex.e2_optimal_mu(e2_params, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("point", ["e2_kink", "e1_split", "slow_e2_kink", "moving_e2_kink"])
 def test_batched_responses_match_per_path_law(point, e1_spec, e2_spec, e2_params):
     # the block code has the per-candidate means of the per-replication
-    # rows it replaced, which sampled every path to the horizon at once
+    # rows it replaced, which sampled every path, the opponent's too, to
+    # the horizon at once
     from per_path_reference import response_sums
     from stopgame.montecarlo import _response_chunk
 
     if point == "e2_kink":
         spec = game_at(e2_spec, 1.0 / 3.0, None)
         strat = ex.e2_optimal_mu(e2_params, 1.0 / 3.0)
+    elif point == "moving_e2_kink":
+        spec, strat = _moving_e2(e2_params)
     elif point == "slow_e2_kink":
         slow = _slow_e2(e2_params)
         spec = game_at(ex.e2_game(slow), 1.0 / 3.0, None)
@@ -352,6 +363,42 @@ def test_rounds_stop_with_the_law_of_whole_paths(p, e2_params):
     assert np.mean(rounds > FIRST_ROUND) > 0.4
     assert np.mean(np.isinf(rounds)) == pytest.approx(np.mean(np.isinf(whole)), abs=0.02)
     assert ks_2samp(rounds[np.isfinite(rounds)], whole[np.isfinite(whole)]).pvalue > 1e-3
+
+
+def test_opponent_is_sampled_as_far_as_the_play_reads_it(e2_params):
+    # Y is drawn to the first round, and only the rows whose play reads it
+    # further are continued, to the horizon
+    from stopgame.montecarlo import FIRST_ROUND, _plays
+    from stopgame.pdmp import never_horizon
+
+    spec, strat = _moving_e2(e2_params)
+    horizon = never_horizon(spec.r)
+    needed = []
+    for _, X, Y, mu in _plays(spec, strat, horizon, 3000, 80):
+        read = np.minimum(mu, horizon)
+        assert np.all(X.ends >= read) and np.all(Y.ends >= read)
+        np.testing.assert_array_equal(Y.ends, np.where(read <= FIRST_ROUND, FIRST_ROUND, horizon))
+        needed.append(read)
+    early = np.mean(np.concatenate(needed) <= FIRST_ROUND)
+    assert 0.0 < early < 1.0  # both kinds of row occur
+
+
+def test_certificate_memory_reads_the_opponent_only_as_far_as_needed(e2_params):
+    # the traced peak of one certificate on the moving game: opponent paths
+    # sampled to the whole horizon in every row push it past the bound
+    import tracemalloc
+
+    spec, strat = _moving_e2(e2_params)
+    fam = PureResponseFamily.for_game(spec)
+    tracemalloc.start()
+    try:
+        exploit_gap(spec, strat, 0.0, fam, n=20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3.56 MiB in blocks of 512 rows; 6.18 MiB with the opponent sampled to the
+    # horizon in every row
+    assert peak < 4.5 * 2 ** 20
 
 
 def test_rule_without_resume_gets_whole_paths(e2_params):
@@ -455,11 +502,11 @@ def test_certify_numbers_are_pinned():
     e1_game = game_at(ex.e1_game(1.0), 0.75, 0.75)
     certs = [
         (e2_game, ex.e2_optimal_mu(e2, 1.0 / 3.0), ex.e2_value(e2, 1.0 / 3.0), 1,
-         -0.013502224598460844, {"zero": 0, "flow": 20000, "never": 0},
-         {0: 0.15859409912645722}),
+         -0.006275215039302617, {"zero": 0, "flow": 20000, "never": 0},
+         {0: 1.086929064531537}),
         (e1_game, ex.e1_optimal_mu(0.75, 0.75), ex.e1_value(0.75, 0.75), 2,
-         -0.0010047046539424787, {"zero": 13394, "flow": 1695, "never": 4911},
-         {0: math.inf, 1: 0.23940893337689306}),
+         -0.0032114717133505666, {"zero": 13289, "flow": 1656, "never": 5055},
+         {0: math.inf, 1: 0.03669947664225309}),
     ]
     for spec, strat, claim, seed, gap, stop_counts, argmin in certs:
         rep = exploit_gap(spec, strat, claim, PureResponseFamily.for_game(spec),

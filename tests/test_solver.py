@@ -361,6 +361,17 @@ def test_directional_derivative_exits_simplex(e1_oracle_grid):
         directional_derivative(e1_oracle_grid, node, np.array([1.0, -1.0]), None)
 
 
+@pytest.mark.parametrize("dirs", [([0.5, -0.5, 0.0], None), (None, [0.5, -0.5, 0.0]),
+                                  ([0.0], None), ([[1.0, -1.0]], None)],
+                         ids=["dir_p-three", "dir_q-three", "dir_p-one-zero", "dir_p-2d"])
+def test_directional_derivative_checks_the_direction_size(dirs, e1_oracle_grid):
+    # a three-entry direction on a two-state grid raised numpy's broadcast
+    # ValueError, and a zero direction of the wrong size returned 0.0
+    node = (np.array([0.6, 0.4]), np.array([0.8, 0.2]))
+    with pytest.raises(InputError):
+        directional_derivative(e1_oracle_grid, node, *dirs)
+
+
 def test_residual_trivial_constant_zero():
     spec = GameSpec(R=np.zeros((2, 2)), Q=np.zeros((2, 2)), r=1.0,
                     f=np.full((2, 2), 1.0), h=np.full((2, 2), -1.0),
