@@ -17,22 +17,23 @@ power of two above the slice's max ``|v|``, 1.1e-13 of it at N = 400).
 node's neighbouring vertices) from one sweep to the next.  Round one
 tests every node against the chord of its recorded neighbours, with no
 neighbour search; when that confirms the mask, the call only
-interpolates chords and returns the same record.  That happens on 3,563
-of 3,919 carried calls on e2 401x1, 920 of 1,144 on the moving-chain
-game at 41x41 and none of 114 on e1 101x101, whose masks move every
-sweep.  A fall-back revives the nodes above their recorded chords, then
-prunes, searching after each round only the columns that round changed
-(a median of 4 searches, over 1.8 times the columns on e1 and 2.0 on the
-moving game): about five times the cost of a confirmed call.  Higher
-dimensions use Delaunay barycentric interpolation and qhull envelopes;
-both are exact for piecewise-affine data but cost grows quickly with
-dimension.
+interpolates chords and returns the same record.  That happens on 216 of
+260 carried calls on e2 401x1, 284 of 432 on the moving-chain game at
+41x41 and none of 114 on e1 101x101, whose masks move every sweep.  A
+fall-back revives the nodes above their recorded chords, then prunes,
+searching after each round only the columns that round changed (a median
+of 4 searches over 1.8 times the columns on e1, and of 3 over 0.6 times
+them on the moving game): about five times the cost of a confirmed call.
+Higher dimensions use Delaunay barycentric interpolation and qhull
+envelopes; both are exact for piecewise-affine data but cost grows
+quickly with dimension.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +60,11 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer >= 1 (a bool is not one)."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
 @dataclass
 class SimplexGrid:
     """All points of the ``dim``-simplex with coordinates in ``{0, 1/N, ..., 1}``."""
@@ -69,10 +75,10 @@ class SimplexGrid:
     chart: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError("simplex dimension must be >= 1")
-        if self.resolution < 1:
-            raise InputError("grid resolution must be >= 1")
+        if not _is_count(self.dim):
+            raise InputError(f"simplex dimension must be an integer >= 1, got {self.dim!r}")
+        if not _is_count(self.resolution):
+            raise InputError(f"grid resolution must be an integer >= 1, got {self.resolution!r}")
         if self.dim == 1:
             self.nodes = np.array([[1.0]])
         elif self.dim == 2:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .grids import (SimplexGrid, ValueGrid, _concave_envelope, concave_envelope,
+from .grids import (SimplexGrid, ValueGrid, _concave_envelope, _is_count, concave_envelope,
                     convex_envelope, payoff_grids)
 from .model import GameSpec, _propagate
 
@@ -81,9 +81,9 @@ def default_time_step(spec: GameSpec, N_p: int, N_q: int) -> float:
     bias near chord junctions.  With no moving chain (e1) the cap sets
     delta on every grid, and the bias is the whole error: a sup error of
     5.2e-3 at 101x101 and 201x201 nodes, first order in delta (2.7e-3 at
-    0.05/r).  There the sweep count does not grow with the grid, and
-    :func:`solve` mixes the sweep, which roughly halves it (58 and 73
-    sweeps at 101x101 and 201x201 to ``tol = 1e-7``).
+    0.05/r).  There the sweep count does not grow with the grid: with
+    :func:`solve`'s mixing it is 58 and 73 sweeps at 101x101 and 201x201
+    to ``tol = 1e-7``, about half the plain count.
     """
     delta = 0.1 / spec.r
     for G, N in ((spec.R, N_p), (spec.Q, N_q)):
@@ -104,30 +104,52 @@ def obstacle_step(grid: ValueGrid, delta: float) -> ValueGrid:
 
 
 _MIX_AFTER = 10  # plain sweeps before the mixing starts
+_STALL = 30  # mixing calls without a new least change before the mixing stops for good
 
 
 class _Secant:
     """Depth-one Anderson mixing of the sweep ``T``, restarted when the change does not drop.
 
-    From an iterate ``x`` with image ``g = T(x)`` and change ``f = g - x``,
-    and the previous pair ``(f', g')``, the next iterate is
-    ``g - gamma (g - g')`` with ``gamma = <df, f> / <df, df>`` and
-    ``df = f - f'``: the combination of the two images whose change,
-    extrapolated linearly, is least in the mean square.  A change whose sup
-    norm does not drop below the previous one discards the previous pair (a
-    restart): the next iterate is ``g`` itself, and ``(f, g)`` is the pair
-    the next step mixes with.  ``f`` is written into the array of ``x`` and
-    the differences into the pair's arrays, so a mixing step allocates no
-    full-grid array and solves no linear system.
+    The first ``_MIX_AFTER - 1`` calls return the sweep image ``g`` itself:
+    mixing from ``(f+h)/2`` gains little.  From then on, from an iterate
+    ``x`` with image ``g = T(x)`` and change ``f = g - x``, and the
+    previous pair ``(f', g')``, the next iterate is ``g - gamma (g - g')``
+    with ``gamma = <df, f> / <df, df>`` and ``df = f - f'``: the combination
+    of the two images whose change, extrapolated linearly, is least in the
+    mean square.  A change whose sup norm does not drop below the previous
+    one discards the previous pair (a restart): the next iterate is ``g``
+    itself, and ``(f, g)`` is the pair the next step mixes with.  ``f`` is
+    written into the array of ``x`` and the differences into the pair's
+    arrays, so a mixing step allocates no full-grid array and solves no
+    linear system.
+
+    The secant can cycle: on grids where plain iteration reaches an exact
+    fixed point (e2 at N = 100 and 400) it repeats with period 3 and the
+    change never drops.  So once the least change so far has not dropped
+    for ``_STALL`` mixing calls, the mixing stops for good (``stalled_at``
+    is that call's number) and every later call returns ``g`` itself.
     """
 
     def __init__(self):
         self.f = self.g = None
-        self.last = math.inf  # the previous change
+        self.last = self.best = math.inf  # the previous change, the least one
+        self.calls = self.since_best = 0
         self.accepted = self.restarts = 0
+        self.stalled_at = None
 
     def next(self, x: np.ndarray, g: np.ndarray, change: float) -> np.ndarray:
-        """The iterate after ``x`` (overwritten), given ``g = T(x)`` and ``change = |g - x|``."""
+        """The iterate after ``x`` (which it may overwrite), given ``g = T(x)`` and
+        ``change = |g - x|``."""
+        self.calls += 1
+        if self.calls < _MIX_AFTER or self.stalled_at is not None:
+            return g
+        if change < self.best:
+            self.best, self.since_best = change, 0
+        else:
+            self.since_best += 1
+            if self.since_best >= _STALL:
+                self.stalled_at, self.f, self.g = self.calls, None, None
+                return g
         f = np.subtract(g, x, out=x)
         mixed = None
         if change >= self.last:
@@ -161,16 +183,19 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
     bound holds whatever ``x`` is: ``|T(x) - V*| <= e^{-r delta} |x - V*|
     <= e^{-r delta} (|x - T(x)| + |T(x) - V*|)``.
 
-    With a moving chain the next iterate is the sweep image itself (plain
-    value iteration), whose convergence the free boundary and the CFL
-    step limit.  With both chains frozen (``R`` and ``Q`` zero, as in e1)
-    only the contraction limits it, so after ``_MIX_AFTER`` plain sweeps
-    each next iterate mixes the last two sweep images (depth-one Anderson
-    mixing, restarted whenever the change does not drop; see
-    :class:`_Secant`): e1 on 101x101 nodes takes 58 sweeps to ``tol =
-    1e-7`` instead of 141.  The first sweeps stay plain because mixing from
-    ``(f+h)/2`` gains little; a solve stopped within them reports the plain
-    loop's residual.
+    After ``_MIX_AFTER`` plain sweeps each next iterate mixes the last
+    two sweep images (depth-one Anderson mixing, restarted whenever the
+    change does not drop; see :class:`_Secant`).  The first sweeps stay
+    plain because mixing from ``(f+h)/2`` gains little; a solve stopped
+    within them reports the plain loop's residual.  Where the least change
+    has not dropped for ``_STALL`` mixing steps (the secant cycles on grids
+    where plain iteration ends on an exact fixed point, as e2 at N = 100
+    and 400), the mixing stops and plain sweeps finish the solve, on the
+    plain loop's fixed point.  To ``tol = 1e-9`` e2 takes 261 sweeps at N =
+    400 instead of 3,920 and 53 at N = 401 instead of 11,548; the
+    moving-chain game of the benchmark takes 217 at 41x41 nodes instead of
+    573 (``tol = 1e-8``), and e1 58 at 101x101 nodes instead of 141 (``tol
+    = 1e-7``).
 
     Each side carries its hull record (the vertex masks and their
     neighbours) from one sweep to the next as the envelope kernel's hint:
@@ -180,12 +205,20 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
     (``hull_vertices``), the number of sweeps in which each side's vertex
     set moved (``hull_moves``, the first sweep included; both ``None`` for
     charts of two or more coordinates), ``error_bound``, the nodes
-    pinned to each obstacle (``pinned``), and the mixing steps taken and
-    the restarts (``mixing``: ``accepted``, ``restarts``; ``None`` with a
-    moving chain).
+    pinned to each obstacle (``pinned``), and the mixing steps taken, the
+    restarts and the sweep where the mixing stopped (``mixing``:
+    ``accepted``, ``restarts``, ``stalled_at``; from that sweep on each
+    image is the next iterate as it is, and ``None`` means the mixing never
+    stopped).
+
+    ``N_p``, ``N_q`` and ``max_iter`` must be integers >= 1 and ``tol``
+    positive and finite, else :class:`InputError`; a solve still above
+    ``tol`` after ``max_iter`` sweeps raises :class:`ConvergenceError`.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError("tolerance must be positive and finite")
+    if not _is_count(max_iter):
+        raise InputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     p_grid = SimplexGrid(spec.K, N_p)
     q_grid = SimplexGrid(spec.L, N_q)
     delta = default_time_step(spec, N_p, N_q)
@@ -195,7 +228,7 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
     change = math.inf
     hull_p = hull_q = None
     moves_p = moves_q = 0
-    mix = None if np.any(spec.R) or np.any(spec.Q) else _Secant()
+    mix = _Secant()
     for it in range(1, max_iter + 1):
         new = _obstacle_apply(V, H, F, disc, terms)
         new, held_p = _concave_envelope(p_grid.chart, new, hull_p)
@@ -211,7 +244,7 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
         if change < tol:
             V = new
             break
-        V = new if mix is None or it < _MIX_AFTER else mix.next(V, new, change)
+        V = mix.next(V, new, change)
     else:
         raise ConvergenceError(f"solver did not converge in {max_iter} sweeps", change)
     # the median semantics guarantee the band; clipping only removes
@@ -224,8 +257,8 @@ def solve(spec: GameSpec, N_p: int, N_q: int, tol: float = 1e-7,
             "hull_vertices": {s: None if h is None else int(h.alive.sum()) for s, h, _ in sides},
             "hull_moves": {s: None if h is None else k for s, h, k in sides},
             "pinned": {"h": int((V == H).sum()), "f": int((V == F).sum())},
-            "mixing": None if mix is None else {"accepted": mix.accepted,
-                                                "restarts": mix.restarts}}
+            "mixing": {"accepted": mix.accepted, "restarts": mix.restarts,
+                       "stalled_at": mix.stalled_at}}
     return ValueGrid(p_grid, q_grid, V, spec, meta)
 
 

@@ -40,6 +40,28 @@ def test_solve_roundtrip(game_files, e1_spec):
     assert meta["delta"] == grid.metadata["delta"]
 
 
+def test_solve_sidecar_records_the_mixing(game_files, e2_spec):
+    # a moving chain is mixed like a frozen one; on e2's exact-finish grid
+    # (N = 100) the stall switch hands over to plain sweeps
+    from stopgame.solver import solve
+
+    d = game_files["dir"]
+    moving = GameSpec(R=[[-1.0, 1.0], [0.6, -0.6]], Q=[[-0.8, 0.8], [1.2, -1.2]], r=0.8,
+                      f=ex.scalar_payoff_matrix(-1.0, 2.0, 3.0),
+                      h=ex.scalar_payoff_matrix(-4.0, 3.0, 2.0), p0=[0.5, 0.5], q0=[0.5, 0.5])
+    (d / "moving.json").write_text(moving.to_json())
+    for path, spec, grid, N_p, N_q, tol, stalled in (
+            (d / "moving.json", moving, "14x14", 13, 13, 1e-8, False),
+            (game_files["e2"], game_at(e2_spec, 1.0 / 3.0, None), "101", 100, 1, 1e-9, True)):
+        assert main(["solve", "--game", str(path), "--grid", grid, "--tol", str(tol),
+                     "--out", str(d / "v.csv")]) == 0
+        mixing = json.loads((d / "v.csv.meta.json").read_text())["mixing"]
+        assert set(mixing) == {"accepted", "restarts", "stalled_at"}
+        assert mixing == solve(spec, N_p, N_q, tol=tol).metadata["mixing"]
+        assert mixing["accepted"] > 0
+        assert isinstance(mixing["stalled_at"], int) if stalled else mixing["stalled_at"] is None
+
+
 def test_example_and_dual_outputs(game_files):
     out = game_files["dir"] / "e2.csv"
     assert main(["example", "e2", "--a", "1", "--b", "1", "--r", "0.1",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stopgame.examples as ex
+from stopgame import solver
 from stopgame.errors import InputError
 from stopgame.grids import SimplexGrid, ValueGrid, payoff_grids, write_value_csv
 from stopgame.model import GameSpec
@@ -124,7 +125,6 @@ def test_solve_nonconvergence_carries_residual(e1_spec):
 
 
 def test_solve_stops_on_first_non_finite_sweep(e1_spec, monkeypatch):
-    import stopgame.solver as solver
     from stopgame.errors import ConvergenceError
 
     # a blow-up inside the sweep must end the solve at once, not after max_iter;
@@ -150,6 +150,24 @@ def test_solve_stops_on_first_non_finite_sweep(e1_spec, monkeypatch):
 def test_solve_rejects_bad_tolerance(e1_spec, tol):
     with pytest.raises(InputError):
         solve(e1_spec, 5, 5, tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3, True, 2.5, 10.0, "10", None])
+def test_solve_rejects_bad_max_iter(e1_spec, max_iter):
+    # an input error (exit code 1), not a solve that did not converge (2)
+    with pytest.raises(InputError, match="max_iter"):
+        solve(e1_spec, 10, 1, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("N_p,N_q", [(2.5, 1), (10, 1.0), (True, 5), (0, 5), (5, -1), ("5", 5)])
+def test_solve_rejects_bad_grid_resolution(e1_spec, N_p, N_q):
+    with pytest.raises(InputError, match="grid resolution"):
+        solve(e1_spec, N_p, N_q)
+
+
+def test_solve_takes_numpy_integers(e1_spec):
+    grid = solve(e1_spec, np.int64(10), np.int32(10), max_iter=np.int64(1000))
+    assert grid.values.shape == (11, 11)
 
 
 def _moving_game():
@@ -185,34 +203,19 @@ def _public_sweep_loop(spec, N_p, N_q, tol):
     return np.clip(V.values, H, F), it, change
 
 
-@pytest.mark.parametrize("game,N_p,N_q,tol", [("e2", 40, 1, 1e-9), ("moving", 13, 13, 1e-8)])
-def test_solve_matches_public_sweep_loop(game, N_p, N_q, tol):
-    # solve carries hull vertex masks between sweeps; the public, stateless
-    # functions start every envelope cold.  The envelope kernel's pop test
-    # is exact, so both reach the same vertex set on every slice, bit for bit.
-    # With a moving chain solve does not mix: its iterates are the plain loop's.
-    grid = solve(_GAMES[game](), N_p, N_q, tol=tol)
-    ref, sweeps, _ = _public_sweep_loop(_GAMES[game](), N_p, N_q, tol)
-    assert grid.metadata["iterations"] == sweeps
-    np.testing.assert_array_equal(grid.values, ref)
-    assert grid.metadata["mixing"] is None
-
-
 # rounding slack of the envelope kernel (a dropped node lies up to one
 # quantum, 1.1e-13 of the slice max at N = 400, above its chord)
 _KERNEL_SLACK = 1e-12
 
 
-@pytest.mark.parametrize("game,N_p,N_q,tol,max_sweeps", [
-    ("e1", 20, 20, 1e-7, 30), ("e1", 100, 100, 1e-7, 90),  # plain loop: 141 sweeps each
-    ("spec3", 4, 1, 1e-9, 8),  # converges before the mixing starts
-    ("cav3", 6, 1, 1e-10, 20)])  # plain loop: 200 sweeps
-def test_solve_mixes_frozen_chains(game, N_p, N_q, tol, max_sweeps):
-    # frozen chains: after its first plain sweeps solve mixes the sweep, so
-    # its iterates leave the plain loop's.  It returns the image T(x) of its
-    # last iterate with residual |T(x) - x|, so one more sweep moves the
-    # result by at most e^{-r delta} times the residual, and the result lies
-    # within the summed error bounds of the plain loop's
+def _check_mixed_solve(game, N_p, N_q, tol, max_sweeps):
+    # after its first plain sweeps solve mixes the sweep, so its iterates
+    # leave the plain loop's.  It returns the image T(x) of its last iterate
+    # with residual |T(x) - x|, so one more sweep moves the result by at most
+    # e^{-r delta} times the residual, and the result lies within the summed
+    # error bounds of the plain loop's.  solve carries hull vertex masks
+    # between sweeps while the public functions start every envelope cold;
+    # test_solve_residual_equals_public_sweeps pins the two bit for bit
     spec = _GAMES[game]()
     grid = solve(spec, N_p, N_q, tol=tol)
     meta = grid.metadata
@@ -225,9 +228,86 @@ def test_solve_mixes_frozen_chains(game, N_p, N_q, tol, max_sweeps):
     assert gap <= meta["error_bound"] + change * disc / (1.0 - disc) + _KERNEL_SLACK
     assert meta["iterations"] <= max_sweeps
     mixing = meta["mixing"]
-    assert set(mixing) == {"accepted", "restarts"}
+    assert set(mixing) == {"accepted", "restarts", "stalled_at"}
     # sweep 12 is the first to start from a mixed iterate
     assert (mixing["accepted"] > 0) == (meta["iterations"] > 11)
+
+
+@pytest.mark.parametrize("game,N_p,N_q,tol,max_sweeps", [
+    ("e1", 20, 20, 1e-7, 30), ("e1", 100, 100, 1e-7, 90),  # plain loop: 141 sweeps each
+    ("spec3", 4, 1, 1e-9, 8),  # converges before the mixing starts
+    ("cav3", 6, 1, 1e-10, 20)])  # plain loop: 200 sweeps
+def test_solve_mixes_frozen_chains(game, N_p, N_q, tol, max_sweeps):
+    _check_mixed_solve(game, N_p, N_q, tol, max_sweeps)
+
+
+@pytest.mark.parametrize("game,N_p,N_q,tol,max_sweeps", [
+    ("e2", 40, 1, 1e-9, 100),  # plain loop: 249 sweeps
+    ("moving", 13, 13, 1e-8, 160)])  # plain loop: 306 sweeps
+def test_solve_mixes_moving_chains(game, N_p, N_q, tol, max_sweeps):
+    _check_mixed_solve(game, N_p, N_q, tol, max_sweeps)
+
+
+@pytest.mark.parametrize("N,max_sweeps", [(100, 150), (400, 300)])  # plain: 765, 3,920
+def test_solve_stall_switch_finishes_exact_grids_on_the_plain_fixed_point(N, max_sweeps):
+    # on these grids plain iteration ends on an exact fixed point (change 0)
+    # and the secant cycles with period 3; once it stalls, plain sweeps end
+    # on the same fixed point, bit for bit
+    spec = _GAMES["e2"]()
+    grid = solve(spec, N, 1, tol=1e-9)
+    ref, sweeps, change = _public_sweep_loop(spec, N, 1, 1e-9)
+    assert change == 0.0 and grid.metadata["residual"] == 0.0
+    np.testing.assert_array_equal(grid.values, ref)
+    assert grid.metadata["iterations"] <= max_sweeps < sweeps
+    stalled_at = grid.metadata["mixing"]["stalled_at"]
+    assert isinstance(stalled_at, int) and stalled_at < grid.metadata["iterations"]
+
+
+@pytest.mark.parametrize("game,N_p,N_q,tol,max_sweeps", [
+    ("e2", 401, 1, 1e-9, 100),  # plain loop: 11,548 sweeps
+    ("moving", 40, 40, 1e-8, 300)])  # plain loop: 573 sweeps
+def test_solve_mixing_does_not_fall_back_to_plain_sweeps(game, N_p, N_q, tol, max_sweeps):
+    # the secant converges here without the stall switch
+    grid = solve(_GAMES[game](), N_p, N_q, tol=tol)
+    assert grid.metadata["iterations"] <= max_sweeps
+    assert grid.metadata["mixing"]["stalled_at"] is None
+
+
+def test_secant_stall_switch_on_a_cycling_map(monkeypatch):
+    # T(x) = max(1 - 0.9 x, 0.9 x) contracts by 0.9 to 1/1.9, but from x = 10
+    # the secant cycles across its kink with period 3 (x = 0, 1, 1/1.1; changes
+    # 1, 0.1, 1/11)
+    def T(x):
+        return np.maximum(1.0 - 0.9 * x, 0.9 * x)
+
+    def drive(calls):
+        mix, x, changes = solver._Secant(), np.full(1, 10.0), []
+        for _ in range(calls):
+            g = T(x.copy())
+            changes.append(float(np.abs(g - x).max()))
+            before = (mix.stalled_at, mix.accepted, mix.restarts)
+            x = mix.next(x, g, changes[-1])
+            if before[0] is not None:  # stalled: the plain image, nothing counted
+                assert x is g and (mix.stalled_at, mix.accepted, mix.restarts) == before
+        return mix, x, changes
+
+    monkeypatch.setattr(solver, "_STALL", 10**9)
+    mix, _, changes = drive(300)
+    assert mix.stalled_at is None and mix.accepted > 100
+    assert min(changes[-30:]) > 0.09  # without the switch it never converges
+    monkeypatch.undo()
+
+    mix, x, changes = drive(300)
+    # the first mixing call sets the least change; the switch fires on the
+    # _STALL-th later call that does not drop below it
+    fired, best, since = None, math.inf, 0
+    for call, change in enumerate(changes[solver._MIX_AFTER - 1:], solver._MIX_AFTER):
+        best, since = (change, 0) if change < best else (best, since + 1)
+        if since == solver._STALL:
+            fired = call
+            break
+    assert mix.stalled_at == fired and mix.accepted > 0
+    assert abs(x[0] - 1 / 1.9) < 1e-9  # plain sweeps contract to the fixed point
 
 
 @pytest.mark.parametrize("game,N_p,N_q", [("e1", 100, 100), ("e2", 400, 1), ("moving", 40, 40)])
@@ -296,7 +376,7 @@ def test_solve_confirms_carried_hulls_on_most_sweeps(tmp_path):
 def test_error_bound_covers_the_distance_to_the_fixed_point(e1_spec):
     # tol bounds the last change; the distance to the fixed point is up to
     # e^{-r delta} / (1 - e^{-r delta}) times that, 9.5 times at delta = 0.1,
-    # whatever the last iterate, so also where solve mixes (frozen e1)
+    # whatever the last iterate, so also where solve mixes
     grid = solve(e1_spec, 20, 20, tol=1e-6)
     tight = solve(e1_spec, 20, 20, tol=1e-12)
     meta = grid.metadata
@@ -305,8 +385,8 @@ def test_error_bound_covers_the_distance_to_the_fixed_point(e1_spec):
     assert meta["error_bound"] == pytest.approx(9.508 * meta["residual"], rel=1e-3)
     gap = float(np.abs(grid.values - tight.values).max())
     assert gap <= meta["error_bound"] + tight.metadata["error_bound"]
-    # plain value iteration (a moving chain): the last change alone
-    # understates the error, by 0.82 of the bound's factor 38.5 here
+    # a moving chain (mixed from sweep 10): the last change alone
+    # understates the error, by 0.81 of the bound's factor 38.5 here
     spec = _moving_game()
     grid = solve(spec, 13, 13, tol=1e-6)
     tight = solve(spec, 13, 13, tol=1e-12)
