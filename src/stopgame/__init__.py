@@ -19,7 +19,7 @@ from .grids import SimplexGrid, ValueGrid, read_value_csv, write_value_csv
 from .solver import (ResidualReport, cav_p, directional_derivative,
                      obstacle_step, residual_check, solve, vex_q)
 from .conjugate import (DualFlowState, concave_conjugate_p,
-                        convex_conjugate_q, dual_flow,
+                        convex_conjugate_q, convex_surface_q, dual_flow,
                         dual_pde_residual_lower, dual_pde_residual_upper,
                         obstacle_conjugate_p, obstacle_conjugate_q,
                         subgradient_q)
@@ -41,7 +41,7 @@ __all__ = [
     "SimplexGrid", "ValueGrid", "read_value_csv", "write_value_csv",
     "ResidualReport", "cav_p", "directional_derivative", "obstacle_step",
     "residual_check", "solve", "vex_q",
-    "DualFlowState", "concave_conjugate_p", "convex_conjugate_q",
+    "DualFlowState", "concave_conjugate_p", "convex_conjugate_q", "convex_surface_q",
     "dual_flow", "dual_pde_residual_lower", "dual_pde_residual_upper",
     "obstacle_conjugate_p", "obstacle_conjugate_q", "subgradient_q",
     "ConstantTimeStrategy", "FlowIntensityStrategy",

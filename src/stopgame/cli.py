@@ -25,7 +25,7 @@ from .pdmp import FlowIntensityStrategy, SplitThenFlowStrategy, simulate_Z
 from . import examples as ex
 from .serialize import strategy_from_json, strategy_to_json
 from .solver import solve
-from .conjugate import convex_conjugate_q, pair, ycoord
+from .conjugate import convex_surface_q, pair, ycoord
 
 GAP_SLACK = 0.05
 DUAL_GRID = "200"  # dual --game defaults
@@ -235,8 +235,9 @@ def _cmd_dual(args) -> int:
             raise InputError("dual export needs a two-state (or singleton) q side")
         n_p, n_q = _parse_grid(DUAL_GRID if args.grid is None else args.grid, spec)
         grid = solve(spec, n_p, n_q, tol=DUAL_TOL if args.tol is None else args.tol)
-        rows = [(float(p), float(y), convex_conjugate_q(grid, pair(p), ycoord(y)[: spec.L]), "")
-                for p in ps for y in ys]
+        surface = convex_surface_q(grid, [pair(p) for p in ps], [ycoord(y)[: spec.L] for y in ys])
+        rows = [(float(p), float(y), value, "")
+                for p, line in zip(ps, surface.tolist()) for y, value in zip(ys, line)]
     else:
         raise InputError("dual needs either --oracle e1 or --game")
     out.write_text(_grid_csv_rows("p,y,value,zone", rows))

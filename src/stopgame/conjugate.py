@@ -31,7 +31,7 @@ from .grids import SimplexGrid, ValueGrid
 from .model import _expm, as_chain, as_generator, as_simplex, marginal_flow
 
 __all__ = [
-    "concave_conjugate_p", "convex_conjugate_q", "subgradient_q",
+    "concave_conjugate_p", "convex_conjugate_q", "convex_surface_q", "subgradient_q",
     "obstacle_conjugate_p", "obstacle_conjugate_q",
     "DualFlowState", "dual_flow",
     "dual_pde_residual_upper", "dual_pde_residual_lower",
@@ -72,7 +72,7 @@ def _golden_min(f) -> float:
 
 def _dual_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputError("dual vector must be finite")
     return v
 
@@ -106,15 +106,33 @@ def concave_conjugate_p(V, x, q) -> float:
 def convex_conjugate_q(V, p, y) -> float:
     """sup over the q-simplex of <q, y> - V(p, q); dual to :func:`concave_conjugate_p`.
 
-    Computed as ``-inf_q <q, -y> - (-V(p, q))``.
+    Computed as ``-inf_q <q, -y> - (-V(p, q))``; on a value grid it is
+    :func:`convex_surface_q` at the one pair ``(p, y)``.
     """
+    if isinstance(V, ValueGrid):
+        return float(convex_surface_q(V, [p], [y])[0, 0])
     p = as_simplex(p)
     y = _dual_vector(y)
-    if isinstance(V, ValueGrid):
-        if y.size != V.q_grid.dim:
-            raise InputError("dual vector dimension does not match the q-side")
-        return -_inf_pairing(-y, -V.p_grid.interpolate(p, V.values)[0], V.q_grid.nodes)
     return -_inf_pairing(-y, lambda c: -V(p, pair(c)))
+
+
+def convex_surface_q(V: ValueGrid, ps, ys) -> np.ndarray:
+    """:func:`convex_conjugate_q` of a value grid at every pair of a row of ``ps`` and of ``ys``.
+
+    ``ps`` holds p-side simplex points and ``ys`` q-side dual vectors, one
+    per row; entry ``[i, j]`` is ``V_*(ps[i], ys[j])``.  The objective is
+    affine on every cell of the q grid, so each entry is exact as a scan
+    over the q nodes: ``-min_q (<q, -y> - (-V(p, q)))``.  One interpolation
+    reads the grid at all p rows, and the pairings ``<q, -y>`` are taken
+    once; the scan runs per p row, so no array holds every (p, q, y) triple.
+    """
+    ys = _dual_vector(ys)
+    if ys.ndim != 2 or ys.shape[1] != V.q_grid.dim:
+        raise InputError(f"dual vectors of the q side need {V.q_grid.dim} coordinates, "
+                         f"got shape {ys.shape}")
+    rows = V.p_grid.interpolate([as_simplex(p) for p in ps], V.values)
+    pairing = V.q_grid.nodes @ -ys.T  # (q node, y)
+    return -np.array([(pairing - (-row)[:, None]).min(axis=0) for row in rows])
 
 
 def obstacle_conjugate_p(M, x, q) -> float:

@@ -13,17 +13,21 @@ exact pop test on values rounded to a dyadic integer grid, so the vertex
 set is the same in any pruning order, hinted or cold, and a dropped node
 lies at most one quantum above its chord (``2^-(52 - bitlen(N))`` of the
 power of two above the slice's max ``|v|``, 1.1e-13 of it at N = 400).
+The slices are the contiguous rows of one array, and the kernel prunes a
+compact list of the alive nodes' flat positions: each round tests every
+listed node against its list neighbours and compresses the list with one
+mask, and one pass after the last round gives every node its chord ends.
 ``solve`` carries each side's hull record (the vertex mask with every
 node's neighbouring vertices) from one sweep to the next.  Round one
-tests every node against the chord of its recorded neighbours, with no
-neighbour search; when that confirms the mask, the call only
-interpolates chords and returns the same record.  That happens on 216 of
-260 carried calls on e2 401x1, 284 of 432 on the moving-chain game at
-41x41 and none of 114 on e1 101x101, whose masks move every sweep.  A
-fall-back revives the nodes above their recorded chords, then prunes,
-searching after each round only the columns that round changed (a median
-of 4 searches over 1.8 times the columns on e1, and of 3 over 0.6 times
-them on the moving game): about five times the cost of a confirmed call.
+tests every node against the chord of its recorded neighbours; when that
+confirms the mask, the call only interpolates chords and returns the
+same record.  That happens on 216 of 260 carried calls on e2 401x1, 284
+of 432 on the moving-chain game at 41x41 and none of 114 on e1 101x101,
+whose masks move every sweep.  Otherwise the compact rounds start from
+the nodes round one kept (on e1 about 4,800 of 10,201, and 6 rounds to
+the hull's 2,900 or so vertices).  Median cost per call in a solve (2
+shared Xeon cores): 28 us confirmed and 75 us pruned on e2 401x1, 50 and
+142 us on the moving game, 510 us pruned on e1 101x101.
 Higher dimensions use Delaunay barycentric interpolation and qhull
 envelopes; both are exact for piecewise-affine data but cost grows
 quickly with dimension.
@@ -117,13 +121,10 @@ class SimplexGrid:
         if self.dim == 1:
             return np.zeros((m, 1), dtype=np.int64), np.ones((m, 1))
         if self.dim == 2:
-            x = np.clip(pts[:, 0], 0.0, 1.0)
-            pos = x * self.resolution
+            pos = pts[:, 0].clip(0.0, 1.0) * self.resolution
             lo = np.minimum(np.floor(pos).astype(np.int64), self.resolution - 1)
             w_hi = pos - lo
-            idx = np.column_stack([lo, lo + 1])
-            w = np.column_stack([1.0 - w_hi, w_hi])
-            return idx, w
+            return lo[:, None] + np.arange(2), np.stack((1.0 - w_hi, w_hi), axis=1)
         tri = self._triangulation()
         simplex = tri.find_simplex(pts, tol=1e-12)
         if np.any(simplex < 0):
@@ -141,12 +142,15 @@ class SimplexGrid:
         ``points`` are in full coordinates, one point or one per row; row
         ``i`` of the result is ``sum_a w[i, a] * values[idx[i, a]]`` for the
         stencil of :meth:`interp_weights`, summed in stencil order.  A
-        point with another number of states is an :class:`InputError`.
+        point with another number of states, or with a coordinate that is
+        not finite, is an :class:`InputError`.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"a point of a {self.dim}-state grid needs {self.dim} "
                              f"coordinates, got shape {np.shape(points)}")
+        if not np.isfinite(pts).all():
+            raise InputError("a point of the grid needs finite coordinates")
         idx, w = self.interp_weights(pts[:, : self.dim - 1])
         shape = (-1,) + (1,) * (values.ndim - 1)  # one weight per row of values
         out = np.zeros((idx.shape[0],) + values.shape[1:])
@@ -158,8 +162,9 @@ class SimplexGrid:
 class _Hull(NamedTuple):
     """A vertex mask carried from one envelope call to the next.
 
-    ``alive`` is the ``(n, m)`` mask, end rows always set; ``a`` and ``c``
-    hold each interior row's previous and next alive row, ``(n - 2, m)``.
+    ``alive`` is the ``(m, n)`` mask of ``m`` slices of ``n`` nodes, end
+    nodes always set; ``a`` and ``c`` hold each interior node's previous
+    and next alive node as a flat position ``slice * n + node``, ``(m, n - 2)``.
     """
 
     alive: np.ndarray
@@ -167,118 +172,130 @@ class _Hull(NamedTuple):
     c: np.ndarray
 
 
-def _rows(n: int, m: int) -> np.ndarray:
-    """Row numbers as a column, in int32 while every flat index ``row * m + col`` fits."""
-    return np.arange(n, dtype=np.int32 if n * m < 2**31 else np.int64)[:, None]
+def _neighbours(live: np.ndarray, shape) -> _Hull:
+    """The record of the alive nodes at the sorted flat positions ``live``.
 
-
-def _neighbours(alive: np.ndarray, rows: np.ndarray):
-    """Each interior row's previous and next alive row, per column of ``alive``."""
-    n = alive.shape[0]
-    a = np.maximum.accumulate(np.where(alive[:-2], rows[:-2], 0), axis=0)
-    c = np.minimum.accumulate(np.where(alive[:1:-1], rows[:1:-1], n - 1), axis=0)[::-1]
-    return a, c
+    Every slice end is among them.  Two ``np.repeat`` over consecutive
+    alive positions give every node the alive node before it and the one
+    after it.
+    """
+    alive = np.zeros(shape, dtype=bool)
+    alive.ravel()[live] = True
+    gaps = np.diff(live, append=live[-1:])
+    gaps[:1] += 1
+    a = np.ascontiguousarray(np.repeat(live, gaps).reshape(shape)[:, 1:-1])
+    gaps = np.diff(live, prepend=live[:1])
+    gaps[-1:] += 1
+    c = np.ascontiguousarray(np.repeat(live, gaps).reshape(shape)[:, 1:-1])
+    return _Hull(alive, a, c)
 
 
 def _hull_record(alive) -> _Hull:
-    """The record of a vertex mask, such as one from a nearby slice; its end rows are set."""
+    """The record of an ``(m, n)`` vertex mask, end nodes set, such as a nearby slice's."""
     alive = np.array(alive, dtype=bool)
-    alive[:1] = alive[-1:] = True
-    return _Hull(alive, *_neighbours(alive, _rows(*alive.shape)))
+    alive[:, :1] = alive[:, -1:] = True
+    return _neighbours(np.flatnonzero(alive), alive.shape)
 
 
-def _upper_hull_columns(v: np.ndarray, alive: _Hull | None = None):
-    """Least concave majorant of every column of ``v`` over equally spaced nodes.
+def _upper_hull_rows(v: np.ndarray, alive: _Hull | None = None):
+    """Least concave majorant of every row of ``v`` over equally spaced nodes.
 
-    The nodes are rows ``0 .. n-1``.  Each column is put on a dyadic
-    integer grid, ``q = rint(v * 2^(52 - bitlen(n-1) - e))`` with
-    ``2^(e-1) <= max|v| < 2^e``, so ``|q| <= 2^(52 - bitlen(n-1))`` and
-    every product of the pop test ``(q_b - q_a)(c - a) <= (q_c - q_a)(b - a)``
-    is an integer below 2^53: the test is exact, and the vertex set is the
-    unique one of the quantized points.  A node is dropped at most one
-    quantum, ``2^(e - 52 + bitlen(n-1))``, above its chord.
+    ``v`` is C-contiguous with one slice per row, on nodes ``0 .. n-1``.
+    Each slice is put on a dyadic integer grid, ``q = rint(v * 2^(52 -
+    bitlen(n-1) - e))`` with ``2^(e-1) <= max|v| < 2^e``, so ``|q| <= 2^(52
+    - bitlen(n-1))`` and every product of the pop test ``(q_b - q_a)(c - a)
+    <= (q_c - q_a)(b - a)`` is an integer below 2^53: the test is exact,
+    and the vertex set is the unique one of the quantized points.  A node
+    is dropped at most one quantum, ``2^(e - 52 + bitlen(n-1))``, above its
+    chord.
 
-    Round-wise pruning: each round tests every interior node ``b`` of a
-    column against the chord ``a -> c`` of its alive neighbours.
-    ``alive`` is a carried :class:`_Hull` record, such as the one returned
-    for a nearby ``v`` or :func:`_hull_record` of a mask; without one
-    every node starts alive.  Round one reads the record's neighbours and
-    sets each interior node alive if and only if it lies above the chord
-    of its recorded neighbours, which keeps every hull vertex (a vertex
+    Round-wise pruning on a compact list: the alive nodes are held as their
+    sorted flat positions ``slice * n + node`` with their quantized values.
+    Each round tests every listed node ``b`` against the chord ``a -> c``
+    of its neighbours in the list and compresses the list with one boolean
+    mask.  Slice ends are never dropped, so the triple around an interior
+    node never crosses slices and no neighbour search is needed.  A node on
+    or below its chord is no vertex; once a round drops nothing, every
+    slice's chain is strictly concave, hence the hull.  A concave run
+    ending in a spike drops one node per round, so the worst case is ``n -
+    2`` rounds over the list.  After the last round :func:`_neighbours`
+    gives every node its chord ends, in one pass.
+
+    Without a record the list starts with every node.  ``alive`` is a
+    carried :class:`_Hull` record, such as the one returned for a nearby
+    ``v`` or :func:`_hull_record` of a mask.  Round one then tests every
+    interior node against the chord of its recorded neighbours and keeps it
+    if and only if it lies above, which keeps every hull vertex (a vertex
     lies above any chord across it).  If that changes no node, the record
-    is the hull's and is returned as it is.  Otherwise the record is
-    copied, and each round searches the neighbours of the columns it
-    changed into the copy, which so stays every column's record; later
-    rounds only drop nodes on or below their chord, which are never
-    vertices.  Once a round changes nothing in a column its alive chain is
-    strictly concave, hence the hull, so each round after the first works
-    on the columns that changed in the round before: on a view while that
-    is every column and on a gathered copy otherwise.  A concave run ending
-    in a spike drops one node per round, so the worst case is ``n - 2``
-    rounds of O(n m).  Between vertices the envelope is the chord
-    ``(1 - w) v_a + w v_c`` of the original values, ``w = (b - a)/(c - a)``.
-    Returns ``(envelope, record)``, the record of the hull vertices.
+    is the hull's and is returned as it is, never written to; otherwise the
+    list starts with the nodes round one kept.  Between vertices the
+    envelope is the chord ``(1 - w) v_a + w v_c`` of the original values,
+    ``w = (b - a)/(c - a)``.  Returns ``(envelope, record)``, the record of
+    the hull vertices.
+
+    A confirmed call costs the quantization, one exact test and the chords
+    (28 us per call on e2 401x1 and 50 us on the moving game at 41x41 in a
+    solve); a pruned one adds the rounds and the chord-end pass (75, 142
+    and 510 us on those two games and on e1 101x101; see the module
+    docstring).
     """
-    n, m = v.shape
-    record = _hull_record(np.ones((n, m), dtype=bool)) if alive is None else alive
+    m, n = v.shape
     if n < 3 or m == 0:
-        return v.copy(), record
-    shift = 52 - (n - 1).bit_length() - np.frexp(np.abs(v).max(axis=0))[1]
-    q = np.rint(np.ldexp(v, shift))
-    flat, qflat = v.ravel(), q.ravel()
-    rows, cols = _rows(n, m), np.arange(m)
-    alive, a, c = record
-    # the columns a round tests (a view while all are changing, else their
-    # indices) and their neighbours
-    act, idx, first, ta, tc = slice(None), cols, True, a, c
-    while True:
-        ia, ic, span, off = ta * m + idx, tc * m + idx, tc - ta, rows[1:-1] - ta
-        # the exact pop test: b stays only while strictly above the chord a -> c
-        qa = qflat.take(ia)
-        above = (q[1:-1, act] - qa) * span > (qflat.take(ic) - qa) * off
-        del qa  # not held through the next neighbour search: it raised peak memory
-        mid = alive[1:-1, act]
-        keep = above if first else mid & above
-        changed = (keep != mid).any(axis=0)
-        if not changed.any():
-            break
-        if first:  # the given record is never written to
-            alive, a, c, first = alive.copy(), a.copy(), c.copy(), False
-        alive[1:-1, act] = keep
-        if not changed.all():
-            act = idx = idx[changed]
-        a[:, act], c[:, act] = ta, tc = _neighbours(alive[:, act], rows)
-    if not isinstance(act, slice):  # the last round tested some columns: chords need all
-        ia, ic, span, off = a * m + cols, c * m + cols, c - a, rows[1:-1] - a
-    w = off / span
-    chord = flat.take(ia)
+        return v.copy(), _hull_record(np.ones((m, n), dtype=bool)) if alive is None else alive
+    shift = 52 - (n - 1).bit_length() - np.frexp(np.abs(v).max(axis=1))[1]
+    q = np.rint(np.ldexp(v, shift[:, None])).ravel()
+    inner = np.arange(m * n).reshape(m, n)[:, 1:-1]  # flat positions of the interior nodes
+    if alive is None:
+        live = np.arange(m * n)  # every node starts alive
+    else:
+        a, c = alive.a, alive.c
+        qa = q.take(a)
+        above = (q.reshape(m, n)[:, 1:-1] - qa) * (c - a) > (q.take(c) - qa) * (inner - a)
+        del qa  # not held through the pruning rounds: it raised peak memory
+        live = None  # unless round one changes a node, the record is the hull's
+        if not np.array_equal(above, alive.alive[:, 1:-1]):
+            keep = np.ones((m, n), dtype=bool)
+            keep[:, 1:-1] = above
+            live = np.flatnonzero(keep)
+    if live is not None:
+        node = live % n
+        end = (node == 0) | (node == n - 1)
+        pos, ql = live.astype(float), q[live]
+        while True:
+            # b is kept while (q_b - q_a)(c - b) > (q_c - q_b)(b - a): the pop
+            # test with (b - a)(q_b - q_a) taken from both sides
+            dp, dq = pos[1:] - pos[:-1], ql[1:] - ql[:-1]
+            keep = end.copy()
+            keep[1:-1] |= dq[:-1] * dp[1:] > dq[1:] * dp[:-1]
+            if keep.all():
+                break
+            pos, ql, end = pos[keep], ql[keep], end[keep]
+        alive = _neighbours(pos.astype(np.intp), (m, n))
+    mask, a, c = alive
+    w = (inner - a) / (c - a)
+    flat = v.ravel()
+    chord = flat.take(a)
     chord *= 1.0 - w
-    w *= flat.take(ic)
+    w *= flat.take(c)
     chord += w
     env = v.copy()
-    env[1:-1] = np.maximum(np.where(alive[1:-1], v[1:-1], chord), v[1:-1])
-    return env, record if first else _Hull(alive, a, c)
+    env[:, 1:-1] = np.maximum(np.where(mask[:, 1:-1], v[:, 1:-1], chord), v[:, 1:-1])
+    return env, alive
 
 
 def _concave_envelope(chart: np.ndarray, v: np.ndarray, alive: _Hull | None = None):
-    """:func:`concave_envelope` with a carried record; returns ``(envelope, record)``.
+    """:func:`concave_envelope` of the slices in the rows of ``v``, with a carried record.
 
-    Only one chart coordinate reads the record (see :func:`_upper_hull_columns`).
-    With no chart coordinate every node is a vertex, and a given record
-    is returned as it is; charts of two or more coordinates are always
-    computed cold and return ``None``.
+    Returns ``(envelope, record)``.  Only one chart coordinate reads the
+    record (see :func:`_upper_hull_rows`).  With no chart coordinate every
+    node is a vertex, and a given record is returned as it is; charts of
+    two or more coordinates are always computed cold and return ``None``.
     """
-    v = np.asarray(v, dtype=float)
     if chart.shape[1] == 0:
-        if alive is None:
-            alive = _hull_record(np.ones((v.shape[0], math.prod(v.shape[1:])), dtype=bool))
-        return v.copy(), alive
+        return v.copy(), _hull_record(np.ones(v.shape, dtype=bool)) if alive is None else alive
     if chart.shape[1] == 1:
-        env, alive = _upper_hull_columns(np.ascontiguousarray(v.reshape(v.shape[0], -1)), alive)
-        return env.reshape(v.shape), alive
-    if v.ndim == 2:
-        return np.column_stack([_qhull_envelope(chart, col) for col in v.T]), None
-    return _qhull_envelope(chart, v), None
+        return _upper_hull_rows(np.ascontiguousarray(v, dtype=float), alive)
+    return np.array([_qhull_envelope(chart, row) for row in v]).reshape(v.shape), None
 
 
 def _qhull_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -306,18 +323,22 @@ def concave_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Upper concave envelope over ``chart`` of a slice or of every column of ``v``.
 
     ``chart`` has one row per node; ``v`` is a slice of node values or a
-    2-d array whose columns are slices.  One chart coordinate uses the
-    pruning kernel on all columns in one call, and its nodes must be
-    strictly increasing and equally spaced (to a relative 1e-9); more use
-    qhull per column.
+    2-d array whose columns are slices, and every value must be finite.
+    One chart coordinate uses the pruning kernel on all columns in one
+    call, and its nodes must be strictly increasing and equally spaced (to
+    a relative 1e-9); more use qhull per column.
     """
+    v = np.asarray(v, dtype=float)
     if chart.shape[1] == 1:
         h = np.diff(chart[:, 0])
-        if np.shape(v)[:1] != chart.shape[:1] or not (
+        if v.shape[:1] != chart.shape[:1] or not (
                 h.size == 0 or (h.min() > 0 and h.max() - h.min() <= 1e-9 * h.min())):
             raise InputError("a one-coordinate chart needs one strictly increasing, "
                              "equally spaced node per row of v")
-    return _concave_envelope(chart, v)[0]
+    if not np.isfinite(v).all():
+        raise InputError("an envelope needs finite values")
+    rows = v.reshape(v.shape[0], math.prod(v.shape[1:])).T  # one slice per row
+    return _concave_envelope(chart, rows)[0].T.reshape(v.shape)
 
 
 def convex_envelope(chart: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -50,9 +50,9 @@ def as_simplex(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InputError("simplex point must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InputError("probabilities must be finite")
-    if np.any(w < -SIMPLEX_CLAMP):
+    if (w < -SIMPLEX_CLAMP).any():
         raise InputError(f"negative probability {w.min():.3e} below clamp tolerance")
     total = float(w.sum())
     if abs(total - 1.0) > SIMPLEX_SUM_TOL:

@@ -6,6 +6,7 @@ from scipy.integrate import solve_ivp
 
 import stopgame.examples as ex
 from stopgame.conjugate import (_GOLDEN_ITERS, concave_conjugate_p, convex_conjugate_q,
+                                convex_surface_q,
                                 dual_flow, dual_pde_residual_lower,
                                 dual_pde_residual_upper, obstacle_conjugate_p,
                                 obstacle_conjugate_q, pair, subgradient_q,
@@ -109,6 +110,40 @@ def test_conjugate_sandwich(e1_spec, e1_oracle_grid):
         f_up = obstacle_conjugate_p(e1_spec.f, np.array([x, 0.0]), q)
         h_up = obstacle_conjugate_p(e1_spec.h, np.array([x, 0.0]), q)
         assert f_up - 1e-9 <= v_up <= h_up + 1e-9
+
+
+def test_convex_surface_is_the_scalar_conjugate_at_every_pair(e1_oracle_grid, e2_oracle_grid):
+    # the surface reads each p row once and scans the q nodes per row; every
+    # entry equals the scalar grid conjugate bit for bit, and the maximum of
+    # <q, y> - V(p, q) over the q nodes, read node by node, to rounding
+    rng = np.random.default_rng(11)
+    for grid, states in ((e1_oracle_grid, 2), (e2_oracle_grid, 1)):
+        ps = [pair(p) for p in np.r_[0.0, rng.uniform(0.0, 1.0, 6), 1.0]]
+        ys = [np.r_[y, rng.uniform(-1.0, 1.0)][:states] for y in rng.uniform(-2.0, 4.0, 5)]
+        surface = convex_surface_q(grid, ps, ys)
+        assert surface.shape == (len(ps), len(ys))
+        for i, p in enumerate(ps):
+            row = [grid.value_at(p, q) for q in grid.q_grid.nodes]
+            for j, y in enumerate(ys):
+                assert surface[i, j] == convex_conjugate_q(grid, p, y)
+                want = max(float(q @ y) - v for q, v in zip(grid.q_grid.nodes, row))
+                assert surface[i, j] == pytest.approx(want, rel=0, abs=1e-12)
+    one = convex_surface_q(e1_oracle_grid, [pair(0.3)], [ycoord(0.5)])
+    assert one.shape == (1, 1) and one[0, 0] == convex_conjugate_q(e1_oracle_grid, pair(0.3),
+                                                                    ycoord(0.5))
+
+
+@pytest.mark.parametrize("ps,ys", [
+    ([pair(0.5)], [[0.5, 0.0, 1.0]]),        # a dual vector with three coordinates
+    ([pair(0.5)], [0.5, 0.0]),               # dual vectors not given one per row
+    ([pair(0.5)], [[math.nan, 0.0]]),
+    ([[0.5, 0.6]], [ycoord(0.5)]),           # not a simplex point
+    ([[0.2, 0.3, 0.5]], [ycoord(0.5)]),      # a p point with three states
+    ([[math.inf, 0.0]], [ycoord(0.5)]),
+])
+def test_convex_surface_rejects_bad_points(e1_oracle_grid, ps, ys):
+    with pytest.raises(InputError):
+        convex_surface_q(e1_oracle_grid, ps, ys)
 
 
 def test_biconjugation_recovers_concave_slices(e1_oracle_grid):

@@ -67,7 +67,7 @@ SIGNATURES = {
     pdmp.build_mu: ["char", "z", "vstar"],
     solver.residual_check: ["grid"],
     solver.solve: ["spec", "N_p", "N_q", "tol", "max_iter"],
-    grids._upper_hull_columns: ["v", "alive"],
+    grids._upper_hull_rows: ["v", "alive"],
     ValueGrid.with_values: ["self", "values"],
     montecarlo.belief_consistency: ["strategy", "t", "n", "seed"],
     model.as_simplex: ["weights"],
@@ -200,12 +200,18 @@ def test_one_play_loop():
 
 
 def test_one_neighbour_search():
-    # the envelope kernel searches hull neighbours when it builds a record
-    # and once per pruning round, for the columns that round changed; a
-    # second pass over every column, such as an end-of-call search, fails here
+    # the envelope kernel prunes a compact list, whose neighbours are its
+    # adjacent entries, and gives every node its chord ends once, after the
+    # last round; a search per round, or a second pass over every slice,
+    # fails here
     tree = ast.parse(Path(grids.__file__).read_text())
     assert sorted(where for _, where in _uses(tree, {"_neighbours"})) == [
-        "_hull_record", "_upper_hull_columns"]
+        "_hull_record", "_upper_hull_rows"]
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_upper_hull_rows")
+    loops = [node for node in ast.walk(kernel) if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1
+    assert list(_uses(loops[0], {"_neighbours", "repeat", "flatnonzero"})) == []
 
 
 def test_one_interpolation():

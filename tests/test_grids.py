@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import stopgame.examples as ex
 from stopgame.conjugate import concave_conjugate_p, convex_conjugate_q, subgradient_q
 from stopgame.errors import InputError
-from stopgame.grids import (SimplexGrid, ValueGrid, _hull_record, _upper_hull_columns,
+from stopgame.grids import (SimplexGrid, ValueGrid, _hull_record, _upper_hull_rows,
                             concave_envelope, convex_envelope, read_value_csv,
                             write_value_csv)
-from stopgame.solver import directional_derivative
+from stopgame.solver import cav_p, directional_derivative, vex_q
 
 
 def monotone_chain_envelope(x, vals):
@@ -152,10 +152,17 @@ def _hint(kind, cold_mask, seed):
     return cold_mask
 
 
+def _kernel(v, record=None):
+    """The kernel on the columns of ``v``: ``(envelope, record)``, the envelope in columns."""
+    env, record = _upper_hull_rows(np.ascontiguousarray(v.T), record)
+    return env.T, record
+
+
 def _hull(v, hint=None):
-    """``(envelope, vertex mask, record)`` of the kernel, hinted by a mask."""
-    env, record = _upper_hull_columns(v, None if hint is None else _hull_record(hint))
-    return env, record.alive, record
+    """``(envelope, vertex mask, record)`` of the kernel on the columns of ``v``, hinted by a
+    mask; the mask is in columns, the record in rows, as the kernel keeps it."""
+    env, record = _kernel(v, None if hint is None else _hull_record(hint.T))
+    return env, record.alive.T, record
 
 
 @settings(max_examples=300, deadline=None)
@@ -191,27 +198,27 @@ def test_carried_record_matches_cold(case, seed):
     # are the same in exact arithmetic; unrelated: another draw of the case
     near = v + rng.integers(-3, 4, m) + rng.integers(-3, 4, m) * x[:, None]
     # mixed: the hull's mask in some columns and a random one in the others,
-    # so round one confirms those and the later rounds narrow to the rest
+    # so round one confirms those and the compact rounds drop nodes of the rest
     moved = rng.random(m) < 0.5
-    records = {"own": own, "near": _upper_hull_columns(near)[1],
-               "unrelated": _upper_hull_columns(rng.normal(size=(n, m)))[1],
-               "random mask": _hull_record(rng.random((n, m)) < 0.5),
-               "mixed": _hull_record(np.where(moved, rng.random((n, m)) < 0.5, mask))}
+    records = {"own": own, "near": _kernel(near)[1],
+               "unrelated": _kernel(rng.normal(size=(n, m)))[1],
+               "random mask": _hull_record((rng.random((n, m)) < 0.5).T),
+               "mixed": _hull_record(np.where(moved, rng.random((n, m)) < 0.5, mask).T)}
     for name, record in records.items():
         given = [part.copy() for part in record]
-        env, out = _upper_hull_columns(v, record)
+        env, out = _kernel(v, record)
         np.testing.assert_array_equal(env, cold)
-        np.testing.assert_array_equal(out.alive, mask)
+        np.testing.assert_array_equal(out.alive.T, mask)
         for part, before in zip(record, given):  # never written to
             np.testing.assert_array_equal(part, before)
-        assert (out is record) == np.array_equal(given[0], mask), name
-        # every column's neighbours are current, also those round one confirmed
+        assert (out is record) == np.array_equal(given[0].T, mask), name
+        # every slice's neighbours are current, also those round one confirmed
         fresh = _hull_record(out.alive)
         np.testing.assert_array_equal(out.a, fresh.a)
         np.testing.assert_array_equal(out.c, fresh.c)
-    assert _upper_hull_columns(v, own)[1] is own
+    assert _kernel(v, own)[1] is own
     if kind != "random":  # integer values: the affine shift keeps every vertex
-        assert _upper_hull_columns(v, records["near"])[1] is records["near"]
+        assert _kernel(v, records["near"])[1] is records["near"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,13 +245,13 @@ def test_batched_envelope_matches_column_by_column(case, seed):
 
 def test_batched_envelope_revives_hinted_dead_node():
     # Columns 0, 2 and 4 settle in the first round (concave under their
-    # own vertex masks, a line with only its ends hinted), so the later
-    # rounds run on a gathered copy of columns 1 and 3.  Column 1 is a
-    # concave run ending in a spike: one drop per round for n - 2 rounds.
-    # Column 3 is hinted with its peak, node 5, dead: node 5 lies above the
-    # chord of its hinted neighbours, so round one revives it, and the
-    # second round, on the gathered copy, drops nodes 4 and 6, which lie
-    # above the chords across a dead node 5 but below those to it.
+    # own vertex masks, a line with only its ends hinted), so the compact
+    # rounds drop nodes of columns 1 and 3 only.  Column 1 is a concave
+    # run ending in a spike: one drop per round for n - 2 rounds.  Column
+    # 3 is hinted with its peak, node 5, dead: node 5 lies above the chord
+    # of its hinted neighbours, so round one revives it, and the first
+    # compact round drops nodes 4 and 6, which lie above the chords across
+    # a dead node 5 but below those to it.
     n = 10
     x = np.arange(n, dtype=float)
     i = np.arange(n)
@@ -269,6 +276,33 @@ def test_batched_envelope_revives_hinted_dead_node():
         np.testing.assert_array_equal(alive[:, [j]], one)
     assert alive[5, 3] and not alive[[4, 6], 3].any()
     assert alive[1:-1, 1:3].sum() == 0
+
+
+def test_spike_slice_beside_confirmed_slices():
+    # A worst-case slice, a concave run ending in a spike, drops one node
+    # per compact round: n - 3 rounds after round one, in a block whose
+    # other slices round one confirms.  Their vertices ride through every
+    # round on the list and must come out as they went in.
+    n = 200
+    x = np.arange(n, dtype=float)
+    i = np.arange(n)
+    spike = -(i - 40.0) ** 2
+    spike[-1] = 10.0 * n * n
+    v = np.column_stack([-(i - 60.0) ** 2, spike, np.sqrt(i + 1.0), -np.abs(i - 120.0),
+                         spike[::-1]])
+    cold_env, cold, _ = _hull(v)
+    np.testing.assert_array_equal(cold_env, monotone_chain_envelope(x, v))
+    assert cold[1:-1, 1].sum() == 0 and cold[1:-1, [0, 2]].all()
+    hint = cold.copy()
+    hint[:, 1] = True  # every node of the spike slice alive
+    given = _hull_record(hint.T)
+    env, record = _kernel(v, given)
+    np.testing.assert_array_equal(env, cold_env)
+    np.testing.assert_array_equal(record.alive.T, cold)
+    fresh = _hull_record(record.alive)
+    np.testing.assert_array_equal(record.a, fresh.a)
+    np.testing.assert_array_equal(record.c, fresh.c)
+    assert record is not given and _kernel(v, record)[1] is record
 
 
 def _exact_vertex_mask(v):
@@ -337,6 +371,23 @@ def test_envelope_rejects_bad_chart():
     np.testing.assert_array_equal(_upper(chart[:, 0], v), [0.0, 1.0, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+def test_envelopes_reject_non_finite_values(bad, e1_spec):
+    # a -inf node used to drag its neighbours' chords down (0.667 for 1 at
+    # the middle node below); only the public entries check, the kernel is
+    # left to the solve's own per-sweep check
+    chart = SimplexGrid(2, 4).chart
+    v = np.array([0.0, 1.0, bad, 1.0, 0.0])
+    grid = ValueGrid.from_function(e1_spec, lambda p, q: 0.0, 4, 4)
+    grid.values[2, 3] = bad
+    for call in (lambda: concave_envelope(chart, v), lambda: convex_envelope(chart, v),
+                 lambda: concave_envelope(chart, np.column_stack([v, -v])),
+                 lambda: concave_envelope(SimplexGrid(3, 2).chart, np.r_[v, 0.0]),
+                 lambda: cav_p(grid), lambda: vex_q(grid)):
+        with pytest.raises(InputError, match="finite"):
+            call()
+
+
 def test_hinted_envelope_nan_columns_terminate():
     rng = np.random.default_rng(3)
     x = np.linspace(0.0, 1.0, 41)
@@ -392,7 +443,8 @@ def test_interpolation_three_state_affine(e2_spec):
 THREE, HALF, OFF, DUAL = [0.2, 0.3, 0.5], [0.5, 0.5], [1.5, -0.5], [0.5, 0.0]
 
 # every reader of a value grid between its nodes, with one bad belief: on e1
-# each of these returned a number, and a zero direction returned 0.0 unchecked
+# each of these returned a number, a zero direction returned 0.0 unchecked,
+# and interpolate at a non-finite point raised a bare IndexError
 BAD_READS = {
     "value_at-p-states": lambda g: g.value_at(THREE, HALF),
     "value_at-q-states": lambda g: g.value_at(HALF, [1.0]),
@@ -408,6 +460,8 @@ BAD_READS = {
         lambda g: directional_derivative(g, (HALF, THREE), None, None),
     "directional_derivative-p-off": lambda g: directional_derivative(g, (OFF, HALF), None, None),
     "directional_derivative-q-off": lambda g: directional_derivative(g, (HALF, OFF), None, None),
+    "interpolate-nan": lambda g: g.p_grid.interpolate([math.nan, 0.5], g.values),
+    "interpolate-inf": lambda g: g.q_grid.interpolate([[0.5, 0.5], [math.inf, 0.0]], g.values.T),
 }
 
 
