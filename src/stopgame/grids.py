@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .model import GameSpec, as_simplex
+from .model import SIMPLEX_CLAMP, SIMPLEX_SUM_TOL, GameSpec, as_simplex
 
 __all__ = [
     "SimplexGrid", "ValueGrid", "payoff_grids",
@@ -142,15 +142,19 @@ class SimplexGrid:
         ``points`` are in full coordinates, one point or one per row; row
         ``i`` of the result is ``sum_a w[i, a] * values[idx[i, a]]`` for the
         stencil of :meth:`interp_weights`, summed in stencil order.  A
-        point with another number of states, or with a coordinate that is
-        not finite, is an :class:`InputError`.
+        point with another number of states, or off the simplex by more
+        than the tolerances of :func:`~stopgame.model.as_simplex` (a
+        coordinate that is not finite included), is an
+        :class:`InputError`.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"a point of a {self.dim}-state grid needs {self.dim} "
                              f"coordinates, got shape {np.shape(points)}")
-        if not np.isfinite(pts).all():
-            raise InputError("a point of the grid needs finite coordinates")
+        # NaN fails both comparisons, and an infinite coordinate the mass test
+        if not ((pts >= -SIMPLEX_CLAMP).all()
+                and (np.abs(pts.sum(axis=1) - 1.0) <= SIMPLEX_SUM_TOL).all()):
+            raise InputError("a point of the grid needs finite coordinates on the simplex")
         idx, w = self.interp_weights(pts[:, : self.dim - 1])
         shape = (-1,) + (1,) * (values.ndim - 1)  # one weight per row of values
         out = np.zeros((idx.shape[0],) + values.shape[1:])

@@ -303,10 +303,11 @@ class ChainSampler:
     fresh block draws the initial-state uniforms of all rows first, then
     each row's holding times in path order, so a block of one row draws
     what a single path always drew.  Two-state chains (``_two_state``)
-    draw one sized chunk of holding times per row, since the jump target
-    is forced, and the rare row that uses up its chunk is continued
-    through :meth:`extend`; larger chains (``_event_loop``) run a
-    per-event loop across the rows with a precomputed jump kernel.
+    draw one chunk of holding times per row, the same size for every row
+    of the call, since the jump target is forced, and the rare row that
+    uses up its chunk is continued through :meth:`extend`; larger chains
+    (``_event_loop``) run a per-event loop across the rows with a
+    precomputed jump kernel.
     """
 
     def __init__(self, G, p):
@@ -389,10 +390,12 @@ class ChainSampler:
     def _two_state(self, start, initial, horizon: float, rng) -> tuple[PathBlock, np.ndarray]:
         """Paths to ``horizon``, and the rows that ran out of draws.
 
-        States alternate, so only the holding times are random: each row
-        draws one chunk sized to cover the horizon with a 10-sigma margin.
-        A row whose every draw lands by the horizon (``cut == sizes``,
-        rare) may jump again after its last draw, so it ends there.
+        States alternate, so only the holding times are random: every row
+        draws one chunk of the same size, the call's largest expected
+        number of jumps by the horizon with a 4-sigma margin, as one
+        rectangular draw.  A row whose every draw lands by the horizon
+        (``cut == size``, rare) may jump again after its last draw, so it
+        ends there.
         """
         rows = np.flatnonzero(self.rates[initial] > 0.0)
         if not rows.size:
@@ -400,19 +403,17 @@ class ChainSampler:
         s = initial[rows]
         hold_now, hold_next = self.mean_hold[s], self.mean_hold[1 - s]
         pair_mean = hold_now + np.where(self.rates[1 - s] > 0, hold_next, 0.0)
-        expect = (horizon - start[rows]) / pair_mean * 2.0
-        sizes = (expect + 10.0 * np.sqrt(expect + 1.0)).astype(np.int64) + 16
-        jumps = np.full((rows.size, int(sizes.max())), np.inf)
-        jumps[np.arange(jumps.shape[1]) < sizes[:, None]] = np.maximum(
-            rng.exponential(size=int(sizes.sum())), 1e-300)
+        expect = float(((horizon - start[rows]) / pair_mean).max()) * 2.0
+        size = int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4
+        jumps = np.maximum(rng.exponential(size=(rows.size, size)), 1e-300)
         jumps[:, 0::2] *= hold_now[:, None]
         jumps[:, 1::2] *= hold_next[:, None]
         np.cumsum(jumps, axis=1, out=jumps)
         jumps += start[rows, None]
         cut = (jumps <= horizon).sum(axis=1)
-        out = cut == sizes
+        out = cut == size
         ends = np.full(initial.size, float(horizon))
-        ends[rows[out]] = jumps[out, sizes[out] - 1]
+        ends[rows[out]] = jumps[out, -1]
         jumps = jumps[:, :int(cut.max())]
         jumps[jumps > horizon] = np.inf
         times = np.full((initial.size, 1 + jumps.shape[1]), np.inf)

@@ -15,18 +15,19 @@ stream order:
 2. while the rule may still stop rows it left unstopped, those rows
    continued from their states at the last cut to twice as far (capped
    at the horizon), then the rule's draws as it stops them from the cut;
-3. every row of X that needs more path continued to the horizon at once;
+3. every row of X that needs more path continued at once to the latest
+   time any of these rows reads;
 4. the opponent's paths Y to ``FIRST_ROUND``, then the rows of Y that
-   need more path continued to the horizon at once, then (for a payoff
-   estimate) the opponent's stopping draws.
+   need more path continued at once to the latest time any of them
+   reads, then (for a payoff estimate) the opponent's stopping draws.
 
 A row needs more path while ``min(mu, horizon)`` lies past its end.
 By the Markov property and the memoryless ``Exp(1)`` thresholds of the
-rules, a continued row has the law of a row sampled to the horizon at
-once.  The opponent's rule stops a row of Y before its end on the path
-so far, and a stop of the opponent after ``mu`` does not change the
-payoff, so a row of Y that ends at or after ``mu`` is long enough for a
-payoff estimate as well as for a best response.  All blocks run in
+rules, a continued row has the law of a row sampled that far at once.
+The opponent's rule stops a row of Y before its end on the path so far,
+and a stop of the opponent after ``mu`` does not change the payoff, so
+a row of Y that ends at or after ``mu`` is long enough for a payoff
+estimate as well as for a best response.  All blocks run in
 the calling process, one after the other, so every estimate depends
 only on ``seed`` and ``n``.  This module is the only one that knows
 the block layout.
@@ -60,11 +61,10 @@ __all__ = [
 # and its memory grows with its rows.  certify-mc (perfbench, seed 1, two
 # 10 s runs per size, 2 shared Xeon cores, numpy 2.4) read wall_norm_s and
 # peak_rss_mb:
-#     128: 0.41-0.42 s, 39.9 MB     1024: 0.18-0.19 s, 42.9-43.0 MB
-#     256: 0.28-0.31 s, 40.4 MB     2048: 0.15-0.17 s, 46.4-47.4 MB
-#     512: 0.23-0.25 s, 41.3-41.4 MB
-# 512 is the largest size within 5% of the memory of 128.
-BLOCK = 512
+#      256: 0.24-0.26 s, 40.0 MB     1024: 0.14 s, 41.4 MB
+#      512: 0.17-0.19 s, 40.5 MB     2048: 0.11 s, 43.6-43.7 MB
+# 1024 is the largest size within 5% of the memory of 256.
+BLOCK = 1024
 # how far the first round samples the own chain, before the rule runs
 FIRST_ROUND = 8.0
 STOP_KINDS = ("zero", "flow", "never")
@@ -157,9 +157,10 @@ def _plays(spec: GameSpec, strat1: MixedStoppingStrategy, horizon: float, n: int
     and both chains are continued only by ``ChainSampler.extend``; the
     rule stops fresh and continued rows by its one ``stopping_times``.  A
     row of X or Y needs more path while ``min(mu, horizon)`` is past its
-    end: an unstopped row to the horizon, since the opponent reads it
-    there.  A rule that cannot resume (``resumes_until`` is ``+inf``) gets
-    X sampled to the horizon at once.
+    end (an unstopped row to the horizon, since the opponent reads it
+    there), and the rows that need more are continued together to the
+    latest such time.  A rule that cannot resume (``resumes_until`` is
+    ``+inf``) gets X sampled to the horizon at once.
     """
     _check_rule(strat1, spec.R, spec.p0)
     sx = ChainSampler(spec.R, spec.p0)
@@ -178,11 +179,11 @@ def _plays(spec: GameSpec, strat1: MixedStoppingStrategy, horizon: float, n: int
         needed = np.minimum(mu, horizon)
         short = np.flatnonzero(needed > X.ends)
         if short.size:
-            X = sx.extend(X, short, horizon, rng)[0]
+            X = sx.extend(X, short, needed[short].max(), rng)[0]
         Y = sy.sample_block(min(FIRST_ROUND, horizon), rng, m)
         short = np.flatnonzero(needed > Y.ends)
         if short.size:
-            Y = sy.extend(Y, short, horizon, rng)[0]
+            Y = sy.extend(Y, short, needed[short].max(), rng)[0]
         yield rng, X, Y, mu
 
 
@@ -240,11 +241,7 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
         h_bins = group * (g + 1) + cut
         h_sums += [np.bincount(h_bins, h_payoff, L * (g + 1)),
                    np.bincount(h_bins, h_payoff * h_payoff, L * (g + 1))]
-        edges, held = _pair_runs(X, Y, mu, finite, L)
-        np.minimum(edges, cut[:, None], out=edges)
-        base = (group[:, None] * pairs + held) * (g + 1)
-        occupancy += np.bincount((base + edges[:, :-1]).ravel(), minlength=occupancy.size)
-        occupancy -= np.bincount((base + edges[:, 1:]).ravel(), minlength=occupancy.size)
+        occupancy += _occupancy_changes(X, Y, mu, group, cut, finite, L, pairs)
     held_by = occupancy.reshape(L, pairs, g + 1).cumsum(axis=2)[:, :, :g]
     disc = np.exp(-spec.r * finite)
     f = spec.f.ravel()
@@ -253,6 +250,25 @@ def _response_chunk(spec: GameSpec, strat1, family: PureResponseFamily,
     sums[:, :g] += disc * np.einsum("p,jpc->jc", f, held_by)
     sumsq[:, :g] += disc * disc * np.einsum("p,jpc->jc", f * f, held_by)
     return sums, sumsq, counts, stops
+
+
+def _occupancy_changes(X, Y, mu, group, cut, finite: np.ndarray, L: int,
+                       pairs: int) -> np.ndarray:
+    """One block's occupancy differences per (group, pair, candidate), flat.
+
+    Each run of one pair adds +1 at its first candidate and -1 past its
+    last one, both cut at the row's ``cut``.  A function of its own, so
+    that none of its (rows x runs) arrays is still held while the next
+    block is sampled.
+    """
+    g = finite.size
+    size = L * pairs * (g + 1)
+    edges, held = _pair_runs(X, Y, mu, finite, L)
+    np.minimum(edges, cut[:, None], out=edges)
+    held += group[:, None] * pairs
+    held *= g + 1
+    return (np.bincount((held + edges[:, :-1]).ravel(), minlength=size)
+            - np.bincount((held + edges[:, 1:]).ravel(), minlength=size))
 
 
 def _pair_runs(X, Y, mu: np.ndarray, finite: np.ndarray, L: int):
@@ -264,26 +280,25 @@ def _pair_runs(X, Y, mu: np.ndarray, finite: np.ndarray, L: int):
     held over the run.  Only the jumps before ``mu`` start runs; a jump is
     made by every candidate at or after its time.
     """
-    jumps = []
-    for paths in (X, Y):
-        t = paths.times[:, 1:]
-        before = t < mu[:, None]
-        t = t[:, :int(before.sum(axis=1).max(initial=0))]
-        jumps.append(np.where(before[:, :t.shape[1]], t, math.inf))
-    m, w = jumps[0].shape
-    t = np.concatenate(jumps, axis=1)
+    m = mu.size
+    before = [paths.times[:, 1:] < mu[:, None] for paths in (X, Y)]
+    w = [int(b.sum(axis=1).max(initial=0)) for b in before]
+    t = np.full((m, w[0] + w[1]), math.inf)
+    np.copyto(t[:, :w[0]], X.times[:, 1:w[0] + 1], where=before[0][:, :w[0]])
+    np.copyto(t[:, w[0]:], Y.times[:, 1:w[1] + 1], where=before[1][:, :w[1]])
     order = t.argsort(axis=1, kind="stable")
-    t = np.take_along_axis(t, order, axis=1)
-    of_y = order >= w
-    # jumps of each chain made by the start of each run
-    made_y = np.zeros((m, t.shape[1] + 1), dtype=np.intp)
-    np.cumsum(of_y, axis=1, out=made_y[:, 1:])
-    made_x = np.arange(t.shape[1] + 1) - made_y
-    rows = np.arange(m)[:, None]
-    held = X.states[rows, made_x].astype(np.intp) * L + Y.states[rows, made_y]
+    of_y = order >= w[0]
     edges = np.zeros((m, t.shape[1] + 2), dtype=np.intp)
-    edges[:, 1:-1] = finite.searchsorted(t, side="left")
+    edges[:, 1:-1] = finite.searchsorted(np.take_along_axis(t, order, axis=1), side="left")
     edges[:, -1] = finite.size
+    del t, order  # not held while the states are read: they raised peak memory
+    # jumps of each chain made by the start of each run
+    made_y = np.zeros((m, of_y.shape[1] + 1), dtype=np.intp)
+    np.cumsum(of_y, axis=1, out=made_y[:, 1:])
+    rows = np.arange(m)[:, None]
+    held = X.states[rows, np.arange(made_y.shape[1]) - made_y].astype(np.intp)
+    held *= L
+    held += Y.states[rows, made_y]
     return edges, held
 
 

@@ -242,6 +242,11 @@ class _Hazard:
         rho[on] = _conditional_share(orbit.lams[on, None], target, p)
         return cls(orbit, rho)
 
+    def at(self, k: int, t: np.ndarray) -> np.ndarray:
+        """``H[k](t)``, growing at the tail rate past the sampled orbit."""
+        ts = self.ts
+        return np.interp(t, ts, self.columns[k]) + self.tail_rate[k] * np.maximum(t - ts[-1], 0.0)
+
     def inverse(self, k: np.ndarray, t0: np.ndarray, excess: np.ndarray) -> np.ndarray:
         """Smallest ``t >= t0[i]`` with ``H[k](t) - H[k](t0[i]) >= excess[i]``, ``k = k[i]``.
 
@@ -253,10 +258,7 @@ class _Hazard:
         i = np.empty(t0.shape, dtype=np.intp)
         for kk, Hk in enumerate(self.columns):
             sel = k == kk
-            a = t0[sel]
-            # H[kk](a) + excess, the hazard growing at the tail rate past the orbit
-            tk = np.interp(a, ts, Hk) + self.tail_rate[kk] * np.maximum(a - ts[-1], 0.0)
-            tk += excess[sel]
+            tk = self.at(kk, t0[sel]) + excess[sel]
             target[sel] = tk
             i[sel] = Hk.searchsorted(tk, side="left")
         j = np.minimum(np.maximum(i, 1), last)
@@ -653,10 +655,13 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
 
         A segment runs from a row's start or jump to its next jump, cut at
         the row's end and at ``t_max``; every row draws thresholds for as
-        many segments as the longest row has, and the hazard is inverted
-        only on the segments the row holds.  A block that continues rows
-        from a later start stops them from there, which is the rule given
-        no stop before the start: the thresholds are memoryless.
+        many segments as the longest row has.  A segment stops the row
+        when its threshold is below the hazard it gains, ``H[k](end) -
+        H[k](start)`` (a segment past the row's end gains none), and the
+        hazard is inverted on each row's first such segment only.  A
+        block that continues rows from a later start stops them from
+        there, which is the rule given no stop before the start: the
+        thresholds are memoryless.
         """
         end = np.minimum(paths.ends, self.t_max)[:, None]
         # segment j runs from bounds[:, j] to bounds[:, j + 1]
@@ -665,16 +670,22 @@ class FlowIntensityStrategy(MixedStoppingStrategy):
             return np.full(paths.n, math.inf)
         bounds = np.full((paths.n, width + 1), end)
         np.minimum(paths.times[:, :width], end, out=bounds[:, :width])
-        starts = bounds[:, :-1]
-        excess = rng.exponential(size=starts.shape)
         # every cell draws its threshold, which keeps each row's draws where they sit
-        # in the stream; only cells before the row's end can stop it
-        live = starts < end
-        t = np.full(starts.shape, math.inf)
-        t[live] = self.hazard.inverse(paths.states[:, :width][live], starts[live], excess[live])
-        hit = t < bounds[:, 1:]
-        first = hit.argmax(axis=1)
-        return np.where(hit.any(axis=1), t[np.arange(paths.n), first], math.inf)
+        # in the stream; a cell past the row's end starts and ends there, so gains none
+        excess = rng.exponential(size=(paths.n, width))
+        k = paths.states[:, :width]
+        hit = np.zeros(excess.shape, dtype=bool)
+        for kk in range(self.char.dim_p):
+            # H[kk] at every bound, plus the threshold at a start: the target inverted
+            H = self.hazard.at(kk, bounds)
+            hit |= (k == kk) & (H[:, :-1] + excess < H[:, 1:])
+        rows = np.flatnonzero(hit.any(axis=1))
+        first = hit[rows].argmax(axis=1)
+        mu = np.full(paths.n, math.inf)
+        t = self.hazard.inverse(k[rows, first], bounds[rows, first], excess[rows, first])
+        # the test and the inversion agree up to rounding at the segment's end
+        mu[rows] = np.minimum(t, bounds[rows, first + 1])
+        return mu
 
     def descriptor(self):
         return {"case": self.case, "z": self.z0.tolist(), "horizon": self.t_max,

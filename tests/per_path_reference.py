@@ -1,10 +1,11 @@
 """Monte Carlo code the package replaced, kept as test oracles.
 
 These are the one-path-at-a-time chain sampler, the segment and split
-stopping rules, the per-replication response rows and the block-wise
-(replication x candidate) response matrix.  On a shared stream the
-batched code must return bit for bit the paths and stopping times of the
-first three and match the per-replication rows in law; on the same
+stopping rules, the flow rule that inverted the hazard on every segment,
+the per-replication response rows and the block-wise (replication x
+candidate) response matrix.  On a shared stream the batched code must
+return bit for bit the paths and stopping times of the first four and
+match the per-replication rows in law; on the same
 blocks it must count exactly what the response matrix counts and sum to
 its sums up to rounding.  Paths are :class:`OnePath` records,
 independent of the package's :class:`~stopgame.model.PathBlock`.
@@ -76,7 +77,7 @@ def _two_state(sampler, state: int, horizon: float, rng) -> OnePath:
             break
         pair_mean = 1.0 / rate_now + (1.0 / rate_next if rate_next > 0 else 0.0)
         expect = (horizon - t) / pair_mean * 2.0 if pair_mean > 0 else 8.0
-        n = int(expect + 10.0 * math.sqrt(expect + 1.0)) + 16
+        n = int(expect + 4.0 * math.sqrt(expect + 1.0)) + 4
         draws = np.maximum(rng.exponential(size=n), 1e-300)
         scales = np.empty(n)
         with np.errstate(divide="ignore"):
@@ -135,6 +136,28 @@ def segment_stopping_time(flow, traj: OnePath, rng) -> float:
         if t < seg_end:
             return t
     return math.inf
+
+
+def inverted_stopping_times(flow, paths: PathBlock, rng) -> np.ndarray:
+    """``FlowIntensityStrategy.stopping_times`` with the hazard inverted on every live segment.
+
+    Same thresholds from the same stream; a row stops at the first of its
+    segments whose inversion lands before the segment's end.
+    """
+    end = np.minimum(paths.ends, flow.t_max)[:, None]
+    width = int((paths.times < end).sum(axis=1).max(initial=0))
+    if not width:
+        return np.full(paths.n, math.inf)
+    bounds = np.full((paths.n, width + 1), end)
+    np.minimum(paths.times[:, :width], end, out=bounds[:, :width])
+    starts = bounds[:, :-1]
+    excess = rng.exponential(size=starts.shape)
+    live = starts < end
+    t = np.full(starts.shape, math.inf)
+    t[live] = flow.hazard.inverse(paths.states[:, :width][live], starts[live], excess[live])
+    hit = t < bounds[:, 1:]
+    first = hit.argmax(axis=1)
+    return np.where(hit.any(axis=1), t[np.arange(paths.n), first], math.inf)
 
 
 def split_stopping_time(split, traj: OnePath, rng) -> float:

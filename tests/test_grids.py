@@ -444,7 +444,8 @@ THREE, HALF, OFF, DUAL = [0.2, 0.3, 0.5], [0.5, 0.5], [1.5, -0.5], [0.5, 0.0]
 
 # every reader of a value grid between its nodes, with one bad belief: on e1
 # each of these returned a number, a zero direction returned 0.0 unchecked,
-# and interpolate at a non-finite point raised a bare IndexError
+# interpolate at a non-finite point raised a bare IndexError, and off the
+# simplex it read a clipped value
 BAD_READS = {
     "value_at-p-states": lambda g: g.value_at(THREE, HALF),
     "value_at-q-states": lambda g: g.value_at(HALF, [1.0]),
@@ -462,6 +463,8 @@ BAD_READS = {
     "directional_derivative-q-off": lambda g: directional_derivative(g, (HALF, OFF), None, None),
     "interpolate-nan": lambda g: g.p_grid.interpolate([math.nan, 0.5], g.values),
     "interpolate-inf": lambda g: g.q_grid.interpolate([[0.5, 0.5], [math.inf, 0.0]], g.values.T),
+    "interpolate-off": lambda g: g.p_grid.interpolate(OFF, g.values),
+    "interpolate-mass": lambda g: g.q_grid.interpolate([[0.5, 0.5], [0.25, 0.25]], g.values.T),
 }
 
 

@@ -437,8 +437,8 @@ def test_two_state_rows_that_use_up_their_draws_are_continued(G, horizon):
         assert np.all(valid[:, 1:] <= valid[:, :-1])
         assert np.all((times[:, 1:] > times[:, :-1])[valid[:, 1:]])
         assert np.all((states[:, 1:] != states[:, :-1])[valid[:, 1:]])
-        # every row holds its whole first chunk, at least 16 jumps
-        assert np.all(valid.sum(axis=1) >= 17)
+        # every row holds its whole first chunk, at least 4 jumps
+        assert np.all(valid.sum(axis=1) >= 5)
 
 
 def test_three_state_chain_law_and_invariants():

@@ -502,3 +502,41 @@ def test_stopping_time_matches_per_path_reference(builder, e1_char, e2_char, e2_
                              philox_rng(33, b)) for b in range(n // 250)])
     assert np.mean(np.isinf(block)) == pytest.approx(np.mean(np.isinf(one_row)), abs=0.05)
     assert ks_2samp(block[np.isfinite(block)], one_row[np.isfinite(one_row)]).pvalue > 1e-3
+
+
+def test_segment_test_matches_inversion_on_every_segment(e1_char, e2_char, e2_params):
+    # the flow rule inverts the hazard only on each row's first segment that
+    # gains more hazard than its threshold; inverting it on every segment, as
+    # the rule did, stops every row at the same time and leaves the stream at
+    # the same place, on fresh rows, rows continued from a later start and
+    # rows cut at t_max
+    from per_path_reference import inverted_stopping_times
+
+    p0 = ex.e2_p0(e2_params)
+    fast = np.array([[-4.0, 4.0], [4.0, -4.0]])
+    kink = FlowIntensityStrategy(e2_char, z2(p0))
+    split = ex.e1_optimal_mu(0.75, 0.75).flow
+    quiet = FlowIntensityStrategy(e1_char, z1(0.3, 0.5))
+    cut = FlowIntensityStrategy(e2_char, z2(0.15), horizon=5.0)
+    assert kink.orbit.ts.size == 1 and kink.orbit.stationary
+    assert split.orbit.ts.size == 813
+    assert quiet.orbit.quiescent and quiet.orbit.t_end < 4.0
+    cases = [  # (rule, own chain, start law, first end, continued end)
+        (kink, e2_params.R, p0, 8.0, 16.0),
+        (split, np.zeros((2, 2)), 0.75, 0.5, 16.0),
+        (split, fast, 0.75, 0.5, 1.0),
+        (quiet, fast, 0.3, 1.0, 4.0),
+        (cut, e2_params.R, 0.15, 3.0, 20.0),
+        (cut, e2_params.R, 0.15, 20.0, 30.0),
+    ]
+    for i, (rule, R, start, first, later) in enumerate(cases):
+        sampler = ChainSampler(R, [start, 1.0 - start])
+        paths = sampler.sample_block(first, philox_rng(90, i), 500)
+        more = sampler.extend(paths, np.arange(0, 500, 2), later, philox_rng(91, i))[1]
+        for block in (paths, more):
+            rng_got, rng_want = philox_rng(92, i), philox_rng(92, i)
+            got = rule.stopping_times(block, rng_got)
+            np.testing.assert_array_equal(got, inverted_stopping_times(rule, block, rng_want))
+            assert rng_got.random() == rng_want.random()
+            if block is paths:
+                assert 0.0 < np.isfinite(got).mean() < 1.0  # rows stop and rows run on
