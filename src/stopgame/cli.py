@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError, IntegrityError, StopGameError
 from .grids import write_value_csv
 from .model import GameSpec, philox_rng
-from .montecarlo import PureResponseFamily, exploit_gap
+from .montecarlo import RESPONSE_TIMES, PureResponseFamily, exploit_gap
 from .pdmp import FlowIntensityStrategy, SplitThenFlowStrategy, simulate_Z
 from . import examples as ex
 from .serialize import strategy_from_json, strategy_to_json
@@ -121,7 +121,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--game", required=True)
     v.add_argument("--strategy", required=True)
     v.add_argument("--n", type=_positive_int, default=100_000)
-    v.add_argument("--times", type=_positive_int, default=200)
+    v.add_argument("--times", type=_positive_int, default=RESPONSE_TIMES)
     v.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     v.add_argument("--out")
     return p

@@ -8,11 +8,13 @@ Two transforms appear, one per player:
   ``V_*(p, y) = sup_q <q, y> - V(p, q)`` for ``y`` in R^L.
 
 Player 2's problem is player 1's with the players swapped and the payoff
-negated, so the q-side objects are the p-side ones on mirrored values:
-:func:`convex_conjugate_q` negates an infimum over q, and
-:func:`obstacle_conjugate_q` and :func:`dual_pde_residual_lower` are
-:func:`obstacle_conjugate_p` and :func:`dual_pde_residual_upper` of the
-swapped game.
+negated, so each transform is written once and read from both sides on
+mirrored values: a value grid is conjugated by the one node scan of
+:func:`convex_surface_q` (the p side on the swapped grid), a callable by
+the one golden section of :func:`concave_conjugate_p` (the q side on the
+swapped function), and :func:`obstacle_conjugate_q` and
+:func:`dual_pde_residual_lower` are :func:`obstacle_conjugate_p` and
+:func:`dual_pde_residual_upper` of the swapped game.
 
 For two-state sides everything reduces to the scalar chart: we write
 ``V_*(p, y)`` for ``V_*((p, 1-p), (y, 0))`` and use the shift identity
@@ -77,43 +79,34 @@ def _dual_vector(v) -> np.ndarray:
     return v
 
 
-def _inf_pairing(x: np.ndarray, slice_, nodes: np.ndarray | None = None) -> float:
-    """inf over a simplex of ``<x, s> - slice_(s)``.
-
-    Grid input (``slice_`` holds the values at ``nodes``): the objective is
-    affine on every cell, so the exact answer is a scan over the nodes.
-    Callable input (``slice_`` maps the scalar chart to a value): one golden
-    section over the whole chart; the objective is convex, so it is unimodal.
-    """
-    if nodes is not None:
-        return float(np.min(nodes @ x - slice_))
-    if x.size != 2:
-        raise InputError("callable conjugation is implemented on the scalar chart")
-    return float(_golden_min(lambda c: x[0] * c + x[1] * (1 - c) - slice_(c)))
-
-
 def concave_conjugate_p(V, x, q) -> float:
-    """inf over the p-simplex of <x, p> - V(p, q), for a value grid or a callable."""
+    """inf over the p-simplex of <x, p> - V(p, q), for a value grid or a callable.
+
+    On a value grid it is minus :func:`convex_conjugate_q` of the swapped
+    game, ``-W_*(q, -x)`` with ``W(q, p) = -V(p, q)``.  A callable is read
+    on the scalar chart by one golden section; the objective is convex in
+    ``p``, so it is unimodal there.
+    """
+    if isinstance(V, ValueGrid):
+        W = ValueGrid(V.q_grid, V.p_grid, -V.values.T)
+        return -convex_conjugate_q(W, q, -np.asarray(x, dtype=float))
     x = _dual_vector(x)
     q = as_simplex(q)
-    if isinstance(V, ValueGrid):
-        if x.size != V.p_grid.dim:
-            raise InputError("dual vector dimension does not match the p-side")
-        return _inf_pairing(x, V.q_grid.interpolate(q, V.values.T)[0], V.p_grid.nodes)
-    return _inf_pairing(x, lambda c: V(pair(c), q))
+    if x.size != 2:
+        raise InputError("callable conjugation is implemented on the scalar chart")
+    return float(_golden_min(lambda c: x[0] * c + x[1] * (1 - c) - V(pair(c), q)))
 
 
 def convex_conjugate_q(V, p, y) -> float:
     """sup over the q-simplex of <q, y> - V(p, q); dual to :func:`concave_conjugate_p`.
 
-    Computed as ``-inf_q <q, -y> - (-V(p, q))``; on a value grid it is
-    :func:`convex_surface_q` at the one pair ``(p, y)``.
+    On a value grid it is :func:`convex_surface_q` at the one pair
+    ``(p, y)``.  A callable is minus :func:`concave_conjugate_p` of the
+    swapped game, ``-W*(-y, p)`` with ``W(q, p) = -V(p, q)``.
     """
     if isinstance(V, ValueGrid):
         return float(convex_surface_q(V, [p], [y])[0, 0])
-    p = as_simplex(p)
-    y = _dual_vector(y)
-    return -_inf_pairing(-y, lambda c: -V(p, pair(c)))
+    return -concave_conjugate_p(lambda a, b: -V(b, a), -np.asarray(y, dtype=float), p)
 
 
 def convex_surface_q(V: ValueGrid, ps, ys) -> np.ndarray:
@@ -128,8 +121,8 @@ def convex_surface_q(V: ValueGrid, ps, ys) -> np.ndarray:
     """
     ys = _dual_vector(ys)
     if ys.ndim != 2 or ys.shape[1] != V.q_grid.dim:
-        raise InputError(f"dual vectors of the q side need {V.q_grid.dim} coordinates, "
-                         f"got shape {ys.shape}")
+        raise InputError(f"dual vectors need {V.q_grid.dim} coordinates, one per state of "
+                         f"the conjugated side, got shape {ys.shape}")
     rows = V.p_grid.interpolate([as_simplex(p) for p in ps], V.values)
     pairing = V.q_grid.nodes @ -ys.T  # (q node, y)
     return -np.array([(pairing - (-row)[:, None]).min(axis=0) for row in rows])
@@ -160,9 +153,6 @@ def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:
     if q.size != qg.dim:  # the two-state branch reads the row at q directly
         raise InputError(f"q has {q.size} states, the q side {qg.dim}")
     row = V.p_grid.interpolate(as_simplex(p), V.values)[0]
-    if qg.dim == 1:
-        z = np.zeros(0)
-        return z, z
     step = qg.step
     if qg.dim == 2:
         c = float(q[0])
@@ -177,7 +167,7 @@ def subgradient_q(V: ValueGrid, p, q) -> tuple[np.ndarray, np.ndarray]:
             i = int(math.floor(pos))
             lo = hi = (row[i + 1] - row[i]) / step
         return np.array([lo]), np.array([hi])
-    # higher-dimensional charts: one-sided differences along each chart axis
+    # other charts: one-sided differences along each chart axis (none for one state)
     lo = np.empty(qg.dim - 1)
     hi = np.empty(qg.dim - 1)
     for c in range(qg.dim - 1):

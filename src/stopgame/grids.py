@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .model import SIMPLEX_CLAMP, SIMPLEX_SUM_TOL, GameSpec, as_simplex
+from .model import GameSpec, _on_simplex, as_simplex
 
 __all__ = [
     "SimplexGrid", "ValueGrid", "payoff_grids",
@@ -151,9 +151,7 @@ class SimplexGrid:
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise InputError(f"a point of a {self.dim}-state grid needs {self.dim} "
                              f"coordinates, got shape {np.shape(points)}")
-        # NaN fails both comparisons, and an infinite coordinate the mass test
-        if not ((pts >= -SIMPLEX_CLAMP).all()
-                and (np.abs(pts.sum(axis=1) - 1.0) <= SIMPLEX_SUM_TOL).all()):
+        if not _on_simplex(pts).all():
             raise InputError("a point of the grid needs finite coordinates on the simplex")
         idx, w = self.interp_weights(pts[:, : self.dim - 1])
         shape = (-1,) + (1,) * (values.ndim - 1)  # one weight per row of values

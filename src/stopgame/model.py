@@ -40,23 +40,31 @@ GENERATOR_ROW_TOL = 1e-12
 _TAYLOR_DEGREE = 18
 
 
+def _on_simplex(points: np.ndarray) -> np.ndarray:
+    """Whether each row of ``points`` is a probability vector, up to the tolerances.
+
+    No entry may lie below ``-SIMPLEX_CLAMP`` and the mass must be within
+    ``SIMPLEX_SUM_TOL`` of 1.  NaN fails both comparisons, and an infinite
+    coordinate fails one of them, so a row with either is off the simplex.
+    """
+    return ((points >= -SIMPLEX_CLAMP).all(axis=-1)
+            & (np.abs(points.sum(axis=-1) - 1.0) <= SIMPLEX_SUM_TOL))
+
+
 def as_simplex(weights) -> np.ndarray:
     """Validate and normalize a probability vector.
 
     Entries in ``[-SIMPLEX_CLAMP, 0)`` are rounded up to zero (arithmetic noise);
     anything more negative is an error, as is a total mass off by more
-    than ``SIMPLEX_SUM_TOL``.
+    than ``SIMPLEX_SUM_TOL`` or a coordinate that is not finite.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InputError("simplex point must be a nonempty 1-d vector")
-    if not np.isfinite(w).all():
-        raise InputError("probabilities must be finite")
-    if (w < -SIMPLEX_CLAMP).any():
-        raise InputError(f"negative probability {w.min():.3e} below clamp tolerance")
-    total = float(w.sum())
-    if abs(total - 1.0) > SIMPLEX_SUM_TOL:
-        raise InputError(f"probabilities sum to {total!r}, expected 1")
+    if not _on_simplex(w):
+        raise InputError(f"{w.tolist()} is not a probability vector: its entries must be "
+                         f"finite, none below -{SIMPLEX_CLAMP:g}, with a sum within "
+                         f"{SIMPLEX_SUM_TOL:g} of 1")
     w = np.maximum(w, 0.0)
     return w / w.sum()
 

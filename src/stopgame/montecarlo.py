@@ -68,6 +68,8 @@ BLOCK = 1024
 # how far the first round samples the own chain, before the rule runs
 FIRST_ROUND = 8.0
 STOP_KINDS = ("zero", "flow", "never")
+# finite response times of the default pure family, between 0 and +inf
+RESPONSE_TIMES = 200
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class PayoffEstimate:
     seed: int
 
 
-def default_time_grid(r: float, n: int = 200) -> np.ndarray:
+def default_time_grid(r: float, n: int = RESPONSE_TIMES) -> np.ndarray:
     """Log-spaced response times up to the discount horizon, plus {0, inf}."""
     t_max = never_horizon(r)
     inner = np.geomspace(1e-3 / r, t_max, n)
@@ -110,7 +112,7 @@ class PureResponseFamily:
         object.__setattr__(self, "times", t)
 
     @classmethod
-    def for_game(cls, spec: GameSpec, n: int = 200) -> "PureResponseFamily":
+    def for_game(cls, spec: GameSpec, n: int = RESPONSE_TIMES) -> "PureResponseFamily":
         return cls(default_time_grid(spec.r, n))
 
     def exhaustive_for(self, spec: GameSpec) -> bool:
@@ -436,22 +438,18 @@ class GapReport:
 def exploit_gap(spec: GameSpec, strat1: MixedStoppingStrategy, value_claim: float,
                 family: PureResponseFamily, n: int, seed: int = 0,
                 threads: int = 1) -> GapReport:
-    """best_response_value minus the claimed value (+inf against a -inf claim).
+    """best_response_value minus the claimed value.
 
-    A NaN claim is an input error.  Monte Carlo runs in the calling
-    process, so ``threads`` accepts only 1.  The keyword stays because the
-    benchmark workloads still pass ``threads=1``; it goes with the next
-    change to the benchmark.
+    Every claim is played the same way, so a ``-inf`` claim reports the
+    best response with a gap of ``+inf``; a NaN claim is an input error.
+    Monte Carlo runs in the calling process, so ``threads`` accepts only
+    1.  The keyword stays because the benchmark workloads still pass
+    ``threads=1``; it goes with the next change to the benchmark.
     """
     if threads != 1:
         raise InputError(f"Monte Carlo runs in one process; threads must be 1, got {threads!r}")
     if math.isnan(value_claim):
         raise InputError("the value claim is NaN")
-    if value_claim == -math.inf:  # nothing is played, so the rule is checked here
-        _check_rule(strat1, spec.R, spec.p0)
-        return GapReport(value_claim, math.nan, math.inf, 0.0, 0, seed, {},
-                         family.descriptor(), family.exhaustive_for(spec),
-                         dict.fromkeys(STOP_KINDS, 0), False)
     br = best_response_value(spec, strat1, family, n, seed)
     return GapReport(value_claim, br.value, br.value - value_claim, br.std_error,
                      n, seed, br.argmin, br.family, family.exhaustive_for(spec),

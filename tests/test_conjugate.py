@@ -186,6 +186,18 @@ def test_subgradient_on_grid(e1_oracle_grid):
     assert hi[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
+def test_subgradient_inside_a_cell_and_on_one_state(e1_oracle_grid, e2_oracle_grid):
+    # inside a cell the q-slice is affine, so both ends are that cell's slope
+    qg = e1_oracle_grid.q_grid
+    row = e1_oracle_grid.p_grid.interpolate(pair(0.25), e1_oracle_grid.values)[0]
+    for i in (0, 37, qg.resolution - 1):
+        lo, hi = subgradient_q(e1_oracle_grid, pair(0.25), pair((i + 0.3) / qg.resolution))
+        assert lo[0] == hi[0] == (row[i + 1] - row[i]) / qg.step
+    # a one-state q side has no chart coordinate: two empty intervals
+    lo, hi = subgradient_q(e2_oracle_grid, pair(0.3), [1.0])
+    assert lo.shape == hi.shape == (0,)
+
+
 def test_subgradient_bilinear_degenerate(e1_spec):
     grid = ValueGrid.from_function(
         e1_spec, lambda p, q: float(p @ e1_spec.h @ q), 40, 40)

@@ -2,8 +2,9 @@
 that only ever took one value stay constants, no function switches
 between the p and q sides, the CLI reads strategies through the loaded
 rule, laws move by one propagator, Monte Carlo plays by one loop, value
-grids are read between nodes in one place, and no two-state workflow
-loads scipy."""
+grids are read between nodes in one place, each conjugate is written
+once, model alone tests simplex points, and no two-state workflow loads
+scipy."""
 
 import ast
 import dataclasses
@@ -225,6 +226,26 @@ def test_one_interpolation():
                   for _, where in _uses(ast.parse(path.read_text()), {"interp_weights"})}
     assert found == {"grids.interpolate", "solver._flow_stencil"}
     assert not hasattr(conjugate, "_grid_slice")
+
+
+def test_each_conjugate_is_written_once():
+    # a value grid is conjugated by the node scan of convex_surface_q and a
+    # callable by the golden section of concave_conjugate_p; the other side
+    # reads each on mirrored values, so a second scan or objective fails here
+    assert not hasattr(conjugate, "_inf_pairing")
+    tree = ast.parse(Path(conjugate.__file__).read_text())
+    assert {where for _, where in _uses(tree, {"_golden_min"})} == {"concave_conjugate_p"}
+
+
+def test_model_alone_tests_simplex_points():
+    # grids checks an interpolation point with model's one predicate, not
+    # with a copy of its tolerances
+    tree = ast.parse(Path(grids.__file__).read_text())
+    names = {"SIMPLEX_CLAMP", "SIMPLEX_SUM_TOL"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert list(_uses(tree, names)) == [] and not names & imported
+    assert {where for _, where in _uses(tree, {"_on_simplex"})} == {"interpolate"}
 
 
 COLD_START = textwrap.dedent("""

@@ -139,6 +139,21 @@ def test_simulate_Z_single_jump_lands_in_S(e1_char):
             assert e1_char.in_EH(w)
 
 
+def test_z_path_state_at_reads_the_orbit_then_the_post_jump_state(e1_char):
+    # before the jump a time between two orbit samples reads their linear
+    # interpolant; from the jump time on the path holds its post-jump state
+    path = next(path for path in _z_paths(e1_char, z1(0.3, 0.55), 10.0, philox_rng(3), 200)
+                if path.jumped)
+    i = path.ts.size // 2
+    t = 0.25 * path.ts[i] + 0.75 * path.ts[i + 1]
+    assert t < path.jump_time
+    np.testing.assert_allclose(path.state_at(t), 0.25 * path.zs[i] + 0.75 * path.zs[i + 1],
+                               rtol=0, atol=1e-12)
+    for t in (path.jump_time, path.jump_time + 1.0):
+        np.testing.assert_array_equal(path.state_at(t), path.post_jump)
+    assert not np.array_equal(path.zs[-1], path.post_jump)
+
+
 # ---------------------------------------------------------------------------
 # structure conditions
 
@@ -161,6 +176,19 @@ def test_sc_check_passes_examples(e1_char, e2_char, e2_params):
     rep2 = sc_check(e2_char, ex.e2_vstar_full(e2_params),
                     e2_sample_points(e2_params, 25))
     assert rep2.passed, str(rep2)
+
+
+def test_structure_report_prints_one_line_per_condition():
+    rep = pdmp.StructureReport(
+        passed_by_condition={"sc2_invariant": False, "sc1_membership": True, "sc5_split": True},
+        worst={"sc1_membership": 0.0, "sc2_invariant": 2.5e-3},
+        failures=["sc2_invariant: orbit left E_H (excess 2.500e-03)"], counts={}, tol=1e-6)
+    assert str(rep).splitlines() == [
+        "structure check (tol=1e-06): FAIL",
+        "  sc1_membership: ok worst=0.000e+00",
+        "  sc2_invariant: FAIL worst=2.500e-03",
+        "  sc5_split: ok",
+        "  ! sc2_invariant: orbit left E_H (excess 2.500e-03)"]
 
 
 def test_sc_check_follows_jump_curve_orbits_without_bisection(e1_char, monkeypatch):
@@ -444,6 +472,8 @@ def test_belief_consistency_needs_a_start_law(e2_params):
         assert strat.initial_belief() is None
         with pytest.raises(InputError):
             belief_consistency(strat, 1.0, 200)
+        with pytest.raises(NotImplementedError, match="does not track a belief"):
+            strat.belief(1.0)
     # the chain comes whole or not at all
     with pytest.raises(InputError):
         NeverStopStrategy(R=e2_params.R)
